@@ -10,22 +10,19 @@ of the structural classifier, so the two can check each other.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from . import config
-from .words import Pattern, Word
+from .words import Pattern, Word, contains_factor
 
 UNREACHABLE = math.inf
 
 _ENUM_CHUNK = 1 << 22
 _ROW_CHUNK = 128
-_SOURCE_CHUNK = 256
+_SOURCE_CHUNK = 64  # BFS sources per batch: one bit each in a uint64
 
 if hasattr(np, "bitwise_count"):
     def _popcount(a: np.ndarray) -> np.ndarray:
@@ -69,12 +66,8 @@ class AvoidanceGraph:
         d = self.dimension
         return (Word(d, int(v)) for v in self.vertices)
 
-    @cached_property
-    def _vertex_set(self) -> set[int]:
-        return set(int(v) for v in self.vertices)
-
     def contains_vertex(self, w: Word) -> bool:
-        return w.length == self.dimension and w.bits in self._vertex_set
+        return w.length == self.dimension and not contains_factor(w, self.pattern)
 
     def _require_vertex(self, w: Word) -> None:
         if not self.contains_vertex(w):
@@ -111,32 +104,20 @@ class AvoidanceGraph:
     def forbidden_flip_mask(self) -> np.ndarray:
         return self._flip_tables[1]
 
-    @cached_property
-    def adjacency(self) -> csr_matrix:
-        table = self.neighbor_table
-        n = self.vertex_count
-        rows = np.repeat(np.arange(n, dtype=np.int64), self.dimension)
-        cols = table.ravel()
-        keep = cols >= 0
-        rows, cols = rows[keep], cols[keep]
-        data = np.ones(rows.size, dtype=np.uint8)
-        return csr_matrix((data, (rows, cols)), shape=(n, n))
-
     def edge_list(self) -> list[tuple[Word, Word]]:
-        """All edges with the smaller endpoint first, sorted."""
+        """All edges with the smaller endpoint first, sorted.
+
+        Index order is lexicographic order, so sorting index pairs sorts the
+        word pairs.
+        """
+        table = self.neighbor_table
+        i, k = np.nonzero(table > np.arange(self.vertex_count)[:, None])
+        j = table[i, k]
+        order = np.lexsort((j, i))
         verts = self.vertices
         d = self.dimension
-        pairs = []
-        for k in range(d):
-            nb = verts ^ (1 << k)
-            pos = np.searchsorted(verts, nb)
-            ok = pos < verts.size
-            ok[ok] = verts[pos[ok]] == nb[ok]
-            up = ok & (nb > verts)
-            pairs.append(np.stack([verts[up], nb[up]], axis=1))
-        allp = np.concatenate(pairs) if pairs else np.empty((0, 2), dtype=np.int64)
-        order = np.lexsort((allp[:, 1], allp[:, 0]))
-        return [(Word(d, int(a)), Word(d, int(b))) for a, b in allp[order]]
+        return [(Word(d, int(verts[a])), Word(d, int(verts[b])))
+                for a, b in zip(i[order], j[order])]
 
 
 def build_graph(f: Pattern, d: int, cap: int | None = None) -> AvoidanceGraph:
@@ -152,27 +133,46 @@ def build_graph(f: Pattern, d: int, cap: int | None = None) -> AvoidanceGraph:
     return AvoidanceGraph(f, d, np.concatenate(chunks))
 
 
+def _distances(g: AvoidanceGraph, sources: np.ndarray) -> np.ndarray:
+    """BFS distances (len(sources) x V, int64) from up to 64 distinct source
+    indices to every vertex index; -1 where a vertex is unreachable.
+
+    All sources run at once, one bit per source in a uint64 per vertex.  Each
+    level gathers the frontier over the neighbor table and ORs each row.  The
+    frontier has one extra last slot that stays zero, so the table's -1
+    entries read nothing.
+    """
+    n = g.vertex_count
+    table = g.neighbor_table
+    frontier = np.zeros(n + 1, dtype=np.uint64)
+    frontier[sources] = np.uint64(1) << np.arange(len(sources), dtype=np.uint64)
+    seen = frontier[:n].copy()
+    # steps[v, s] counts the levels after which source s has not reached v:
+    # the distance when s reaches v, one more than the last level otherwise.
+    steps = np.zeros((n, 64), dtype=np.int32)
+    level = 0
+    while True:
+        # Little-endian bytes unpacked little-bit-first put source s in column s.
+        unseen = (~seen).astype("<u8", copy=False).view(np.uint8)
+        steps += np.unpackbits(unseen, bitorder="little").reshape(n, 64)
+        reach = np.bitwise_or.reduce(frontier[table], axis=1) & ~seen
+        if not reach.any():
+            break
+        level += 1
+        seen |= reach
+        frontier[:n] = reach
+    dist = steps[:, : len(sources)].T.astype(np.int64)
+    dist[dist > level] = -1
+    return dist
+
+
 def graph_distance(g: AvoidanceGraph, a: Word, b: Word) -> int | float:
     """BFS distance inside the graph; UNREACHABLE when no path exists."""
     g._require_vertex(a)
     g._require_vertex(b)
-    if a.bits == b.bits:
-        return 0
-    vset = g._vertex_set
-    d = g.dimension
-    dist = {a.bits: 0}
-    q = deque([a.bits])
-    while q:
-        u = q.popleft()
-        du = dist[u]
-        for k in range(d):
-            v = u ^ (1 << k)
-            if v in vset and v not in dist:
-                if v == b.bits:
-                    return du + 1
-                dist[v] = du + 1
-                q.append(v)
-    return UNREACHABLE
+    ia, ib = np.searchsorted(g.vertices, [a.bits, b.bits])
+    dg = int(_distances(g, np.array([ia]))[0, ib])
+    return UNREACHABLE if dg < 0 else dg
 
 
 @dataclass(frozen=True)
@@ -207,17 +207,16 @@ def is_isometric(g: AvoidanceGraph, with_min_p: bool = False) -> Verdict:
     n = verts.size
     if n <= 1:
         return Verdict(True)
-    adj = g.adjacency
     for lo in range(0, n, _SOURCE_CHUNK):
         idx = np.arange(lo, min(lo + _SOURCE_CHUNK, n))
-        dist = shortest_path(adj, method="D", unweighted=True, indices=idx)
+        dist = _distances(g, idx)
         ham = _popcount(verts[idx, None] ^ verts[None, :])
         viol = dist != ham
         if viol.any():
             i, j = np.argwhere(viol)[0]
             alpha = Word(d, int(verts[idx[i]]))
             beta = Word(d, int(verts[j]))
-            dg = UNREACHABLE if math.isinf(dist[i, j]) else int(dist[i, j])
+            dg = UNREACHABLE if dist[i, j] < 0 else int(dist[i, j])
             min_p = None
             if with_min_p:
                 pairs = find_critical_pairs(g, minimal_only=True)

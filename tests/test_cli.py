@@ -1,9 +1,13 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fibocube
 from fibocube.cli import EXIT_BAD, EXIT_OK, EXIT_USAGE, main
 
 
@@ -191,3 +195,15 @@ class TestDeterminism:
     def test_identical_invocations_identical_bytes(self):
         runs = [run_cli("classify", "0011", "--format", "json") for _ in range(2)]
         assert runs[0] == runs[1]
+
+
+class TestDependencies:
+    def test_cli_import_does_not_load_scipy(self):
+        src = str(Path(fibocube.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import fibocube.cli; "
+            "print('scipy' in sys.modules)"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "False"

@@ -30,6 +30,19 @@ Q4_101_VERTICES = [
 FIBONACCI_COUNTS = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597]
 
 
+def reference_bfs(vertices, source):
+    """Queue BFS over word strings: distance to every vertex reachable from source."""
+    dist = {source: 0}
+    queue = [source]
+    for u in queue:
+        for i in range(len(u)):
+            v = u[:i] + ("1" if u[i] == "0" else "0") + u[i + 1:]
+            if v in vertices and v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
 class TestBuildGraph:
     def test_fibonacci_cube_d4(self):
         assert build_graph(W("11"), 4).vertex_count == 8
@@ -100,16 +113,35 @@ class TestGraphDistance:
                     strict += 1
         assert strict > 0
 
+    @pytest.mark.parametrize("pattern, d", [("101", 4), ("0011", 6), ("11", 7)])
+    def test_matches_reference_bfs(self, pattern, d):
+        g = build_graph(W(pattern), d)
+        ws = [str(w) for w in g.words()]
+        for a in ws:
+            dist = reference_bfs(set(ws), a)
+            for b in ws:
+                assert graph_distance(g, W(a), W(b)) == dist.get(b, UNREACHABLE)
+
 
 class TestIsIsometric:
     def test_q3_101_isometric(self):
         assert is_isometric(build_graph(W("101"), 3)).isometric
 
-    def test_q4_101_violation(self):
-        v = is_isometric(build_graph(W("101"), 4))
+    # The last two cases have their first violating source in the second
+    # and third batch of 64 BFS sources (indices 80 of 96 and 153 of 228).
+    @pytest.mark.parametrize(
+        "pattern, d, expected",
+        [
+            pytest.param("101", 4, ("1001", "1111", 4, 2), id="Q4-101"),
+            pytest.param("1100", 7, ("1101000", "1110100", 5, 3), id="Q7-1100"),
+            pytest.param("10101", 8, ("10100101", "10111101", 4, 2), id="Q8-10101"),
+        ],
+    )
+    def test_q4_101_violation(self, pattern, d, expected):
+        v = is_isometric(build_graph(W(pattern), d))
         assert not v.isometric
         alpha, beta, dg, h = v.violating_pair
-        assert (str(alpha), str(beta), dg, h) == ("1001", "1111", 4, 2)
+        assert (str(alpha), str(beta), dg, h) == expected
 
     def test_full_cube_fast_path(self):
         v = is_isometric(build_graph(W("01100"), 4))
