@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 
 from . import oracle, structural
@@ -38,14 +38,7 @@ class TheoremReport:
     notes: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "swept": self.swept,
-            "passed": self.passed,
-            "checked": self.checked,
-            "counterexample": self.counterexample,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -133,8 +126,7 @@ def _render_distance(dg) -> int | str:
 def _cross_validate_one(args):
     text, probe_past_len, cap = args
     f = Word.parse(text)
-    cls = structural.classify(f)
-    s_index = cls.index
+    s_index = structural.classify(f).index
     b_index = oracle.index_bruteforce(f, cap)
     record = {"pattern": text, "structural_index": s_index, "bruteforce_index": b_index}
     if s_index != b_index:
@@ -145,7 +137,6 @@ def _cross_validate_one(args):
         if past != b_index:
             record["failure"] = "violation-appears-past-bound"
             record["first_violation_to_2n_plus_2"] = past
-            return record
     return record
 
 
@@ -156,12 +147,11 @@ def _min_p_one(args):
     if b is None:
         return {"pattern": text, "index": None, "min_p": None}
     pairs = oracle.find_critical_pairs(oracle.build_graph(f, b, cap), minimal_only=True)
-    return {
-        "pattern": text,
-        "index": b,
-        "min_p": pairs[0].p if pairs else None,
-        "pairs_at_min": len(pairs),
-    }
+    min_p = pairs[0].p if pairs else None
+    record = {"pattern": text, "index": b, "min_p": min_p, "pairs_at_min": len(pairs)}
+    if min_p not in (2, 3):
+        record["failure"] = "minimal-p-outside-2-3"
+    return record
 
 
 def _index_bound_one(args):
@@ -198,20 +188,18 @@ def _doubling_one(args):
             return record
         if f.length <= oracle_max_len and oracle.index_bruteforce(ff, cap) is not None:
             record["failure"] = "oracle-says-doubled-is-bad"
-            return record
-    else:
-        if f.length <= oracle_max_len:
-            b = oracle.index_bruteforce(f, cap)
-            for d in range(2, (b or 2)):
-                g = oracle.build_graph(ff, d, cap)
-                if d < ff.length and g.vertex_count != 1 << d:
-                    record["failure"] = "doubled-graph-not-full-cube"
-                    record["dimension"] = d
-                    return record
-                if not oracle.is_isometric(g).isometric:
-                    record["failure"] = "doubled-graph-not-isometric-below-index"
-                    record["dimension"] = d
-                    return record
+    elif f.length <= oracle_max_len:
+        b = oracle.index_bruteforce(f, cap)
+        for d in range(2, (b or 2)):
+            g = oracle.build_graph(ff, d, cap)
+            if d < ff.length and g.vertex_count != 1 << d:
+                record["failure"] = "doubled-graph-not-full-cube"
+                record["dimension"] = d
+                return record
+            if not oracle.is_isometric(g).isometric:
+                record["failure"] = "doubled-graph-not-isometric-below-index"
+                record["dimension"] = d
+                return record
     return record
 
 
@@ -242,7 +230,6 @@ def _critical_equivalence_one(args):
     f = Word.parse(text)
     n = f.length
     d_max = 2 * n - 1 if n > 4 else 2 * n + 2
-    checks = []
     for d in range(2, d_max + 1):
         g = oracle.build_graph(f, d, cap)
         verdict = oracle.is_isometric(g)
@@ -259,8 +246,7 @@ def _critical_equivalence_one(args):
                 a, b, dg, h = verdict.violating_pair
                 record["violating_pair"] = [str(a), str(b), _render_distance(dg), h]
             return record
-        checks.append(d)
-    return {"pattern": text, "dimensions_checked": len(checks)}
+    return {"pattern": text, "dimensions_checked": d_max - 1}
 
 
 def _census_one(args):
@@ -288,119 +274,82 @@ def _pure_three_one(text):
 # ---------------------------------------------------------------------------
 # sweeps
 
-def _first_failure(records) -> dict | None:
-    for r in records:
-        if "failure" in r:
-            return r
-    return None
+def _sweep(name: str, swept: str, one, texts, params, workers, checked=len) -> TheoremReport:
+    """Run one worker on (text, *params) for every text and report the first
+    failing record; checked turns the list of all records into the count."""
+    records = _pmap(one, [(t, *params) for t in texts], workers)
+    bad = next((r for r in records if "failure" in r), None)
+    return TheoremReport(
+        name=name, swept=swept, passed=bad is None, checked=checked(records), counterexample=bad
+    )
+
+
+def _bad_patterns(records) -> int:
+    return sum(1 for r in records if r["index"] is not None)
 
 
 def cross_validate_patterns(
     texts: list[str], workers: int = 1, probe_past_len: int = 4, cap: int | None = None
 ) -> TheoremReport:
-    records = _pmap(_cross_validate_one, [(t, probe_past_len, cap) for t in texts], workers)
-    bad = _first_failure(records)
-    return TheoremReport(
-        name="oracle-structural-cross-validation",
-        swept=f"{len(texts)} patterns",
-        passed=bad is None,
-        checked=len(records),
-        counterexample=bad,
+    return _sweep(
+        "oracle-structural-cross-validation",
+        f"{len(texts)} patterns",
+        _cross_validate_one, texts, (probe_past_len, cap), workers,
     )
 
 
 def cross_validate(max_len: int, workers: int = 1, cap: int | None = None) -> TheoremReport:
-    texts = patterns_up_to(max_len)
-    report = cross_validate_patterns(texts, workers=workers, cap=cap)
-    return TheoremReport(
-        name=report.name,
-        swept=f"all patterns of length 1..{max_len}",
-        passed=report.passed,
-        checked=report.checked,
-        counterexample=report.counterexample,
-    )
+    report = cross_validate_patterns(patterns_up_to(max_len), workers=workers, cap=cap)
+    return replace(report, swept=f"all patterns of length 1..{max_len}")
 
 
 def check_p_values(max_len: int, workers: int = 1, cap: int | None = None) -> TheoremReport:
-    texts = patterns_up_to(max_len)
-    records = _pmap(_min_p_one, [(t, cap) for t in texts], workers)
-    bad = None
-    checked = 0
-    for r in records:
-        if r["index"] is None:
-            continue
-        checked += 1
-        if r["min_p"] not in (2, 3):
-            bad = dict(r, failure="minimal-p-outside-2-3")
-            break
-    return TheoremReport(
-        name="minimal-p-dichotomy",
-        swept=f"bad patterns of length 1..{max_len}, critical pairs at the index",
-        passed=bad is None,
-        checked=checked,
-        counterexample=bad,
+    return _sweep(
+        "minimal-p-dichotomy",
+        f"bad patterns of length 1..{max_len}, critical pairs at the index",
+        _min_p_one, patterns_up_to(max_len), (cap,), workers, checked=_bad_patterns,
     )
 
 
 def check_index_bound(
     max_len: int, oracle_probe_len: int = 4, workers: int = 1, cap: int | None = None
 ) -> TheoremReport:
-    texts = patterns_up_to(max_len)
-    records = _pmap(_index_bound_one, [(t, oracle_probe_len, cap) for t in texts], workers)
-    bad = _first_failure(records)
-    return TheoremReport(
-        name="index-upper-bound",
-        swept=f"all patterns of length 1..{max_len}; oracle probe to 2n+2 for n <= {oracle_probe_len}",
-        passed=bad is None,
-        checked=len(records),
-        counterexample=bad,
+    return _sweep(
+        "index-upper-bound",
+        f"all patterns of length 1..{max_len}; oracle probe to 2n+2 for n <= {oracle_probe_len}",
+        _index_bound_one, patterns_up_to(max_len), (oracle_probe_len, cap), workers,
     )
 
 
 def check_doubling(
     max_len: int, oracle_max_len: int = 3, workers: int = 1, cap: int | None = None
 ) -> TheoremReport:
-    texts = patterns_up_to(max_len)
-    records = _pmap(_doubling_one, [(t, oracle_max_len, cap) for t in texts], workers)
-    bad = _first_failure(records)
-    return TheoremReport(
-        name="doubling-preserves-good",
-        swept=f"all patterns of length 1..{max_len}; oracle confirmation for n <= {oracle_max_len}",
-        passed=bad is None,
-        checked=len(records),
-        counterexample=bad,
+    return _sweep(
+        "doubling-preserves-good",
+        f"all patterns of length 1..{max_len}; oracle confirmation for n <= {oracle_max_len}",
+        _doubling_one, patterns_up_to(max_len), (oracle_max_len, cap), workers,
     )
 
 
 def check_monotonicity(
     max_len: int, extra: int = 3, workers: int = 1, cap: int | None = None
 ) -> TheoremReport:
-    texts = patterns_up_to(max_len)
-    records = _pmap(_monotonicity_one, [(t, extra, cap) for t in texts], workers)
-    bad = _first_failure(records)
-    checked = sum(1 for r in records if r["index"] is not None)
-    return TheoremReport(
-        name="witness-lift-monotonicity",
-        swept=f"bad patterns of length 1..{max_len}, dimensions index+1..index+{extra}",
-        passed=bad is None,
-        checked=checked,
-        counterexample=bad,
+    return _sweep(
+        "witness-lift-monotonicity",
+        f"bad patterns of length 1..{max_len}, dimensions index+1..index+{extra}",
+        _monotonicity_one, patterns_up_to(max_len), (extra, cap), workers,
+        checked=_bad_patterns,
     )
 
 
 def check_critical_equivalence(
     max_len: int, workers: int = 1, cap: int | None = None
 ) -> TheoremReport:
-    texts = patterns_up_to(max_len)
-    records = _pmap(_critical_equivalence_one, [(t, cap) for t in texts], workers)
-    bad = _first_failure(records)
-    checked = sum(r.get("dimensions_checked", 0) for r in records)
-    return TheoremReport(
-        name="nonisometric-iff-critical-pair",
-        swept=f"all patterns of length 1..{max_len}, dimensions 2..2n-1 (2n+2 for n <= 4)",
-        passed=bad is None,
-        checked=checked,
-        counterexample=bad,
+    return _sweep(
+        "nonisometric-iff-critical-pair",
+        f"all patterns of length 1..{max_len}, dimensions 2..2n-1 (2n+2 for n <= 4)",
+        _critical_equivalence_one, patterns_up_to(max_len), (cap,), workers,
+        checked=lambda records: sum(r.get("dimensions_checked", 0) for r in records),
     )
 
 
@@ -436,42 +385,25 @@ def census(
 def check_overlap_machinery(limit: int = 12) -> TheoremReport:
     """Cycle structure, residue walks, forced equalities, and concrete period
     checks over all period pairs up to the limit."""
-    checked = 0
-    for r in range(1, limit + 1):
-        for s in range(1, limit + 1):
-            checked += 1
-            g = build_overlap_graph(r, s)
-            if not is_single_cycle(g) or len(g.edges) != 2 * (g.k1 + g.k2):
-                return TheoremReport(
-                    "overlap-cycle-closure",
-                    f"period pairs 1..{limit}",
-                    False,
-                    checked,
-                    {"r": r, "s": s, "failure": "not-a-single-cycle"},
-                )
-            seq = residue_sequence(g.k1, g.k2)
-            if sorted(seq) != list(range(g.k1 + g.k2)) or seq[-1] != g.k2:
-                return TheoremReport(
-                    "overlap-cycle-closure",
-                    f"period pairs 1..{limit}",
-                    False,
-                    checked,
-                    {"r": r, "s": s, "failure": "residue-walk-broken"},
-                )
-            sys_ = equation_system(r, s)
-            ids = [(2, i) for i in sys_.type2] + [(3, j) for j in sys_.type3]
-            for missing in ids:
-                assumed = set(ids) - {missing}
-                pair = (sys_.type2 if missing[0] == 2 else sys_.type3)[missing[1]]
-                if not closure_implies(r, s, assumed, pair):
-                    return TheoremReport(
-                        "overlap-cycle-closure",
-                        f"period pairs 1..{limit}",
-                        False,
-                        checked,
-                        {"r": r, "s": s, "missing": list(missing),
-                         "failure": "dropped-equation-not-forced"},
-                    )
+    bad = None
+    for r, s in product(range(1, limit + 1), repeat=2):
+        g = build_overlap_graph(r, s)
+        if not is_single_cycle(g) or len(g.edges) != 2 * (g.k1 + g.k2):
+            bad = bad or {"r": r, "s": s, "failure": "not-a-single-cycle"}
+            continue
+        seq = residue_sequence(g.k1, g.k2)
+        if sorted(seq) != list(range(g.k1 + g.k2)) or seq[-1] != g.k2:
+            bad = bad or {"r": r, "s": s, "failure": "residue-walk-broken"}
+            continue
+        sys_ = equation_system(r, s)
+        ids = [(2, i) for i in sys_.type2] + [(3, j) for j in sys_.type3]
+        for missing in ids:
+            assumed = set(ids) - {missing}
+            pair = (sys_.type2 if missing[0] == 2 else sys_.type3)[missing[1]]
+            if not closure_implies(r, s, assumed, pair):
+                bad = bad or {"r": r, "s": s, "missing": list(missing),
+                              "failure": "dropped-equation-not-forced"}
+                break
     # concrete words: the full-period check never fails, and the vacuousness
     # flag respects bit complementation
     for r, s in [(1, 2), (2, 2), (2, 4)]:
@@ -480,19 +412,9 @@ def check_overlap_machinery(limit: int = 12) -> TheoremReport:
             res = period_closure_check(f, r, s)
             res_c = period_closure_check(f.complement(), r, s)
             if not res.ok or not res_c.ok or res.vacuous != res_c.vacuous:
-                return TheoremReport(
-                    "overlap-cycle-closure",
-                    f"period pairs 1..{limit}",
-                    False,
-                    checked,
-                    {"word": t, "r": r, "s": s, "failure": "period-check-broken"},
-                )
-    return TheoremReport(
-        "overlap-cycle-closure",
-        f"period pairs 1..{limit}, plus concrete words for three pairs",
-        True,
-        checked,
-    )
+                bad = bad or {"word": t, "r": r, "s": s, "failure": "period-check-broken"}
+    swept = f"period pairs 1..{limit}, plus concrete words for three pairs"
+    return TheoremReport("overlap-cycle-closure", swept, bad is None, limit * limit, bad)
 
 
 def find_pure_three_critical(max_len: int, workers: int = 1) -> list[str]:
@@ -514,20 +436,16 @@ def run_suites(
     unknown = set(selected) - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suite {sorted(unknown)}; choose from {('all',) + SUITES}")
-    reports = []
-    for name in selected:
-        if name == "cross":
-            reports.append(cross_validate(max_len, workers=workers, cap=cap))
-        elif name == "p-values":
-            reports.append(check_p_values(max_len, workers=workers, cap=cap))
-        elif name == "index-bound":
-            reports.append(check_index_bound(max_len, workers=workers, cap=cap))
-        elif name == "doubling":
-            reports.append(check_doubling(max_len, workers=workers, cap=cap))
-        elif name == "monotonicity":
-            reports.append(check_monotonicity(max_len, workers=workers, cap=cap))
-        elif name == "lemma21":
-            reports.append(check_critical_equivalence(max_len, workers=workers, cap=cap))
+    # Looked up on each call, so a check replaced on the module is the one run.
+    checks = {
+        "cross": cross_validate,
+        "p-values": check_p_values,
+        "index-bound": check_index_bound,
+        "doubling": check_doubling,
+        "monotonicity": check_monotonicity,
+        "lemma21": check_critical_equivalence,
+    }
+    reports = [checks[name](max_len, workers=workers, cap=cap) for name in selected]
     if suite == "all":
         reports.append(check_overlap_machinery())
     return reports

@@ -106,6 +106,56 @@ def _witness_sort_key(w: CriticalWitness):
     return (w.dimension, w.alpha.bits, w.beta.bits)
 
 
+def _witnesses(f: Pattern, layouts) -> list[CriticalWitness]:
+    """Witnesses from layouts whose copy windows have already been merged.
+
+    Each layout is (d, shift, ((flip, copy offset), ...), alpha).  A layout
+    survives when alpha and beta (alpha with every flip complemented) both
+    avoid f; the first layout of each unordered pair is kept, and the result
+    is sorted by (d, alpha, beta).
+    """
+    n = f.length
+    out: list[CriticalWitness] = []
+    seen: set[tuple[int, int, int]] = set()
+    for d, shift, copies, alpha in layouts:
+        if _contains_bits(alpha, d, f.bits, n):
+            continue
+        beta = alpha
+        for i, _ in copies:
+            beta ^= _e(d, i)
+        if _contains_bits(beta, d, f.bits, n):
+            continue
+        key = (d, min(alpha, beta), max(alpha, beta))
+        if key in seen:
+            continue
+        seen.add(key)
+        offsets = tuple(sorted(copies))
+        out.append(
+            CriticalWitness(
+                pattern=f,
+                dimension=d,
+                p=len(copies),
+                flips=tuple(i for i, _ in offsets),
+                offsets=offsets,
+                shift=shift,
+                alpha=Word(d, alpha),
+                beta=Word(d, beta),
+            )
+        )
+    out.sort(key=_witness_sort_key)
+    return out
+
+
+def _merged(f: Pattern, layouts):
+    """(d, shift, copies, alpha) for each (d, shift, copies) layout whose
+    windows agree: complementing flip i of alpha makes a copy of f at offset u."""
+    n = f.length
+    for d, shift, copies in layouts:
+        alpha = _merge_windows(d, n, ((u, f.bits ^ _e(n, i - u + 1)) for i, u in copies))
+        if alpha is not None:
+            yield d, shift, copies, alpha
+
+
 def two_flip_candidates(f: Pattern) -> list[CriticalWitness]:
     """All valid two-flip layouts: copies of f at offsets 1 and r+1 for
     r = 1..|f|-2, one flip inside each copy, both flips in [r+1, |f|].
@@ -116,8 +166,7 @@ def two_flip_candidates(f: Pattern) -> list[CriticalWitness]:
     order (r, then flips ascending).
     """
     n = f.length
-    out: list[CriticalWitness] = []
-    seen: set[tuple[int, int, int]] = set()
+    layouts = []
     for r in range(1, n - 1):
         d = n + r
         for pa in range(r + 1, n + 1):
@@ -127,29 +176,9 @@ def two_flip_candidates(f: Pattern) -> list[CriticalWitness]:
                 alpha = _merge_windows(
                     d, n, ((1, f.bits ^ _e(n, pa)), (r + 1, f.bits ^ _e(n, pb - r)))
                 )
-                if alpha is None or _contains_bits(alpha, d, f.bits, n):
-                    continue
-                beta = alpha ^ _e(d, pa) ^ _e(d, pb)
-                if _contains_bits(beta, d, f.bits, n):
-                    continue
-                key = (d, min(alpha, beta), max(alpha, beta))
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(
-                    CriticalWitness(
-                        pattern=f,
-                        dimension=d,
-                        p=2,
-                        flips=tuple(sorted((pa, pb))),
-                        offsets=tuple(sorted(((pa, 1), (pb, r + 1)))),
-                        shift=r,
-                        alpha=Word(d, alpha),
-                        beta=Word(d, beta),
-                    )
-                )
-    out.sort(key=_witness_sort_key)
-    return out
+                if alpha is not None:
+                    layouts.append((d, r, ((pa, 1), (pb, r + 1)), alpha))
+    return _witnesses(f, layouts)
 
 
 def three_flip_candidates(f: Pattern) -> list[CriticalWitness]:
@@ -162,76 +191,29 @@ def three_flip_candidates(f: Pattern) -> list[CriticalWitness]:
     alpha and beta avoid f.
     """
     n = f.length
-    out: list[CriticalWitness] = []
-    seen: set[tuple[int, int, int]] = set()
-    for rp in range(1, (n - 1) // 3 + 1):
-        d = n + 3 * rp
-        for i1 in range(2 * rp + 1, 3 * rp + 1):
-            i2 = i1 + rp
-            i3 = i1 + 2 * rp
-            if i2 > n:
-                continue
-            alpha = _merge_windows(
-                d,
-                n,
-                (
-                    (1, f.bits ^ _e(n, i2)),
-                    (2 * rp + 1, f.bits ^ _e(n, i1 - 2 * rp)),
-                    (3 * rp + 1, f.bits ^ _e(n, i3 - 3 * rp)),
-                ),
-            )
-            if alpha is None or _contains_bits(alpha, d, f.bits, n):
-                continue
-            beta = alpha ^ _e(d, i1) ^ _e(d, i2) ^ _e(d, i3)
-            if _contains_bits(beta, d, f.bits, n):
-                continue
-            key = (d, min(alpha, beta), max(alpha, beta))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(
-                CriticalWitness(
-                    pattern=f,
-                    dimension=d,
-                    p=3,
-                    flips=(i1, i2, i3),
-                    offsets=((i1, 2 * rp + 1), (i2, 1), (i3, 3 * rp + 1)),
-                    shift=rp,
-                    alpha=Word(d, alpha),
-                    beta=Word(d, beta),
-                )
-            )
-    out.sort(key=_witness_sort_key)
-    return out
-
-
-def _mirror_witness(w: CriticalWitness) -> CriticalWitness:
-    """Reverse a witness end-for-end; the result certifies the reversed pattern."""
-    d = w.dimension
-    n = w.pattern.length
-    return CriticalWitness(
-        pattern=w.pattern.reverse(),
-        dimension=d,
-        p=w.p,
-        flips=tuple(sorted(d + 1 - i for i in w.flips)),
-        offsets=tuple(sorted((d + 1 - i, d + 2 - n - u) for i, u in w.offsets)),
-        shift=w.shift,
-        alpha=w.alpha.reverse(),
-        beta=w.beta.reverse(),
+    layouts = (
+        (n + 3 * rp, rp, ((i, 2 * rp + 1), (i + rp, 1), (i + 2 * rp, 3 * rp + 1)))
+        for rp in range(1, (n - 1) // 3 + 1)
+        for i in range(2 * rp + 1, min(3 * rp, n - rp) + 1)
     )
+    return _witnesses(f, _merged(f, layouts))
 
 
 def mirrored_three_flip_candidates(f: Pattern) -> list[CriticalWitness]:
-    """Three-flip layouts in mirror image: copies at offsets 1, r'+1, 3r'+1.
+    """The direct three-flip layout read end-for-end: copies at offsets 1,
+    r'+1, 3r'+1 holding flips i_1, i_1+2r', i_1+r', where
+    max(2r'+1, |f|-2r'+1) <= i_1 <= |f|-r'.
 
-    Obtained by enumerating the direct layout on the reversed pattern and
-    reversing each certificate back, which preserves validity.  Needed for
-    completeness: a pattern can have minimal blocked pairs only of this
-    orientation while its reverse has only the direct one.
+    Needed for completeness: a pattern can have minimal blocked pairs only
+    of this orientation while its reverse has only the direct one.
     """
-    out = [_mirror_witness(w) for w in three_flip_candidates(f.reverse())]
-    out.sort(key=_witness_sort_key)
-    return out
+    n = f.length
+    layouts = (
+        (n + 3 * rp, rp, ((i, 1), (i + rp, 3 * rp + 1), (i + 2 * rp, rp + 1)))
+        for rp in range(1, (n - 1) // 3 + 1)
+        for i in range(max(2 * rp + 1, n - 2 * rp + 1), n - rp + 1)
+    )
+    return _witnesses(f, _merged(f, layouts))
 
 
 def classify(f: Pattern) -> Classification:

@@ -207,3 +207,19 @@ class TestDependencies:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "False"
+
+
+class TestVerifyFailure:
+    def test_failed_suite_exits_1_with_counterexample(self, monkeypatch):
+        from fibocube import oracle
+
+        monkeypatch.setattr(oracle, "index_bruteforce", lambda f, cap=None: None)
+        code, out, _ = run_cli("verify", "--max-len", "3", "--suite", "cross", "--workers", "1")
+        assert code == 1
+        (line,) = out.splitlines()
+        assert line.startswith(
+            "FAIL oracle-structural-cross-validation checked=14 [all patterns of length 1..3]"
+            " counterexample="
+        )
+        record = json.loads(line.split(" counterexample=", 1)[1])
+        assert record["failure"] == "index-mismatch"

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +18,7 @@ from fibocube.harness import (
     find_pure_three_critical,
     run_suites,
 )
+from fibocube.structural import WitnessCheck
 
 
 def row_bytes(row: CensusRow) -> str:
@@ -184,3 +186,85 @@ class TestRunSuites:
         a = [json.dumps(r.to_json_dict(), sort_keys=True) for r in run_suites("all", 2)]
         b = [json.dumps(r.to_json_dict(), sort_keys=True) for r in run_suites("all", 2, workers=2)]
         assert a == b
+
+
+class TestFailurePaths:
+    """Each sweep with one oracle or worker call broken: the first failing
+    record is the counterexample, and checked still counts every swept item."""
+
+    def test_cross_validate(self, monkeypatch):
+        monkeypatch.setattr(harness.oracle, "index_bruteforce", lambda f, cap=None: None)
+        r = cross_validate(3, workers=1)
+        assert not r.passed and r.checked == 14
+        assert r.counterexample["failure"] == "index-mismatch"
+        assert r.counterexample["pattern"] == "010"
+        assert r.swept == "all patterns of length 1..3"
+
+    def test_p_values_counts_every_bad_pattern(self, monkeypatch):
+        monkeypatch.setattr(
+            harness.oracle,
+            "find_critical_pairs",
+            lambda g, minimal_only=False: [SimpleNamespace(p=4)],
+        )
+        r = check_p_values(4, workers=1)
+        assert not r.passed and r.checked == 10
+        assert r.counterexample["failure"] == "minimal-p-outside-2-3"
+        assert r.counterexample["pattern"] == "010"
+        assert r.counterexample["min_p"] == 4
+
+    def test_index_bound(self, monkeypatch):
+        monkeypatch.setattr(
+            harness.oracle, "first_violation_dimension", lambda f, d_max, cap=None: 99
+        )
+        r = check_index_bound(3, workers=1)
+        assert not r.passed and r.checked == 14
+        assert r.counterexample["failure"] == "oracle-disagrees-past-bound"
+        assert r.counterexample["first_violation_to_2n_plus_2"] == 99
+
+    def test_doubling(self, monkeypatch):
+        monkeypatch.setattr(harness.oracle, "index_bruteforce", lambda f, cap=None: 5)
+        r = check_doubling(3, workers=1)
+        assert not r.passed and r.checked == 14
+        assert r.counterexample["failure"] == "oracle-says-doubled-is-bad"
+        assert r.counterexample["pattern"] == "0"
+
+    def test_monotonicity(self, monkeypatch):
+        monkeypatch.setattr(
+            harness.structural, "verify_witness", lambda w: WitnessCheck(False, "broken")
+        )
+        r = check_monotonicity(4, workers=1)
+        assert not r.passed and r.checked == 10
+        assert r.counterexample["failure"] == "lifted-witness-rejected"
+        assert r.counterexample["reason"] == "broken"
+        assert r.counterexample["dimension"] == 5
+
+    def test_critical_equivalence(self, monkeypatch):
+        monkeypatch.setattr(
+            harness.oracle, "find_critical_pairs", lambda g, minimal_only=False: []
+        )
+        r = check_critical_equivalence(3, workers=1)
+        assert not r.passed
+        # "010" and "101" fail at d=4; every other pattern checks all its dimensions
+        assert r.checked == 2 * 3 + 4 * 5 + 6 * 7
+        assert r.counterexample["failure"] == "equivalence-broken"
+        assert r.counterexample["dimension"] == 4
+        assert r.counterexample["pattern"] == "010"
+        assert r.counterexample["violating_pair"] == ["0000", "0110", 4, 2]
+
+    @pytest.mark.parametrize(
+        "name, broken, failure",
+        [
+            ("residue_sequence", lambda k1, k2: [], "residue-walk-broken"),
+            ("closure_implies", lambda r, s, assumed, pair: False,
+             "dropped-equation-not-forced"),
+            ("period_closure_check", lambda f, r, s: SimpleNamespace(ok=False, vacuous=False),
+             "period-check-broken"),
+        ],
+        ids=["residue-walk", "closure", "period-check"],
+    )
+    def test_overlap_machinery(self, monkeypatch, name, broken, failure):
+        monkeypatch.setattr(harness, name, broken)
+        r = harness.check_overlap_machinery(limit=4)
+        assert not r.passed and r.checked == 16
+        assert r.counterexample["failure"] == failure
+        assert r.swept == "period pairs 1..4, plus concrete words for three pairs"

@@ -99,6 +99,28 @@ class TestThreeFlipCandidates:
             assert str(w.pattern) == "1100"
             assert verify_witness(w).ok
 
+    def test_mirrored_equals_direct_layout_of_reversed_pattern(self):
+        # Reference: enumerate the direct layout on the reversed pattern and
+        # read every witness end-for-end.
+        def mirror(w):
+            d, n = w.dimension, w.pattern.length
+            return replace(
+                w,
+                pattern=w.pattern.reverse(),
+                flips=tuple(sorted(d + 1 - i for i in w.flips)),
+                offsets=tuple(sorted((d + 1 - i, d + 2 - n - u) for i, u in w.offsets)),
+                alpha=w.alpha.reverse(),
+                beta=w.beta.reverse(),
+            )
+
+        for n in range(1, 11):
+            for f in all_patterns(n):
+                expected = sorted(
+                    (mirror(w) for w in three_flip_candidates(f.reverse())),
+                    key=lambda w: (w.alpha.bits, w.beta.bits),
+                )
+                assert mirrored_three_flip_candidates(f) == expected, str(f)
+
     def test_bit_pattern_at_flips(self):
         # In every emitted three-flip witness the outer flipped bits agree
         # and the middle one is their complement.
@@ -172,7 +194,7 @@ class TestClassify:
         # pair the definition-level scan finds, not just one of them.
         from fibocube.oracle import build_graph, find_critical_pairs
 
-        for n in range(1, 6):
+        for n in range(1, 8):
             for f in all_patterns(n):
                 cls = classify(f)
                 if cls.good:
