@@ -132,9 +132,12 @@ def _cross_validate_one(args):
     if s_index != b_index:
         record["failure"] = "index-mismatch"
         return record
-    if f.length <= probe_past_len:
-        past = oracle.first_violation_dimension(f, 2 * f.length + 2, cap)
-        if past != b_index:
+    # index_bruteforce scanned d = 2..2|f|-1 and a bad f stopped at its first
+    # violation, so only a good f has dimensions left to probe.
+    if b_index is None and f.length <= probe_past_len:
+        n = f.length
+        past = oracle.first_violation_dimension(f, 2 * n + 2, cap, d_min=2 * n)
+        if past is not None:
             record["failure"] = "violation-appears-past-bound"
             record["first_violation_to_2n_plus_2"] = past
     return record

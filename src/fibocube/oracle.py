@@ -1,10 +1,17 @@
 """Brute-force ground truth for factor-avoiding subgraphs of the hypercube.
 
 Builds the vertex set of every length-d word avoiding a factor, computes
-graph distances by BFS, decides isometry against Hamming distance, and scans
-for critical word pairs straight from the definition (all interval neighbors
-of one endpoint forbidden).  Everything here is exhaustive and makes no use
-of the structural classifier, so the two can check each other.
+graph distances by BFS, decides isometry against Hamming distance, and finds
+critical word pairs straight from the definition (all interval neighbors of
+one endpoint forbidden).  Everything here is exhaustive and makes no use of
+the structural classifier, so the two can check each other.
+
+Isometry is decided from sums: graph distance is at least Hamming distance
+for every pair, so the BFS distance sum over a batch of sources equals the
+batch's Hamming sum exactly when every pair agrees.  Only the first batch
+whose sums differ is re-run for its distance matrix, to name the violating
+pair.  Critical pairs are found by enumerating, for each vertex, the words
+reached by flipping a subset of its forbidden positions.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .words import Pattern, Word, contains_factor
 UNREACHABLE = math.inf
 
 _ENUM_CHUNK = 1 << 22
-_ROW_CHUNK = 128
+_CANDIDATE_CHUNK = 1 << 18  # critical-pair candidates held at once
 _SOURCE_CHUNK = 64  # BFS sources per batch: one bit each in a uint64
 
 if hasattr(np, "bitwise_count"):
@@ -80,21 +87,23 @@ class AvoidanceGraph:
         Table entry [v, k] is the dense index of vertex XOR (1 << k), or -1
         when that word contains the factor.  Bit k of the mask is set exactly
         in the -1 case, so interval-blocking tests reduce to integer masking.
+        The table is a view of a contiguous d x V array, whose rows the BFS
+        gathers through.
         """
         verts = self.vertices
         n = verts.size
         d = self.dimension
-        table = np.full((n, d), -1, dtype=np.int64)
+        by_bit = np.full((d, n), -1, dtype=np.int64)
         in_mask = np.zeros(n, dtype=np.int64)
         for k in range(d):
             nb = verts ^ (1 << k)
             pos = np.searchsorted(verts, nb)
             ok = pos < n
             ok[ok] = verts[pos[ok]] == nb[ok]
-            table[ok, k] = pos[ok]
+            by_bit[k, ok] = pos[ok]
             in_mask[ok] |= 1 << k
         full = (1 << d) - 1
-        return table, full ^ in_mask
+        return by_bit.T, full ^ in_mask
 
     @property
     def neighbor_table(self) -> np.ndarray:
@@ -104,8 +113,8 @@ class AvoidanceGraph:
     def forbidden_flip_mask(self) -> np.ndarray:
         return self._flip_tables[1]
 
-    def edge_list(self) -> list[tuple[Word, Word]]:
-        """All edges with the smaller endpoint first, sorted.
+    def _edge_indices(self) -> tuple[list[int], list[int]]:
+        """Index pairs (i, j) with i < j of all edges, sorted.
 
         Index order is lexicographic order, so sorting index pairs sorts the
         word pairs.
@@ -114,10 +123,13 @@ class AvoidanceGraph:
         i, k = np.nonzero(table > np.arange(self.vertex_count)[:, None])
         j = table[i, k]
         order = np.lexsort((j, i))
-        verts = self.vertices
+        return i[order].tolist(), j[order].tolist()
+
+    def edge_list(self) -> list[tuple[Word, Word]]:
+        """All edges with the smaller endpoint first, sorted."""
         d = self.dimension
-        return [(Word(d, int(verts[a])), Word(d, int(verts[b])))
-                for a, b in zip(i[order], j[order])]
+        verts = self.vertices.tolist()
+        return [(Word(d, verts[a]), Word(d, verts[b])) for a, b in zip(*self._edge_indices())]
 
 
 def build_graph(f: Pattern, d: int, cap: int | None = None) -> AvoidanceGraph:
@@ -133,37 +145,58 @@ def build_graph(f: Pattern, d: int, cap: int | None = None) -> AvoidanceGraph:
     return AvoidanceGraph(f, d, np.concatenate(chunks))
 
 
-def _distances(g: AvoidanceGraph, sources: np.ndarray) -> np.ndarray:
-    """BFS distances (len(sources) x V, int64) from up to 64 distinct source
-    indices to every vertex index; -1 where a vertex is unreachable.
+def _bfs_levels(g: AvoidanceGraph, sources: np.ndarray):
+    """BFS from up to 64 distinct source indices at once; yields, before each
+    level, the V bitsets (uint64, bit s for source s) of vertices reached.
 
-    All sources run at once, one bit per source in a uint64 per vertex.  Each
-    level gathers the frontier over the neighbor table and ORs each row.  The
-    frontier has one extra last slot that stays zero, so the table's -1
-    entries read nothing.
+    Each level gathers the frontier through the neighbor table, one bit at a
+    time, and ORs the gathers.  The frontier has one extra last slot that
+    stays zero, so the table's -1 entries read nothing.  The generator ends
+    when a level reaches nothing.
     """
     n = g.vertex_count
-    table = g.neighbor_table
+    by_bit = g.neighbor_table.T
     frontier = np.zeros(n + 1, dtype=np.uint64)
     frontier[sources] = np.uint64(1) << np.arange(len(sources), dtype=np.uint64)
     seen = frontier[:n].copy()
+    while True:
+        yield seen
+        reach = np.bitwise_or.reduce(frontier[by_bit], axis=0) & ~seen
+        if not reach.any():
+            return
+        seen |= reach
+        frontier[:n] = reach
+
+
+def _distances(g: AvoidanceGraph, sources: np.ndarray) -> np.ndarray:
+    """BFS distances (len(sources) x V, int64) from up to 64 distinct source
+    indices to every vertex index; -1 where a vertex is unreachable.
+    """
+    n = g.vertex_count
     # steps[v, s] counts the levels after which source s has not reached v:
     # the distance when s reaches v, one more than the last level otherwise.
     steps = np.zeros((n, 64), dtype=np.int32)
-    level = 0
-    while True:
+    for level, seen in enumerate(_bfs_levels(g, sources)):
         # Little-endian bytes unpacked little-bit-first put source s in column s.
         unseen = (~seen).astype("<u8", copy=False).view(np.uint8)
         steps += np.unpackbits(unseen, bitorder="little").reshape(n, 64)
-        reach = np.bitwise_or.reduce(frontier[table], axis=1) & ~seen
-        if not reach.any():
-            break
-        level += 1
-        seen |= reach
-        frontier[:n] = reach
     dist = steps[:, : len(sources)].T.astype(np.int64)
     dist[dist > level] = -1
     return dist
+
+
+def _distance_sum(g: AvoidanceGraph, sources: np.ndarray) -> tuple[int, bool]:
+    """(sum of BFS distances from the sources to every vertex they reach,
+    whether every source reaches every vertex), without a distance matrix.
+
+    Each level adds the (source, vertex) pairs not reached yet, so a pair at
+    distance k is counted at levels 0..k-1.
+    """
+    mask = np.uint64((1 << len(sources)) - 1)
+    total = 0
+    for seen in _bfs_levels(g, sources):
+        total += int(_popcount(~seen & mask).sum())
+    return total, bool(((seen & mask) == mask).all())
 
 
 def graph_distance(g: AvoidanceGraph, a: Word, b: Word) -> int | float:
@@ -193,8 +226,12 @@ class CriticalPair:
 def is_isometric(g: AvoidanceGraph, with_min_p: bool = False) -> Verdict:
     """Compare BFS distance with Hamming distance over all vertex pairs.
 
-    Sources are swept in lexicographic order with an early exit, so the
-    reported violating pair is deterministic; unreachable pairs violate.
+    Sources run in batches of 64 in lexicographic order.  A batch passes when
+    every pair is reachable and its BFS distance sum equals its Hamming sum,
+    which is exact because graph distance is never below Hamming distance.
+    The first batch that fails is re-run for its full distance matrix, so the
+    reported violating pair is the first one in (source, target) index order;
+    unreachable pairs violate.
     """
     d = g.dimension
     if g.pattern.length > d:
@@ -207,27 +244,54 @@ def is_isometric(g: AvoidanceGraph, with_min_p: bool = False) -> Verdict:
     n = verts.size
     if n <= 1:
         return Verdict(True)
+    # Bit k adds s_k (n - c_k) + (b - s_k) c_k to the Hamming sum of b
+    # sources, s_k of which have bit k set, against the c_k vertices that do.
+    bits = (verts[:, None] >> np.arange(d)) & 1
+    ones = bits.sum(axis=0)
     for lo in range(0, n, _SOURCE_CHUNK):
         idx = np.arange(lo, min(lo + _SOURCE_CHUNK, n))
+        s = bits[idx].sum(axis=0)
+        ham_sum = int((s * (n - ones) + (idx.size - s) * ones).sum())
+        if _distance_sum(g, idx) == (ham_sum, True):
+            continue
         dist = _distances(g, idx)
         ham = _popcount(verts[idx, None] ^ verts[None, :])
-        viol = dist != ham
-        if viol.any():
-            i, j = np.argwhere(viol)[0]
-            alpha = Word(d, int(verts[idx[i]]))
-            beta = Word(d, int(verts[j]))
-            dg = UNREACHABLE if dist[i, j] < 0 else int(dist[i, j])
-            min_p = None
-            if with_min_p:
-                pairs = find_critical_pairs(g, minimal_only=True)
-                min_p = pairs[0].p if pairs else None
-            return Verdict(False, (alpha, beta, dg, int(ham[i, j])), min_p)
+        i, j = np.argwhere(dist != ham)[0]
+        alpha = Word(d, int(verts[idx[i]]))
+        beta = Word(d, int(verts[j]))
+        dg = UNREACHABLE if dist[i, j] < 0 else int(dist[i, j])
+        min_p = None
+        if with_min_p:
+            pairs = find_critical_pairs(g, minimal_only=True)
+            min_p = pairs[0].p if pairs else None
+        return Verdict(False, (alpha, beta, dg, int(ham[i, j])), min_p)
     return Verdict(True)
 
 
+def _deposit(t: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Scatter the low bits of each t into the set bits of its mask, lowest
+    bit first (a vectorised parallel bit deposit)."""
+    out = np.zeros_like(t)
+    rest = masks.copy()
+    j = 0
+    while rest.any():
+        low = rest & -rest
+        out |= low * ((t >> j) & 1)
+        rest ^= low
+        j += 1
+    return out
+
+
 def find_critical_pairs(g: AvoidanceGraph, minimal_only: bool = False) -> list[CriticalPair]:
-    """Definition-level scan, no BFS: pairs where one side's interval flips
-    are all forbidden.  Pairs are reported with alpha lexicographically first.
+    """Definition-level scan, no BFS: pairs at Hamming distance at least 2
+    where one side's interval flips are all forbidden.  Pairs are reported
+    with alpha lexicographically first, sorted by (alpha, beta).
+
+    Such a pair is alpha ^ x for a submask x of the forbidden-flip mask F of
+    its blocked side, so each vertex with |F| >= 2 enumerates the words
+    flipped at a submask of F and keeps those that are vertices.  A vertex
+    with more submasks than the graph has vertices tests every vertex
+    instead, so no vertex costs more than one row of all pairs.
     """
     verts = g.vertices
     n = verts.size
@@ -235,37 +299,50 @@ def find_critical_pairs(g: AvoidanceGraph, minimal_only: bool = False) -> list[C
     if n < 2 or g.pattern.length > d:
         return []
     forb = g.forbidden_flip_mask
-    cols = np.arange(n, dtype=np.int64)[None, :]
-    found: list[CriticalPair] = []
-    for lo in range(0, n, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, n)
-        rows = verts[lo:hi, None]
-        x = rows ^ verts[None, :]
-        pops = _popcount(x)
-        block_a = (x & ~forb[lo:hi, None]) == 0
-        block_b = (x & ~forb[None, :]) == 0
-        crit = (pops >= 2) & (block_a | block_b) & (cols > np.arange(lo, hi)[:, None])
-        for i, j in np.argwhere(crit):
-            side = "both" if (block_a[i, j] and block_b[i, j]) else (
-                "alpha" if block_a[i, j] else "beta"
-            )
-            found.append(
-                CriticalPair(
-                    Word(d, int(verts[lo + i])), Word(d, int(verts[j])), int(pops[i, j]), side
-                )
-            )
+    m = _popcount(forb)
+    subsets = (1 << m) <= n
+    size = np.where(m < 2, 0, np.where(subsets, 1 << m, n))
+    rows = np.flatnonzero(size)
+    chunk = (np.cumsum(size[rows]) - 1) // _CANDIDATE_CHUNK
+    keys = []
+    for part in np.split(rows, np.flatnonzero(np.diff(chunk)) + 1):
+        r = np.repeat(part, size[part])
+        # t numbers the candidates of each row from 0.
+        t = np.arange(r.size) - np.repeat(np.cumsum(size[part]) - size[part], size[part])
+        a = verts[r]
+        x = np.where(subsets[r], _deposit(t, forb[r]), a ^ verts[t])
+        beta = a ^ x
+        pos = np.minimum(np.searchsorted(verts, beta), n - 1)
+        keep = (verts[pos] == beta) & ((x & ~forb[r]) == 0) & (_popcount(x) >= 2)
+        i, j = r[keep], pos[keep]
+        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+    key = np.unique(np.concatenate(keys))
+    i, j = key // n, key % n
+    x = verts[i] ^ verts[j]
+    block_a = ((x & ~forb[i]) == 0).tolist()
+    block_b = ((x & ~forb[j]) == 0).tolist()
+    found = [
+        CriticalPair(
+            Word(d, a), Word(d, b), p, "both" if ba and bb else ("alpha" if ba else "beta")
+        )
+        for a, b, p, ba, bb in zip(
+            verts[i].tolist(), verts[j].tolist(), _popcount(x).tolist(), block_a, block_b
+        )
+    ]
     if minimal_only and found:
         best = min(c.p for c in found)
         found = [c for c in found if c.p == best]
     return found
 
 
-def first_violation_dimension(f: Pattern, d_max: int, cap: int | None = None) -> int | None:
-    """Smallest d in 2..d_max where the graph stops being isometric, else None."""
+def first_violation_dimension(
+    f: Pattern, d_max: int, cap: int | None = None, d_min: int = 2
+) -> int | None:
+    """Smallest d in d_min..d_max where the graph is not isometric, else None."""
     limit = config.dimension_cap(cap)
     if d_max > limit:
         raise ValueError(f"scan to dimension {d_max} exceeds dimension cap {limit}")
-    for d in range(2, d_max + 1):
+    for d in range(d_min, d_max + 1):
         if not is_isometric(build_graph(f, d, cap)).isometric:
             return d
     return None
@@ -280,21 +357,26 @@ def index_bruteforce(f: Pattern, cap: int | None = None) -> int | None:
     return first_violation_dimension(f, 2 * f.length - 1, cap)
 
 
+def _vertex_names(g: AvoidanceGraph) -> list[str]:
+    spec = f"0{g.dimension}b"
+    return [format(v, spec) for v in g.vertices.tolist()]
+
+
 def graph_to_dot(g: AvoidanceGraph) -> str:
+    names = _vertex_names(g)
     lines = [f'graph "Q_{g.dimension}({g.pattern})" {{']
-    for w in g.words():
-        lines.append(f'  "{w}";')
-    for a, b in g.edge_list():
-        lines.append(f'  "{a}" -- "{b}";')
+    lines += [f'  "{v}";' for v in names]
+    lines += [f'  "{names[a]}" -- "{names[b]}";' for a, b in zip(*g._edge_indices())]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_to_json_dict(g: AvoidanceGraph) -> dict:
+    names = _vertex_names(g)
     return {
         "pattern": str(g.pattern),
         "dimension": g.dimension,
         "vertex_count": g.vertex_count,
-        "vertices": [str(w) for w in g.words()],
-        "edges": [[str(a), str(b)] for a, b in g.edge_list()],
+        "vertices": names,
+        "edges": [[names[a], names[b]] for a, b in zip(*g._edge_indices())],
     }

@@ -43,6 +43,23 @@ class TestCrossValidate:
         r = cross_validate_patterns(["101", "0011", "11"])
         assert r.passed and r.checked == 3
 
+    def test_past_bound_probe_scans_only_good_patterns_past_2n_minus_1(self, monkeypatch):
+        # index_bruteforce already scanned d = 2..2|f|-1; a bad pattern's first
+        # violation is its index, so only good patterns are probed further.
+        real = harness.oracle.first_violation_dimension
+        probes = []
+
+        def spy(f, d_max, cap=None, d_min=2):
+            if d_max == 2 * f.length + 2:
+                probes.append((str(f), d_min))
+            return real(f, d_max, cap, d_min)
+
+        monkeypatch.setattr(harness.oracle, "first_violation_dimension", spy)
+        r = cross_validate(3, workers=1)
+        assert r.passed
+        good = [p for p in harness.patterns_up_to(3) if p not in ("010", "101")]
+        assert probes == [(p, 2 * len(p)) for p in good]
+
 
 class TestTheoremChecks:
     def test_p_values(self):
@@ -199,6 +216,25 @@ class TestFailurePaths:
         assert r.counterexample["failure"] == "index-mismatch"
         assert r.counterexample["pattern"] == "010"
         assert r.swept == "all patterns of length 1..3"
+
+    def test_cross_validate_violation_past_bound(self, monkeypatch):
+        real = harness.oracle.first_violation_dimension
+        monkeypatch.setattr(
+            harness.oracle,
+            "first_violation_dimension",
+            lambda f, d_max, cap=None, d_min=2: (
+                99 if d_max == 2 * f.length + 2 else real(f, d_max, cap, d_min)
+            ),
+        )
+        r = cross_validate(3, workers=1)
+        assert not r.passed and r.checked == 14
+        assert r.counterexample == {
+            "pattern": "0",
+            "structural_index": None,
+            "bruteforce_index": None,
+            "failure": "violation-appears-past-bound",
+            "first_violation_to_2n_plus_2": 99,
+        }
 
     def test_p_values_counts_every_bad_pattern(self, monkeypatch):
         monkeypatch.setattr(

@@ -1,10 +1,15 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 
+from fibocube import oracle
+from fibocube.harness import patterns_up_to
 from fibocube.oracle import (
     UNREACHABLE,
+    AvoidanceGraph,
+    _distances,
     build_graph,
     find_critical_pairs,
     first_violation_dimension,
@@ -28,6 +33,55 @@ Q4_101_VERTICES = [
 ]
 
 FIBONACCI_COUNTS = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597]
+
+
+def popcount(x, d):
+    return sum((x >> k) & 1 for k in range(d))
+
+
+def reference_verdict(g):
+    """Isometry from full distance matrices of every 64-source batch: the
+    first (source, target) pair in index order whose distances differ."""
+    verts, d = g.vertices, g.dimension
+    if g.vertex_count <= 1 or g.pattern.length > d:
+        return (True, None)
+    for lo in range(0, g.vertex_count, 64):
+        idx = np.arange(lo, min(lo + 64, g.vertex_count))
+        dist = _distances(g, idx)
+        ham = popcount(verts[idx, None] ^ verts[None, :], d)
+        viol = np.argwhere(dist != ham)
+        if viol.size:
+            i, j = viol[0]
+            dg = UNREACHABLE if dist[i, j] < 0 else int(dist[i, j])
+            return (False, (str(Word(d, int(verts[idx[i]]))), str(Word(d, int(verts[j]))),
+                            dg, int(ham[i, j])))
+    return (True, None)
+
+
+def reference_critical_pairs(g):
+    """Definition scan over all vertex pairs, 128 rows at a time: Hamming
+    distance at least 2 and every differing position a forbidden flip of
+    one endpoint."""
+    verts, n, d = g.vertices, g.vertex_count, g.dimension
+    if n < 2 or g.pattern.length > d:
+        return []
+    forb = g.forbidden_flip_mask
+    cols = np.arange(n)[None, :]
+    found = []
+    for lo in range(0, n, 128):
+        hi = min(lo + 128, n)
+        x = verts[lo:hi, None] ^ verts[None, :]
+        pops = popcount(x, d)
+        block_a = (x & ~forb[lo:hi, None]) == 0
+        block_b = (x & ~forb[None, :]) == 0
+        crit = (pops >= 2) & (block_a | block_b) & (cols > np.arange(lo, hi)[:, None])
+        for i, j in np.argwhere(crit):
+            side = "both" if block_a[i, j] and block_b[i, j] else (
+                "alpha" if block_a[i, j] else "beta"
+            )
+            found.append((str(Word(d, int(verts[lo + i]))), str(Word(d, int(verts[j]))),
+                          int(pops[i, j]), side))
+    return found
 
 
 def reference_bfs(vertices, source):
@@ -151,6 +205,41 @@ class TestIsIsometric:
         v = is_isometric(build_graph(W("101"), 4), with_min_p=True)
         assert v.minimal_critical_p == 2
 
+    @pytest.mark.parametrize("pattern", patterns_up_to(5))
+    def test_matches_full_distance_matrices(self, pattern):
+        f = W(pattern)
+        for d in range(2, 2 * f.length + 3):
+            g = build_graph(f, d)
+            v = is_isometric(g)
+            vp = v.violating_pair
+            if vp is not None:
+                vp = (str(vp[0]), str(vp[1]), vp[2], vp[3])
+            assert (v.isometric, vp) == reference_verdict(g), d
+
+    # Hand-built vertex sets: no enumerated graph of length <= 6 at d <= 12 is
+    # disconnected.
+    @pytest.mark.parametrize(
+        "pattern, words, expected",
+        [
+            # 00 and 11 without 01 or 10 between them: no edges at all.
+            pytest.param("01", ["00", "11"], ("00", "11", UNREACHABLE, 2), id="no-edges"),
+            # The path 0001-0000-1000 runs three levels, which is what each
+            # pair with the isolated 0111 counts, against Hamming distances 2,
+            # 3 and 4: the sums agree, and only the reach test catches it.
+            pytest.param(
+                "1111", ["0000", "0001", "0111", "1000"], ("0000", "0111", UNREACHABLE, 3),
+                id="sums-agree",
+            ),
+        ],
+    )
+    def test_unreachable_pair_violates(self, pattern, words, expected):
+        g = AvoidanceGraph(W(pattern), len(words[0]), np.array([int(w, 2) for w in words]))
+        v = is_isometric(g)
+        assert not v.isometric
+        alpha, beta, dg, h = v.violating_pair
+        assert (str(alpha), str(beta), dg, h) == expected
+        assert reference_verdict(g) == (False, expected)
+
     def test_verdict_matches_pair_presence(self):
         for text in ["11", "101", "0011"]:
             f = W(text)
@@ -203,6 +292,34 @@ class TestCriticalPairs:
 
             for i in differing_positions(endpoint, other):
                 assert contains_factor(endpoint.flip(i), W("101"))
+
+    @pytest.mark.parametrize(
+        "pattern, dims",
+        [pytest.param(p, range(2, 2 * len(p) + 3), id=p) for p in patterns_up_to(5)]
+        # Nearly every flip is forbidden in these two graphs, so most vertices
+        # have more submasks than the graph has vertices and are tested as one row.
+        + [pytest.param("01", [25], id="01-d25"), pytest.param("10", [20], id="10-d20")],
+    )
+    def test_matches_definition_scan(self, pattern, dims):
+        for d in dims:
+            g = build_graph(W(pattern), d)
+            expected = reference_critical_pairs(g)
+            best = min((c[2] for c in expected), default=None)
+            minimal = [c for c in expected if c[2] == best]
+            for minimal_only, want in ((False, expected), (True, minimal)):
+                got = find_critical_pairs(g, minimal_only=minimal_only)
+                assert [(str(c.alpha), str(c.beta), c.p, c.blocked_side) for c in got] == want, (
+                    d, minimal_only,
+                )
+
+    @pytest.mark.parametrize("pattern, d", [("0011", 7), ("00011", 8), ("101", 6), ("01", 9)])
+    def test_candidate_chunks_split_anywhere(self, monkeypatch, pattern, d):
+        g = build_graph(W(pattern), d)
+        expected = reference_critical_pairs(g)
+        for chunk in (1, 3, 7, 64):
+            monkeypatch.setattr(oracle, "_CANDIDATE_CHUNK", chunk)
+            got = find_critical_pairs(g)
+            assert [(str(c.alpha), str(c.beta), c.p, c.blocked_side) for c in got] == expected
 
 
 class TestIndexBruteforce:
