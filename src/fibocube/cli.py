@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import config, harness, oracle, structural
 from .periodicity import build_overlap_graph
@@ -21,13 +20,6 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_BAD = 10
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    dimension_cap: int
-    worker_count: int
-    output_format: str
 
 
 class UsageError(Exception):
@@ -41,15 +33,11 @@ def _parse_pattern(text: str) -> Word:
         raise UsageError(f"bad pattern {text!r}: {exc}") from exc
 
 
-def _run_config(args, default_format: str = "text") -> RunConfig:
-    cap = config.dimension_cap(getattr(args, "cap", None))
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = os.cpu_count() or 1
+def _workers(args) -> int:
+    workers = (os.cpu_count() or 1) if args.workers is None else args.workers
     if workers < 1:
         raise UsageError("--workers must be at least 1")
-    fmt = getattr(args, "format", None) or default_format
-    return RunConfig(cap, workers, fmt)
+    return workers
 
 
 def _dumps(obj) -> str:
@@ -57,18 +45,17 @@ def _dumps(obj) -> str:
 
 
 def _cmd_classify(args) -> int:
-    cfg = _run_config(args)
     f = _parse_pattern(args.pattern)
     cls = structural.classify(f)
     witnesses = [structural.witness_to_json_dict(w) for w in cls.witnesses]
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(_dumps({
             "pattern": str(f),
             "verdict": cls.verdict,
             "index": cls.index,
             "witnesses": witnesses,
         }))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print("pattern,verdict,index")
         print(f"{f},{cls.verdict},{'' if cls.index is None else cls.index}")
     else:
@@ -82,12 +69,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    cfg = _run_config(args)
     f = _parse_pattern(args.pattern)
     cls = structural.classify(f)
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(_dumps({"pattern": str(f), "verdict": cls.verdict, "index": cls.index}))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print("pattern,verdict,index")
         print(f"{f},{cls.verdict},{'' if cls.index is None else cls.index}")
     else:
@@ -96,11 +82,10 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    cfg = _run_config(args, default_format="json")
     f = _parse_pattern(args.pattern)
     cls = structural.classify(f)
     witnesses = [structural.witness_to_json_dict(w) for w in cls.witnesses]
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(_dumps(witnesses))
     else:
         for w in witnesses:
@@ -109,16 +94,13 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    cfg = _run_config(args)
+    cap = config.dimension_cap(args.cap)
     row = harness.census(
-        args.length,
-        workers=cfg.worker_count,
-        oracle_confirm=args.oracle_confirm,
-        cap=cfg.dimension_cap,
+        args.length, workers=_workers(args), oracle_confirm=args.oracle_confirm, cap=cap
     )
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(_dumps(row.to_json_dict()))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         sys.stdout.write(harness.census_csv([row]))
     else:
         d = row.to_json_dict()
@@ -132,12 +114,10 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _run_config(args)
-    reports = harness.run_suites(
-        args.suite, args.max_len, workers=cfg.worker_count, cap=cfg.dimension_cap
-    )
+    cap = config.dimension_cap(args.cap)
+    reports = harness.run_suites(args.suite, args.max_len, workers=_workers(args), cap=cap)
     for r in reports:
-        if cfg.output_format == "json":
+        if args.format == "json":
             print(_dumps(r.to_json_dict()))
         else:
             status = "PASS" if r.passed else "FAIL"
@@ -149,10 +129,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    cfg = _run_config(args, default_format="dot")
+    cap = config.dimension_cap(args.cap)
     f = _parse_pattern(args.pattern)
-    g = oracle.build_graph(f, args.dim, cap=cfg.dimension_cap)
-    if cfg.output_format == "json":
+    g = oracle.build_graph(f, args.dim, cap=cap)
+    if args.format == "json":
         print(_dumps(oracle.graph_to_json_dict(g)))
     else:
         sys.stdout.write(oracle.graph_to_dot(g))
@@ -173,11 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("text", "json", "csv"), workers=False):
-        p.add_argument("--format", choices=formats, default=None)
-        p.add_argument("--cap", type=int, default=None,
-                       help=f"dimension cap (default {config.DEFAULT_DIMENSION_CAP}, "
-                            f"env {config.CAP_ENV_VAR})")
+    def add_common(p, formats=("text", "json", "csv"), cap=False, workers=False):
+        p.add_argument("--format", choices=formats, default=formats[0])
+        if cap:
+            p.add_argument("--cap", type=int, default=None,
+                           help=f"dimension cap (default {config.DEFAULT_DIMENSION_CAP}, "
+                                f"env {config.CAP_ENV_VAR})")
         if workers:
             p.add_argument("--workers", type=int, default=None,
                            help="worker processes (default: cpu count)")
@@ -195,25 +176,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="minimal-dimension witnesses as JSON")
     p.add_argument("pattern")
     add_common(p, formats=("text", "json"))
-    p.set_defaults(handler=_cmd_witness)
+    p.set_defaults(handler=_cmd_witness, format="json")
 
     p = sub.add_parser("census", help="classify every pattern of one length")
     p.add_argument("length", type=int)
     p.add_argument("--oracle-confirm", action="store_true",
                    help="also confirm each verdict by brute force (length <= 8)")
-    add_common(p, workers=True)
+    add_common(p, cap=True, workers=True)
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("verify", help="run verification sweeps")
     p.add_argument("--max-len", type=int, default=4)
     p.add_argument("--suite", choices=("all",) + harness.SUITES, default="all")
-    add_common(p, formats=("text", "json"), workers=True)
+    add_common(p, formats=("text", "json"), cap=True, workers=True)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("graph", help="export an avoidance graph")
     p.add_argument("pattern")
     p.add_argument("--dim", type=int, required=True)
-    add_common(p, formats=("dot", "json"))
+    add_common(p, formats=("dot", "json"), cap=True)
     p.set_defaults(handler=_cmd_graph)
 
     p = sub.add_parser("overlap-graph", help="export an overlap graph as DOT")

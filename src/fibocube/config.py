@@ -14,7 +14,10 @@ def dimension_cap(override: int | None = None) -> int:
         cap = int(override)
     else:
         env = os.environ.get(CAP_ENV_VAR)
-        cap = int(env) if env else DEFAULT_DIMENSION_CAP
+        try:
+            cap = int(env) if env else DEFAULT_DIMENSION_CAP
+        except ValueError:
+            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
     if cap < 2:
         raise ValueError(f"dimension cap must be at least 2, got {cap}")
     return cap

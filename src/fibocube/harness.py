@@ -1,10 +1,12 @@
 """Desk-scale verification sweeps and the good-string census.
 
-Each check sweeps a parameter range in lexicographic pattern order, compares
-the structural classifier against the brute-force oracle (or re-derives an
-invariant from definitions), and returns a report carrying the first
-counterexample if any.  Sweeps may be split over worker processes; results
-are merged in input order, so output is identical for any worker count.
+Each suite checks every pattern of a length range, in lexicographic order,
+against the brute-force oracle (or re-derives an invariant from definitions)
+and reports the first counterexample if any.  One table lists the suites;
+one pass checks each pattern against all selected suites, so a pattern is
+classified once and each of its graphs built and tested once.  The pass may
+be split over worker processes; results are merged in input order, so output
+is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from functools import cache
 from itertools import product
 
-from . import oracle, structural
+from . import config, oracle, structural
 from .periodicity import (
     build_overlap_graph,
     closure_implies,
@@ -116,53 +119,66 @@ def _pmap(fn, items, workers: int | None):
         return list(ex.map(fn, items, chunksize=chunk))
 
 
-def _render_distance(dg) -> int | str:
-    return "unreachable" if dg == oracle.UNREACHABLE else int(dg)
-
-
 # ---------------------------------------------------------------------------
-# per-pattern workers (module level so they pickle for process pools)
+# per-pattern checks (module level so the pass pickles for process pools)
 
-def _cross_validate_one(args):
-    text, probe_past_len, cap = args
-    f = Word.parse(text)
-    s_index = structural.classify(f).index
-    b_index = oracle.index_bruteforce(f, cap)
-    record = {"pattern": text, "structural_index": s_index, "bruteforce_index": b_index}
+class _Pattern:
+    """One swept pattern f.  Its caches live on the instance, so f and ff are
+    each classified once and each graph Q_d(w) is built and tested at most
+    once, whichever checks ask; all of it is freed with the pattern."""
+
+    def __init__(self, text: str, cap: int | None):
+        self.text = text
+        self.f = Word.parse(text)
+        self.n = self.f.length
+        self.ff = self.f.concat(self.f)
+        self.cap = cap
+        self.classify = cache(lambda w: structural.classify(w))
+        self.graph = graph = cache(lambda w, d: oracle.build_graph(w, d, cap))
+        self.verdict = cache(lambda w, d: oracle.is_isometric(graph(w, d)))
+
+    def first_violation(self, w: Word, d_max: int) -> int | None:
+        """Smallest d in 2..d_max where Q_d(w) is not isometric, else None."""
+        limit = config.dimension_cap(self.cap)
+        if d_max > limit:
+            raise ValueError(f"scan to dimension {d_max} exceeds dimension cap {limit}")
+        return next((d for d in range(2, d_max + 1) if not self.verdict(w, d).isometric), None)
+
+    def index(self, w: Word) -> int | None:
+        """Brute-force index of w: any bad factor fails by 2|w|-1, and
+        non-isometry persists upward."""
+        return self.first_violation(w, 2 * w.length - 1)
+
+
+def _cross_validate_one(p: _Pattern) -> dict:
+    s_index, b_index = p.classify(p.f).index, p.index(p.f)
+    record = {"pattern": p.text, "structural_index": s_index, "bruteforce_index": b_index}
     if s_index != b_index:
         record["failure"] = "index-mismatch"
-        return record
-    # index_bruteforce scanned d = 2..2|f|-1 and a bad f stopped at its first
-    # violation, so only a good f has dimensions left to probe.
-    if b_index is None and f.length <= probe_past_len:
-        n = f.length
-        past = oracle.first_violation_dimension(f, 2 * n + 2, cap, d_min=2 * n)
+    elif b_index is None and p.n <= 4:
+        # A bad f's first violation is its index, so only a good f is probed.
+        past = p.first_violation(p.f, 2 * p.n + 2)
         if past is not None:
             record["failure"] = "violation-appears-past-bound"
             record["first_violation_to_2n_plus_2"] = past
     return record
 
 
-def _min_p_one(args):
-    text, cap = args
-    f = Word.parse(text)
-    b = oracle.index_bruteforce(f, cap)
+def _min_p_one(p: _Pattern) -> dict:
+    b = p.index(p.f)
     if b is None:
-        return {"pattern": text, "index": None, "min_p": None}
-    pairs = oracle.find_critical_pairs(oracle.build_graph(f, b, cap), minimal_only=True)
+        return {"pattern": p.text, "index": None, "min_p": None}
+    pairs = oracle.find_critical_pairs(p.graph(p.f, b), minimal_only=True)
     min_p = pairs[0].p if pairs else None
-    record = {"pattern": text, "index": b, "min_p": min_p, "pairs_at_min": len(pairs)}
+    record = {"pattern": p.text, "index": b, "min_p": min_p, "pairs_at_min": len(pairs)}
     if min_p not in (2, 3):
         record["failure"] = "minimal-p-outside-2-3"
     return record
 
 
-def _index_bound_one(args):
-    text, oracle_probe_len, cap = args
-    f = Word.parse(text)
-    n = f.length
-    cls = structural.classify(f)
-    record = {"pattern": text, "index": cls.index}
+def _index_bound_one(p: _Pattern) -> dict:
+    n, cls = p.n, p.classify(p.f)
+    record = {"pattern": p.text, "index": cls.index}
     if not cls.good:
         if cls.index > 2 * n - 1:
             record["failure"] = "index-at-least-twice-length"
@@ -170,50 +186,41 @@ def _index_bound_one(args):
         if any(w.p == 2 for w in cls.witnesses) and cls.index > 2 * n - 2:
             record["failure"] = "two-flip-index-above-2n-2"
             return record
-    if n <= oracle_probe_len:
-        past = oracle.first_violation_dimension(f, 2 * n + 2, cap)
+    if n <= 4:
+        past = p.first_violation(p.f, 2 * n + 2)
         record["first_violation_to_2n_plus_2"] = past
         if past != cls.index:
             record["failure"] = "oracle-disagrees-past-bound"
     return record
 
 
-def _doubling_one(args):
-    text, oracle_max_len, cap = args
-    f = Word.parse(text)
-    ff = f.concat(f)
-    cls = structural.classify(f)
-    cls_ff = structural.classify(ff)
-    record = {"pattern": text, "index": cls.index, "doubled_index": cls_ff.index}
+def _doubling_one(p: _Pattern) -> dict:
+    cls, cls_ff = p.classify(p.f), p.classify(p.ff)
+    record = {"pattern": p.text, "index": cls.index, "doubled_index": cls_ff.index}
     if cls.good:
         if not cls_ff.good:
             record["failure"] = "doubling-lost-goodness"
-            return record
-        if f.length <= oracle_max_len and oracle.index_bruteforce(ff, cap) is not None:
+        elif p.n <= 3 and p.index(p.ff) is not None:
             record["failure"] = "oracle-says-doubled-is-bad"
-    elif f.length <= oracle_max_len:
-        b = oracle.index_bruteforce(f, cap)
-        for d in range(2, (b or 2)):
-            g = oracle.build_graph(ff, d, cap)
-            if d < ff.length and g.vertex_count != 1 << d:
+    elif p.n <= 3:
+        for d in range(2, p.index(p.f) or 2):
+            if d < p.ff.length and p.graph(p.ff, d).vertex_count != 1 << d:
                 record["failure"] = "doubled-graph-not-full-cube"
                 record["dimension"] = d
                 return record
-            if not oracle.is_isometric(g).isometric:
+            if not p.verdict(p.ff, d).isometric:
                 record["failure"] = "doubled-graph-not-isometric-below-index"
                 record["dimension"] = d
                 return record
     return record
 
 
-def _monotonicity_one(args):
-    text, extra, cap = args
-    f = Word.parse(text)
-    cls = structural.classify(f)
-    record = {"pattern": text, "index": cls.index}
+def _monotonicity_one(p: _Pattern) -> dict:
+    cls = p.classify(p.f)
+    record = {"pattern": p.text, "index": cls.index}
     if cls.good:
         return record
-    for d in range(cls.index + 1, cls.index + extra + 1):
+    for d in range(cls.index + 1, cls.index + 4):
         for w in cls.witnesses:
             check = structural.verify_witness(structural.lift_witness(w, d))
             if not check.ok:
@@ -221,25 +228,22 @@ def _monotonicity_one(args):
                 record["dimension"] = d
                 record["reason"] = check.reason
                 return record
-        if oracle.is_isometric(oracle.build_graph(f, d, cap)).isometric:
+        if p.verdict(p.f, d).isometric:
             record["failure"] = "oracle-isometric-above-index"
             record["dimension"] = d
             return record
     return record
 
 
-def _critical_equivalence_one(args):
-    text, cap = args
-    f = Word.parse(text)
-    n = f.length
+def _critical_equivalence_one(p: _Pattern) -> dict:
+    n = p.n
     d_max = 2 * n - 1 if n > 4 else 2 * n + 2
     for d in range(2, d_max + 1):
-        g = oracle.build_graph(f, d, cap)
-        verdict = oracle.is_isometric(g)
-        pairs = oracle.find_critical_pairs(g)
+        verdict = p.verdict(p.f, d)
+        pairs = oracle.find_critical_pairs(p.graph(p.f, d))
         if verdict.isometric == bool(pairs):
             record = {
-                "pattern": text,
+                "pattern": p.text,
                 "dimension": d,
                 "isometric": verdict.isometric,
                 "critical_pairs": len(pairs),
@@ -247,17 +251,67 @@ def _critical_equivalence_one(args):
             }
             if verdict.violating_pair is not None:
                 a, b, dg, h = verdict.violating_pair
-                record["violating_pair"] = [str(a), str(b), _render_distance(dg), h]
+                dg = "unreachable" if dg == oracle.UNREACHABLE else int(dg)
+                record["violating_pair"] = [str(a), str(b), dg, h]
             return record
-    return {"pattern": text, "dimensions_checked": d_max - 1}
+    return {"pattern": p.text, "dimensions_checked": d_max - 1}
+
+
+def _bad_patterns(records) -> int:
+    return sum(1 for r in records if r["index"] is not None)
+
+
+# suite -> (report name, swept text for max_len, check, checked count of its records)
+_SUITES = {
+    "cross": ("oracle-structural-cross-validation", "all patterns of length 1..{}",
+              _cross_validate_one, len),
+    "p-values": ("minimal-p-dichotomy",
+                 "bad patterns of length 1..{}, critical pairs at the index",
+                 _min_p_one, _bad_patterns),
+    "index-bound": ("index-upper-bound",
+                    "all patterns of length 1..{}; oracle probe to 2n+2 for n <= 4",
+                    _index_bound_one, len),
+    "doubling": ("doubling-preserves-good",
+                 "all patterns of length 1..{}; oracle confirmation for n <= 3",
+                 _doubling_one, len),
+    "monotonicity": ("witness-lift-monotonicity",
+                     "bad patterns of length 1..{}, dimensions index+1..index+3",
+                     _monotonicity_one, _bad_patterns),
+    "lemma21": ("nonisometric-iff-critical-pair",
+                "all patterns of length 1..{}, dimensions 2..2n-1 (2n+2 for n <= 4)",
+                _critical_equivalence_one,
+                lambda records: sum(r.get("dimensions_checked", 0) for r in records)),
+}
+SUITES = tuple(_SUITES)
+
+
+def _check_one(args) -> list[dict]:
+    text, names, cap = args
+    p = _Pattern(text, cap)
+    return [_SUITES[name][2](p) for name in names]
+
+
+def _run(names, texts, workers, cap, max_len=None) -> list[TheoremReport]:
+    """Run the named suites' checks on each text in one pass; per suite,
+    report the first failing record and the checked count of all records.
+    Without max_len the texts are an explicit list, swept as "N patterns"."""
+    rows = _pmap(_check_one, [(t, names, cap) for t in texts], workers)
+    reports = []
+    for i, name in enumerate(names):
+        title, swept, _, checked = _SUITES[name]
+        records = [row[i] for row in rows]
+        bad = next((r for r in records if "failure" in r), None)
+        swept = f"{len(texts)} patterns" if max_len is None else swept.format(max_len)
+        reports.append(TheoremReport(title, swept, bad is None, checked(records), bad))
+    return reports
 
 
 def _census_one(args):
     text, confirm, cap = args
-    f = Word.parse(text)
-    cls = structural.classify(f)
+    p = _Pattern(text, cap)
+    cls = p.classify(p.f)
     if confirm:
-        b = oracle.index_bruteforce(f, cap)
+        b = p.index(p.f)
         if b != cls.index:
             raise RuntimeError(
                 f"classifier disagrees with oracle on {text}: {cls.index} vs {b}"
@@ -277,83 +331,36 @@ def _pure_three_one(text):
 # ---------------------------------------------------------------------------
 # sweeps
 
-def _sweep(name: str, swept: str, one, texts, params, workers, checked=len) -> TheoremReport:
-    """Run one worker on (text, *params) for every text and report the first
-    failing record; checked turns the list of all records into the count."""
-    records = _pmap(one, [(t, *params) for t in texts], workers)
-    bad = next((r for r in records if "failure" in r), None)
-    return TheoremReport(
-        name=name, swept=swept, passed=bad is None, checked=checked(records), counterexample=bad
-    )
-
-
-def _bad_patterns(records) -> int:
-    return sum(1 for r in records if r["index"] is not None)
-
-
 def cross_validate_patterns(
-    texts: list[str], workers: int = 1, probe_past_len: int = 4, cap: int | None = None
+    texts: list[str], workers: int = 1, cap: int | None = None
 ) -> TheoremReport:
-    return _sweep(
-        "oracle-structural-cross-validation",
-        f"{len(texts)} patterns",
-        _cross_validate_one, texts, (probe_past_len, cap), workers,
-    )
+    return _run(("cross",), texts, workers, cap)[0]
 
 
 def cross_validate(max_len: int, workers: int = 1, cap: int | None = None) -> TheoremReport:
-    report = cross_validate_patterns(patterns_up_to(max_len), workers=workers, cap=cap)
-    return replace(report, swept=f"all patterns of length 1..{max_len}")
+    return _run(("cross",), patterns_up_to(max_len), workers, cap, max_len)[0]
 
 
 def check_p_values(max_len: int, workers: int = 1, cap: int | None = None) -> TheoremReport:
-    return _sweep(
-        "minimal-p-dichotomy",
-        f"bad patterns of length 1..{max_len}, critical pairs at the index",
-        _min_p_one, patterns_up_to(max_len), (cap,), workers, checked=_bad_patterns,
-    )
+    return _run(("p-values",), patterns_up_to(max_len), workers, cap, max_len)[0]
 
 
-def check_index_bound(
-    max_len: int, oracle_probe_len: int = 4, workers: int = 1, cap: int | None = None
-) -> TheoremReport:
-    return _sweep(
-        "index-upper-bound",
-        f"all patterns of length 1..{max_len}; oracle probe to 2n+2 for n <= {oracle_probe_len}",
-        _index_bound_one, patterns_up_to(max_len), (oracle_probe_len, cap), workers,
-    )
+def check_index_bound(max_len: int, workers: int = 1, cap: int | None = None) -> TheoremReport:
+    return _run(("index-bound",), patterns_up_to(max_len), workers, cap, max_len)[0]
 
 
-def check_doubling(
-    max_len: int, oracle_max_len: int = 3, workers: int = 1, cap: int | None = None
-) -> TheoremReport:
-    return _sweep(
-        "doubling-preserves-good",
-        f"all patterns of length 1..{max_len}; oracle confirmation for n <= {oracle_max_len}",
-        _doubling_one, patterns_up_to(max_len), (oracle_max_len, cap), workers,
-    )
+def check_doubling(max_len: int, workers: int = 1, cap: int | None = None) -> TheoremReport:
+    return _run(("doubling",), patterns_up_to(max_len), workers, cap, max_len)[0]
 
 
-def check_monotonicity(
-    max_len: int, extra: int = 3, workers: int = 1, cap: int | None = None
-) -> TheoremReport:
-    return _sweep(
-        "witness-lift-monotonicity",
-        f"bad patterns of length 1..{max_len}, dimensions index+1..index+{extra}",
-        _monotonicity_one, patterns_up_to(max_len), (extra, cap), workers,
-        checked=_bad_patterns,
-    )
+def check_monotonicity(max_len: int, workers: int = 1, cap: int | None = None) -> TheoremReport:
+    return _run(("monotonicity",), patterns_up_to(max_len), workers, cap, max_len)[0]
 
 
 def check_critical_equivalence(
     max_len: int, workers: int = 1, cap: int | None = None
 ) -> TheoremReport:
-    return _sweep(
-        "nonisometric-iff-critical-pair",
-        f"all patterns of length 1..{max_len}, dimensions 2..2n-1 (2n+2 for n <= 4)",
-        _critical_equivalence_one, patterns_up_to(max_len), (cap,), workers,
-        checked=lambda records: sum(r.get("dimensions_checked", 0) for r in records),
-    )
+    return _run(("lemma21",), patterns_up_to(max_len), workers, cap, max_len)[0]
 
 
 def census(
@@ -428,27 +435,16 @@ def find_pure_three_critical(max_len: int, workers: int = 1) -> list[str]:
     return [t for t in hits if t is not None]
 
 
-SUITES = ("cross", "p-values", "index-bound", "doubling", "monotonicity", "lemma21")
-
-
 def run_suites(
     suite: str, max_len: int, workers: int = 1, cap: int | None = None
 ) -> list[TheoremReport]:
-    """Run one named suite, or all of them plus the overlap-machinery check."""
+    """Run one named suite, or all of them in one pass plus the
+    overlap-machinery check."""
     selected = SUITES if suite == "all" else (suite,)
     unknown = set(selected) - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suite {sorted(unknown)}; choose from {('all',) + SUITES}")
-    # Looked up on each call, so a check replaced on the module is the one run.
-    checks = {
-        "cross": cross_validate,
-        "p-values": check_p_values,
-        "index-bound": check_index_bound,
-        "doubling": check_doubling,
-        "monotonicity": check_monotonicity,
-        "lemma21": check_critical_equivalence,
-    }
-    reports = [checks[name](max_len, workers=workers, cap=cap) for name in selected]
+    reports = _run(selected, patterns_up_to(max_len), workers, cap, max_len)
     if suite == "all":
         reports.append(check_overlap_machinery())
     return reports

@@ -335,14 +335,12 @@ def find_critical_pairs(g: AvoidanceGraph, minimal_only: bool = False) -> list[C
     return found
 
 
-def first_violation_dimension(
-    f: Pattern, d_max: int, cap: int | None = None, d_min: int = 2
-) -> int | None:
-    """Smallest d in d_min..d_max where the graph is not isometric, else None."""
+def first_violation_dimension(f: Pattern, d_max: int, cap: int | None = None) -> int | None:
+    """Smallest d in 2..d_max where the graph is not isometric, else None."""
     limit = config.dimension_cap(cap)
     if d_max > limit:
         raise ValueError(f"scan to dimension {d_max} exceeds dimension cap {limit}")
-    for d in range(d_min, d_max + 1):
+    for d in range(2, d_max + 1):
         if not is_isometric(build_graph(f, d, cap)).isometric:
             return d
     return None

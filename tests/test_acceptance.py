@@ -73,7 +73,7 @@ def test_criterion_2_minimal_p_dichotomy():
 
 
 def test_criterion_3_index_bound():
-    r = check_index_bound(10, oracle_probe_len=4, workers=WORKERS)
+    r = check_index_bound(10, workers=WORKERS)
     ok = r.passed and r.checked == 2046
     report(
         3,
@@ -85,7 +85,7 @@ def test_criterion_3_index_bound():
 
 
 def test_criterion_4_doubling_preserves_good():
-    r = check_doubling(6, oracle_max_len=3, workers=WORKERS)
+    r = check_doubling(6, workers=WORKERS)
     ok = r.passed and r.checked == 126
     report(
         4,
@@ -109,7 +109,7 @@ def test_criterion_5_nonisometric_iff_critical_pair():
 
 
 def test_criterion_6_witness_lifting():
-    r = check_monotonicity(6, extra=3, workers=WORKERS)
+    r = check_monotonicity(6, workers=WORKERS)
     ok = r.passed and r.checked == 78
     report(
         6,

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import fibocube
+from fibocube import harness
 from fibocube.cli import EXIT_BAD, EXIT_OK, EXIT_USAGE, main
 
 
@@ -52,6 +53,13 @@ class TestClassify:
         code, out, _ = run_cli("classify", "11", "--format", "csv")
         assert code == EXIT_OK
         assert out == "pattern,verdict,index\n11,good,\n"
+
+    def test_ignores_dimension_cap(self, monkeypatch):
+        # classify builds no graph, so the oracle's cap does not apply
+        monkeypatch.setenv("FIBOCUBE_CAP", "1")
+        code, out, _ = run_cli("classify", "101")
+        assert code == EXIT_BAD
+        assert out.splitlines()[0] == "bad B=4"
 
 
 class TestIndexAndWitness:
@@ -121,6 +129,20 @@ class TestVerify:
         assert data["passed"] is True
         assert data["checked"] == 14
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_all_prints_single_suites_then_overlap(self, workers):
+        argv = ("verify", "--max-len", "4", "--format", "json", "--workers", workers)
+        code, out, _ = run_cli(*argv, "--suite", "all")
+        assert code == EXIT_OK
+        expected = []
+        for suite in harness.SUITES:
+            single_code, single_out, _ = run_cli(*argv, "--suite", suite)
+            assert single_code == EXIT_OK
+            expected += single_out.splitlines()
+        overlap = harness.check_overlap_machinery().to_json_dict()
+        expected.append(json.dumps(overlap, sort_keys=True))
+        assert out.splitlines() == expected
+
 
 class TestGraphExport:
     def test_dot_q2_11(self):
@@ -166,6 +188,13 @@ class TestGraphExport:
         assert "5" in err
         code, out, _ = run_cli("graph", "11", "--dim", "5")
         assert code == EXIT_OK
+
+    def test_cap_env_var_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv("FIBOCUBE_CAP", "abc")
+        code, out, err = run_cli("graph", "11", "--dim", "3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "FIBOCUBE_CAP" in err
 
 
 class TestOverlapGraphExport:
@@ -213,7 +242,7 @@ class TestVerifyFailure:
     def test_failed_suite_exits_1_with_counterexample(self, monkeypatch):
         from fibocube import oracle
 
-        monkeypatch.setattr(oracle, "index_bruteforce", lambda f, cap=None: None)
+        monkeypatch.setattr(oracle, "is_isometric", lambda g: oracle.Verdict(True))
         code, out, _ = run_cli("verify", "--max-len", "3", "--suite", "cross", "--workers", "1")
         assert code == 1
         (line,) = out.splitlines()

@@ -1,9 +1,10 @@
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from fibocube import harness
+from fibocube import harness, oracle, structural
 from fibocube.harness import (
     CensusRow,
     census,
@@ -18,7 +19,11 @@ from fibocube.harness import (
     find_pure_three_critical,
     run_suites,
 )
-from fibocube.structural import WitnessCheck
+from fibocube.oracle import AvoidanceGraph, Verdict
+from fibocube.structural import Classification, WitnessCheck
+
+REAL_BUILD = oracle.build_graph
+REAL_ISOMETRIC = oracle.is_isometric
 
 
 def row_bytes(row: CensusRow) -> str:
@@ -44,21 +49,23 @@ class TestCrossValidate:
         assert r.passed and r.checked == 3
 
     def test_past_bound_probe_scans_only_good_patterns_past_2n_minus_1(self, monkeypatch):
-        # index_bruteforce already scanned d = 2..2|f|-1; a bad pattern's first
-        # violation is its index, so only good patterns are probed further.
-        real = harness.oracle.first_violation_dimension
-        probes = []
+        # The index scan covers d = 2..2|f|-1 and stops at a bad pattern's
+        # index, its first violation, so only good patterns are probed
+        # further, and no graph is built twice.
+        built = []
 
-        def spy(f, d_max, cap=None, d_min=2):
-            if d_max == 2 * f.length + 2:
-                probes.append((str(f), d_min))
-            return real(f, d_max, cap, d_min)
+        def spy(f, d, cap=None):
+            built.append((str(f), d))
+            return REAL_BUILD(f, d, cap)
 
-        monkeypatch.setattr(harness.oracle, "first_violation_dimension", spy)
+        monkeypatch.setattr(harness.oracle, "build_graph", spy)
         r = cross_validate(3, workers=1)
         assert r.passed
-        good = [p for p in harness.patterns_up_to(3) if p not in ("010", "101")]
-        assert probes == [(p, 2 * len(p)) for p in good]
+        expected = []
+        for p in harness.patterns_up_to(3):
+            last = 4 if p in ("010", "101") else 2 * len(p) + 2  # the index, or 2n+2
+            expected += [(p, d) for d in range(2, last + 1)]
+        assert built == expected
 
 
 class TestTheoremChecks:
@@ -79,12 +86,8 @@ class TestTheoremChecks:
         assert r.passed and r.checked == 14
 
     def test_monotonicity(self):
-        r = check_monotonicity(3, extra=2)
+        r = check_monotonicity(3)
         assert r.passed and r.checked == 2
-
-    def test_monotonicity_extra_zero(self):
-        r = check_monotonicity(3, extra=0)
-        assert r.passed
 
     def test_critical_equivalence(self):
         r = check_critical_equivalence(3)
@@ -199,6 +202,42 @@ class TestRunSuites:
         with pytest.raises(ValueError):
             run_suites("nope", 3)
 
+    def test_all_suites_check_each_pattern_in_one_pass(self, monkeypatch):
+        # While one swept pattern is checked, no graph is built twice, and the
+        # pattern and its square are classified once each.
+        current, built, classified, passes = [], [], [], []
+        real_pattern, real_classify, real_pmap = (
+            harness._Pattern, structural.classify, harness._pmap
+        )
+
+        def pattern(text, cap):
+            current.append(text)
+            return real_pattern(text, cap)
+
+        def build(f, d, cap=None):
+            built.append((current[-1], str(f), d))
+            return REAL_BUILD(f, d, cap)
+
+        def classify(f):
+            classified.append((current[-1], str(f)))
+            return real_classify(f)
+
+        def pmap(fn, items, workers):
+            passes.append(fn)
+            return real_pmap(fn, items, workers)
+
+        monkeypatch.setattr(harness, "_Pattern", pattern)
+        monkeypatch.setattr(harness, "_pmap", pmap)
+        monkeypatch.setattr(harness.oracle, "build_graph", build)
+        monkeypatch.setattr(harness.structural, "classify", classify)
+        reports = run_suites("all", 4, workers=1)
+        assert all(r.passed for r in reports)
+        texts = harness.patterns_up_to(4)
+        assert current == texts
+        assert len(passes) == 1
+        assert built and len(built) == len(set(built))
+        assert sorted(classified) == sorted([(t, t) for t in texts] + [(t, t + t) for t in texts])
+
     def test_reports_deterministic(self):
         a = [json.dumps(r.to_json_dict(), sort_keys=True) for r in run_suites("all", 2)]
         b = [json.dumps(r.to_json_dict(), sort_keys=True) for r in run_suites("all", 2, workers=2)]
@@ -210,7 +249,7 @@ class TestFailurePaths:
     record is the counterexample, and checked still counts every swept item."""
 
     def test_cross_validate(self, monkeypatch):
-        monkeypatch.setattr(harness.oracle, "index_bruteforce", lambda f, cap=None: None)
+        monkeypatch.setattr(harness.oracle, "is_isometric", lambda g: Verdict(True))
         r = cross_validate(3, workers=1)
         assert not r.passed and r.checked == 14
         assert r.counterexample["failure"] == "index-mismatch"
@@ -218,14 +257,9 @@ class TestFailurePaths:
         assert r.swept == "all patterns of length 1..3"
 
     def test_cross_validate_violation_past_bound(self, monkeypatch):
-        real = harness.oracle.first_violation_dimension
-        monkeypatch.setattr(
-            harness.oracle,
-            "first_violation_dimension",
-            lambda f, d_max, cap=None, d_min=2: (
-                99 if d_max == 2 * f.length + 2 else real(f, d_max, cap, d_min)
-            ),
-        )
+        monkeypatch.setattr(harness.oracle, "is_isometric", lambda g: (
+            Verdict(False) if g.dimension == 2 * g.pattern.length + 1 else REAL_ISOMETRIC(g)
+        ))
         r = cross_validate(3, workers=1)
         assert not r.passed and r.checked == 14
         assert r.counterexample == {
@@ -233,7 +267,7 @@ class TestFailurePaths:
             "structural_index": None,
             "bruteforce_index": None,
             "failure": "violation-appears-past-bound",
-            "first_violation_to_2n_plus_2": 99,
+            "first_violation_to_2n_plus_2": 3,
         }
 
     def test_p_values_counts_every_bad_pattern(self, monkeypatch):
@@ -249,20 +283,61 @@ class TestFailurePaths:
         assert r.counterexample["min_p"] == 4
 
     def test_index_bound(self, monkeypatch):
-        monkeypatch.setattr(
-            harness.oracle, "first_violation_dimension", lambda f, d_max, cap=None: 99
-        )
+        monkeypatch.setattr(harness.oracle, "is_isometric", lambda g: (
+            Verdict(False) if g.dimension == 2 * g.pattern.length + 2 else REAL_ISOMETRIC(g)
+        ))
         r = check_index_bound(3, workers=1)
         assert not r.passed and r.checked == 14
         assert r.counterexample["failure"] == "oracle-disagrees-past-bound"
-        assert r.counterexample["first_violation_to_2n_plus_2"] == 99
+        assert r.counterexample["first_violation_to_2n_plus_2"] == 4
 
     def test_doubling(self, monkeypatch):
-        monkeypatch.setattr(harness.oracle, "index_bruteforce", lambda f, cap=None: 5)
+        monkeypatch.setattr(harness.oracle, "is_isometric", lambda g: Verdict(False))
         r = check_doubling(3, workers=1)
         assert not r.passed and r.checked == 14
         assert r.counterexample["failure"] == "oracle-says-doubled-is-bad"
         assert r.counterexample["pattern"] == "0"
+
+    @pytest.mark.parametrize(
+        "module, name, broken, check, checked, counterexample",
+        [
+            (structural, "classify", lambda f: Classification(f, False, 2 * f.length, ()),
+             check_index_bound, 14,
+             {"pattern": "0", "index": 2, "failure": "index-at-least-twice-length"}),
+            (structural, "classify",
+             lambda f: Classification(f, False, 2 * f.length - 1, (SimpleNamespace(p=2),)),
+             check_index_bound, 14,
+             {"pattern": "0", "index": 1, "failure": "two-flip-index-above-2n-2"}),
+            # length-1 patterns are good, their squares bad
+            (structural, "classify",
+             lambda f: Classification(f, f.length == 1, None if f.length == 1 else 3, ()),
+             check_doubling, 14,
+             {"pattern": "0", "index": None, "doubled_index": 3,
+              "failure": "doubling-lost-goodness"}),
+            (oracle, "build_graph", lambda f, d, cap=None: (
+                AvoidanceGraph(f, d, np.zeros(1, dtype=np.int64))
+                if str(f) == "010010" else REAL_BUILD(f, d, cap)
+            ), check_doubling, 14,
+             {"pattern": "010", "index": 4, "doubled_index": 8, "dimension": 2,
+              "failure": "doubled-graph-not-full-cube"}),
+            (oracle, "is_isometric", lambda g: (
+                Verdict(False) if str(g.pattern) == "010010" else REAL_ISOMETRIC(g)
+            ), check_doubling, 14,
+             {"pattern": "010", "index": 4, "doubled_index": 8, "dimension": 2,
+              "failure": "doubled-graph-not-isometric-below-index"}),
+            (oracle, "is_isometric", lambda g: Verdict(True), check_monotonicity, 2,
+             {"pattern": "010", "index": 4, "dimension": 5,
+              "failure": "oracle-isometric-above-index"}),
+        ],
+        ids=["twice-length", "two-flip", "lost-goodness", "not-full-cube",
+             "doubled-not-isometric", "isometric-above-index"],
+    )
+    def test_failure_kind(self, monkeypatch, module, name, broken, check, checked,
+                          counterexample):
+        monkeypatch.setattr(module, name, broken)
+        r = check(3, workers=1)
+        assert not r.passed and r.checked == checked
+        assert r.counterexample == counterexample
 
     def test_monotonicity(self, monkeypatch):
         monkeypatch.setattr(
@@ -290,13 +365,14 @@ class TestFailurePaths:
     @pytest.mark.parametrize(
         "name, broken, failure",
         [
+            ("is_single_cycle", lambda g: False, "not-a-single-cycle"),
             ("residue_sequence", lambda k1, k2: [], "residue-walk-broken"),
             ("closure_implies", lambda r, s, assumed, pair: False,
              "dropped-equation-not-forced"),
             ("period_closure_check", lambda f, r, s: SimpleNamespace(ok=False, vacuous=False),
              "period-check-broken"),
         ],
-        ids=["residue-walk", "closure", "period-check"],
+        ids=["single-cycle", "residue-walk", "closure", "period-check"],
     )
     def test_overlap_machinery(self, monkeypatch, name, broken, failure):
         monkeypatch.setattr(harness, name, broken)
