@@ -3,7 +3,10 @@
 The structural classifier (`classify`) computes the verdict, exact index and
 explicit blocked-pair certificates in polynomial time; the brute-force oracle
 (`build_graph`, `is_isometric`, `index_bruteforce`) recomputes everything from
-definitions at desk scale so the two routes can be cross-validated.
+definitions at desk scale so the two routes can be cross-validated.  In the
+oracle the exhaustive critical-pair scan decides isometry; BFS names the
+violating pair of a non-isometric graph and backs the `lemma21` sweep, which
+checks the scan against it.
 """
 
 from .config import DEFAULT_DIMENSION_CAP, dimension_cap

@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="classify every pattern of one length")
     p.add_argument("length", type=int)
     p.add_argument("--oracle-confirm", action="store_true",
-                   help="also confirm each verdict by brute force (length <= 8)")
+                   help="also confirm each verdict by brute force (length <= 9)")
     add_common(p, cap=True, workers=True)
     p.set_defaults(handler=_cmd_census)
 
@@ -220,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return EXIT_OK
     except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -135,14 +135,18 @@ class _Pattern:
         self.cap = cap
         self.classify = cache(lambda w: structural.classify(w))
         self.graph = graph = cache(lambda w, d: oracle.build_graph(w, d, cap))
-        self.verdict = cache(lambda w, d: oracle.is_isometric(graph(w, d)))
+        self.critical_p = cache(lambda w, d: oracle.critical_p_values(graph(w, d)).tolist())
+
+    def isometric(self, w: Word, d: int) -> bool:
+        """Whether Q_d(w) is isometric, decided from the critical-pair scan."""
+        return not self.critical_p(w, d)
 
     def first_violation(self, w: Word, d_max: int) -> int | None:
         """Smallest d in 2..d_max where Q_d(w) is not isometric, else None."""
         limit = config.dimension_cap(self.cap)
         if d_max > limit:
             raise ValueError(f"scan to dimension {d_max} exceeds dimension cap {limit}")
-        return next((d for d in range(2, d_max + 1) if not self.verdict(w, d).isometric), None)
+        return next((d for d in range(2, d_max + 1) if not self.isometric(w, d)), None)
 
     def index(self, w: Word) -> int | None:
         """Brute-force index of w: any bad factor fails by 2|w|-1, and
@@ -168,9 +172,9 @@ def _min_p_one(p: _Pattern) -> dict:
     b = p.index(p.f)
     if b is None:
         return {"pattern": p.text, "index": None, "min_p": None}
-    pairs = oracle.find_critical_pairs(p.graph(p.f, b), minimal_only=True)
-    min_p = pairs[0].p if pairs else None
-    record = {"pattern": p.text, "index": b, "min_p": min_p, "pairs_at_min": len(pairs)}
+    ps = p.critical_p(p.f, b)
+    min_p = min(ps, default=None)
+    record = {"pattern": p.text, "index": b, "min_p": min_p, "pairs_at_min": ps.count(min_p)}
     if min_p not in (2, 3):
         record["failure"] = "minimal-p-outside-2-3"
     return record
@@ -208,7 +212,7 @@ def _doubling_one(p: _Pattern) -> dict:
                 record["failure"] = "doubled-graph-not-full-cube"
                 record["dimension"] = d
                 return record
-            if not p.verdict(p.ff, d).isometric:
+            if not p.isometric(p.ff, d):
                 record["failure"] = "doubled-graph-not-isometric-below-index"
                 record["dimension"] = d
                 return record
@@ -228,7 +232,7 @@ def _monotonicity_one(p: _Pattern) -> dict:
                 record["dimension"] = d
                 record["reason"] = check.reason
                 return record
-        if p.verdict(p.f, d).isometric:
+        if p.isometric(p.f, d):
             record["failure"] = "oracle-isometric-above-index"
             record["dimension"] = d
             return record
@@ -236,21 +240,24 @@ def _monotonicity_one(p: _Pattern) -> dict:
 
 
 def _critical_equivalence_one(p: _Pattern) -> dict:
+    """The BFS route against the critical-pair scan on every graph: a
+    violating pair exactly when there is a critical pair."""
     n = p.n
     d_max = 2 * n - 1 if n > 4 else 2 * n + 2
     for d in range(2, d_max + 1):
-        verdict = p.verdict(p.f, d)
-        pairs = oracle.find_critical_pairs(p.graph(p.f, d))
-        if verdict.isometric == bool(pairs):
+        g = p.graph(p.f, d)
+        violation = oracle._bfs_violation(g)
+        pairs = oracle.find_critical_pairs(g)
+        if (violation is None) == bool(pairs):
             record = {
                 "pattern": p.text,
                 "dimension": d,
-                "isometric": verdict.isometric,
+                "isometric": violation is None,
                 "critical_pairs": len(pairs),
                 "failure": "equivalence-broken",
             }
-            if verdict.violating_pair is not None:
-                a, b, dg, h = verdict.violating_pair
+            if violation is not None:
+                a, b, dg, h = violation
                 dg = "unreachable" if dg == oracle.UNREACHABLE else int(dg)
                 record["violating_pair"] = [str(a), str(b), dg, h]
             return record
@@ -368,8 +375,8 @@ def census(
 ) -> CensusRow:
     if not 1 <= n <= 14:
         raise ValueError(f"census length must be in 1..14, got {n}")
-    if oracle_confirm and n > 8:
-        raise ValueError(f"oracle confirmation is limited to length 8, got {n}")
+    if oracle_confirm and n > 9:
+        raise ValueError(f"oracle confirmation is limited to length 9, got {n}")
     texts = all_patterns(n)
     results = _pmap(_census_one, [(t, oracle_confirm, cap) for t in texts], workers)
     good = 0

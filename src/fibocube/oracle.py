@@ -1,17 +1,22 @@
 """Brute-force ground truth for factor-avoiding subgraphs of the hypercube.
 
-Builds the vertex set of every length-d word avoiding a factor, computes
-graph distances by BFS, decides isometry against Hamming distance, and finds
+Builds the vertex set of every length-d word avoiding a factor, finds
 critical word pairs straight from the definition (all interval neighbors of
-one endpoint forbidden).  Everything here is exhaustive and makes no use of
-the structural classifier, so the two can check each other.
+one endpoint forbidden), and computes graph distances by BFS.  Everything
+here is exhaustive and makes no use of the structural classifier, so the two
+can check each other.
 
-Isometry is decided from sums: graph distance is at least Hamming distance
-for every pair, so the BFS distance sum over a batch of sources equals the
-batch's Hamming sum exactly when every pair agrees.  Only the first batch
-whose sums differ is re-run for its distance matrix, to name the violating
-pair.  Critical pairs are found by enumerating, for each vertex, the words
-reached by flipping a subset of its forbidden positions.
+The critical-pair scan decides isometry: an induced subgraph of Q_d is
+isometric exactly when it has no critical pair (the equivalence the lemma21
+sweep checks; Ilic, Klavzar and Rho, Generalized Fibonacci cubes, Discrete
+Math. 312 (2012); the proof is an induction on Hamming distance).  The scan
+enumerates, for each vertex, the words reached by flipping a subset of its
+forbidden positions, and runs once per graph: its result is cached on the
+graph.  BFS is the independent second route.  It names the first violating
+pair of a graph the scan calls non-isometric, and the lemma21 sweep checks
+the two routes against each other on every graph it covers.  It compares BFS
+distance sums with Hamming sums per batch of sources; only the first batch
+whose sums differ is re-run for its distance matrix.
 """
 
 from __future__ import annotations
@@ -50,6 +55,20 @@ def _forbidden(values: np.ndarray, d: int, fbits: int, flen: int) -> np.ndarray:
     mask = (1 << flen) - 1
     for shift in range(d - flen + 1):
         out |= ((values >> shift) & mask) == fbits
+    return out
+
+
+def _deposit(t: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Scatter the low bits of each t into the set bits of its mask, lowest
+    bit first (a vectorised parallel bit deposit)."""
+    out = np.zeros_like(t)
+    rest = masks.copy()
+    j = 0
+    while rest.any():
+        low = rest & -rest
+        out |= low * ((t >> j) & 1)
+        rest ^= low
+        j += 1
     return out
 
 
@@ -112,6 +131,43 @@ class AvoidanceGraph:
     @property
     def forbidden_flip_mask(self) -> np.ndarray:
         return self._flip_tables[1]
+
+    @cached_property
+    def _critical_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (i, j), i < j, of every critical pair, sorted.
+
+        A critical pair is alpha ^ x for a submask x of the forbidden-flip
+        mask F of its blocked side, so each vertex with |F| >= 2 enumerates
+        the words flipped at a submask of F and keeps those that are
+        vertices.  A vertex with more submasks than the graph has vertices
+        tests every vertex instead, so no vertex costs more than one row of
+        all pairs.
+        """
+        verts = self.vertices
+        n = verts.size
+        if n < 2 or self.pattern.length > self.dimension:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty
+        forb = self.forbidden_flip_mask
+        m = _popcount(forb)
+        subsets = (1 << m) <= n
+        size = np.where(m < 2, 0, np.where(subsets, 1 << m, n))
+        rows = np.flatnonzero(size)
+        chunk = (np.cumsum(size[rows]) - 1) // _CANDIDATE_CHUNK
+        keys = []
+        for part in np.split(rows, np.flatnonzero(np.diff(chunk)) + 1):
+            r = np.repeat(part, size[part])
+            # t numbers the candidates of each row from 0.
+            t = np.arange(r.size) - np.repeat(np.cumsum(size[part]) - size[part], size[part])
+            a = verts[r]
+            x = np.where(subsets[r], _deposit(t, forb[r]), a ^ verts[t])
+            beta = a ^ x
+            pos = np.minimum(np.searchsorted(verts, beta), n - 1)
+            keep = (verts[pos] == beta) & ((x & ~forb[r]) == 0) & (_popcount(x) >= 2)
+            i, j = r[keep], pos[keep]
+            keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+        key = np.unique(np.concatenate(keys))
+        return key // n, key % n
 
     def _edge_indices(self) -> tuple[list[int], list[int]]:
         """Index pairs (i, j) with i < j of all edges, sorted.
@@ -223,27 +279,19 @@ class CriticalPair:
     blocked_side: str  # "alpha", "beta", or "both"
 
 
-def is_isometric(g: AvoidanceGraph, with_min_p: bool = False) -> Verdict:
-    """Compare BFS distance with Hamming distance over all vertex pairs.
+def _bfs_violation(g: AvoidanceGraph) -> tuple[Word, Word, int | float, int] | None:
+    """The first vertex pair, in (source, target) index order, whose BFS
+    distance differs from its Hamming distance; None when there is none.
+    Unreachable pairs violate.
 
     Sources run in batches of 64 in lexicographic order.  A batch passes when
     every pair is reachable and its BFS distance sum equals its Hamming sum,
     which is exact because graph distance is never below Hamming distance.
-    The first batch that fails is re-run for its full distance matrix, so the
-    reported violating pair is the first one in (source, target) index order;
-    unreachable pairs violate.
+    The first batch that fails is re-run for its full distance matrix.
     """
     d = g.dimension
-    if g.pattern.length > d:
-        # No length-d word contains the factor, so the graph is the whole
-        # cube, where graph distance and Hamming distance agree.
-        if g.vertex_count != 1 << d:
-            raise RuntimeError("enumeration bug: full cube expected")
-        return Verdict(True)
     verts = g.vertices
     n = verts.size
-    if n <= 1:
-        return Verdict(True)
     # Bit k adds s_k (n - c_k) + (b - s_k) c_k to the Hamming sum of b
     # sources, s_k of which have bit k set, against the c_k vertices that do.
     bits = (verts[:, None] >> np.arange(d)) & 1
@@ -260,64 +308,56 @@ def is_isometric(g: AvoidanceGraph, with_min_p: bool = False) -> Verdict:
         alpha = Word(d, int(verts[idx[i]]))
         beta = Word(d, int(verts[j]))
         dg = UNREACHABLE if dist[i, j] < 0 else int(dist[i, j])
-        min_p = None
-        if with_min_p:
-            pairs = find_critical_pairs(g, minimal_only=True)
-            min_p = pairs[0].p if pairs else None
-        return Verdict(False, (alpha, beta, dg, int(ham[i, j])), min_p)
-    return Verdict(True)
+        return alpha, beta, dg, int(ham[i, j])
+    return None
 
 
-def _deposit(t: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Scatter the low bits of each t into the set bits of its mask, lowest
-    bit first (a vectorised parallel bit deposit)."""
-    out = np.zeros_like(t)
-    rest = masks.copy()
-    j = 0
-    while rest.any():
-        low = rest & -rest
-        out |= low * ((t >> j) & 1)
-        rest ^= low
-        j += 1
-    return out
+def critical_p_values(g: AvoidanceGraph) -> np.ndarray:
+    """The Hamming distance p of every critical pair of g, in the order
+    find_critical_pairs reports the pairs; empty exactly when g is isometric.
+
+    The scan behind it runs once per graph object and is shared with
+    is_isometric and find_critical_pairs.
+    """
+    i, j = g._critical_pairs
+    return _popcount(g.vertices[i] ^ g.vertices[j])
+
+
+def is_isometric(g: AvoidanceGraph, with_min_p: bool = False) -> Verdict:
+    """Decide isometry from the critical-pair scan; name the violating pair by BFS.
+
+    A graph without critical pairs is isometric (see the module docstring).
+    Otherwise the BFS route names the first pair in (source, target) index
+    order whose graph distance differs from its Hamming distance, and
+    with_min_p adds the least p among the critical pairs.
+    """
+    d = g.dimension
+    if g.pattern.length > d:
+        # No length-d word contains the factor, so the graph is the whole
+        # cube, where graph distance and Hamming distance agree.
+        if g.vertex_count != 1 << d:
+            raise RuntimeError("enumeration bug: full cube expected")
+        return Verdict(True)
+    ps = critical_p_values(g)
+    if not ps.size:
+        return Verdict(True)
+    pair = _bfs_violation(g)
+    if pair is None:
+        raise RuntimeError(
+            f"Q_{d}({g.pattern}) has {ps.size} critical pairs but BFS finds no violation"
+        )
+    return Verdict(False, pair, int(ps.min()) if with_min_p else None)
 
 
 def find_critical_pairs(g: AvoidanceGraph, minimal_only: bool = False) -> list[CriticalPair]:
     """Definition-level scan, no BFS: pairs at Hamming distance at least 2
     where one side's interval flips are all forbidden.  Pairs are reported
     with alpha lexicographically first, sorted by (alpha, beta).
-
-    Such a pair is alpha ^ x for a submask x of the forbidden-flip mask F of
-    its blocked side, so each vertex with |F| >= 2 enumerates the words
-    flipped at a submask of F and keeps those that are vertices.  A vertex
-    with more submasks than the graph has vertices tests every vertex
-    instead, so no vertex costs more than one row of all pairs.
     """
-    verts = g.vertices
-    n = verts.size
-    d = g.dimension
-    if n < 2 or g.pattern.length > d:
+    i, j = g._critical_pairs
+    if not i.size:
         return []
-    forb = g.forbidden_flip_mask
-    m = _popcount(forb)
-    subsets = (1 << m) <= n
-    size = np.where(m < 2, 0, np.where(subsets, 1 << m, n))
-    rows = np.flatnonzero(size)
-    chunk = (np.cumsum(size[rows]) - 1) // _CANDIDATE_CHUNK
-    keys = []
-    for part in np.split(rows, np.flatnonzero(np.diff(chunk)) + 1):
-        r = np.repeat(part, size[part])
-        # t numbers the candidates of each row from 0.
-        t = np.arange(r.size) - np.repeat(np.cumsum(size[part]) - size[part], size[part])
-        a = verts[r]
-        x = np.where(subsets[r], _deposit(t, forb[r]), a ^ verts[t])
-        beta = a ^ x
-        pos = np.minimum(np.searchsorted(verts, beta), n - 1)
-        keep = (verts[pos] == beta) & ((x & ~forb[r]) == 0) & (_popcount(x) >= 2)
-        i, j = r[keep], pos[keep]
-        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
-    key = np.unique(np.concatenate(keys))
-    i, j = key // n, key % n
+    verts, d, forb = g.vertices, g.dimension, g.forbidden_flip_mask
     x = verts[i] ^ verts[j]
     block_a = ((x & ~forb[i]) == 0).tolist()
     block_b = ((x & ~forb[j]) == 0).tolist()
@@ -336,12 +376,13 @@ def find_critical_pairs(g: AvoidanceGraph, minimal_only: bool = False) -> list[C
 
 
 def first_violation_dimension(f: Pattern, d_max: int, cap: int | None = None) -> int | None:
-    """Smallest d in 2..d_max where the graph is not isometric, else None."""
+    """Smallest d in 2..d_max where the graph is not isometric, else None.
+    Decided from the critical-pair scan; no pair is named."""
     limit = config.dimension_cap(cap)
     if d_max > limit:
         raise ValueError(f"scan to dimension {d_max} exceeds dimension cap {limit}")
     for d in range(2, d_max + 1):
-        if not is_isometric(build_graph(f, d, cap)).isometric:
+        if critical_p_values(build_graph(f, d, cap)).size:
             return d
     return None
 

@@ -60,6 +60,11 @@ def test_all_length_7_patterns_match_oracle():
     r = cross_validate_patterns(all_patterns(7), workers=WORKERS)
     assert r.passed and r.checked == 128, r.counterexample
 
+
+def test_all_length_8_patterns_match_oracle():
+    r = cross_validate_patterns(all_patterns(8), workers=WORKERS)
+    assert r.passed and r.checked == 256, r.counterexample
+
 def test_criterion_2_minimal_p_dichotomy():
     r = check_p_values(6, workers=WORKERS)
     ok = r.passed and r.checked == 78

@@ -242,7 +242,8 @@ class TestVerifyFailure:
     def test_failed_suite_exits_1_with_counterexample(self, monkeypatch):
         from fibocube import oracle
 
-        monkeypatch.setattr(oracle, "is_isometric", lambda g: oracle.Verdict(True))
+        # Every graph reads as having no critical pair, so every index is "good".
+        monkeypatch.setattr(oracle, "critical_p_values", lambda g: g.vertices[:0])
         code, out, _ = run_cli("verify", "--max-len", "3", "--suite", "cross", "--workers", "1")
         assert code == 1
         (line,) = out.splitlines()
@@ -252,3 +253,17 @@ class TestVerifyFailure:
         )
         record = json.loads(line.split(" counterexample=", 1)[1])
         assert record["failure"] == "index-mismatch"
+
+
+class TestInternalError:
+    def test_empty_message_names_the_exception_type(self, monkeypatch):
+        from fibocube import oracle
+
+        def out_of_memory(f, d, cap=None):
+            raise MemoryError()
+
+        monkeypatch.setattr(oracle, "build_graph", out_of_memory)
+        code, out, err = run_cli("graph", "11", "--dim", "4")
+        assert code == 1
+        assert out == ""
+        assert err == "internal error: MemoryError\n"

@@ -19,11 +19,14 @@ from fibocube.harness import (
     find_pure_three_critical,
     run_suites,
 )
-from fibocube.oracle import AvoidanceGraph, Verdict
+from fibocube.oracle import AvoidanceGraph
 from fibocube.structural import Classification, WitnessCheck
 
 REAL_BUILD = oracle.build_graph
-REAL_ISOMETRIC = oracle.is_isometric
+REAL_SCAN = oracle.critical_p_values
+# Scan results that make a graph read as isometric, or as not isometric.
+NO_PAIRS = np.zeros(0, dtype=np.int64)
+ONE_PAIR = np.array([2])
 
 
 def row_bytes(row: CensusRow) -> str:
@@ -145,7 +148,7 @@ class TestCensus:
         with pytest.raises(ValueError):
             census(15)
         with pytest.raises(ValueError):
-            census(9, oracle_confirm=True)
+            census(10, oracle_confirm=True)
 
     def test_csv_layout(self):
         text = census_csv([census(3)])
@@ -249,7 +252,7 @@ class TestFailurePaths:
     record is the counterexample, and checked still counts every swept item."""
 
     def test_cross_validate(self, monkeypatch):
-        monkeypatch.setattr(harness.oracle, "is_isometric", lambda g: Verdict(True))
+        monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: NO_PAIRS)
         r = cross_validate(3, workers=1)
         assert not r.passed and r.checked == 14
         assert r.counterexample["failure"] == "index-mismatch"
@@ -257,8 +260,8 @@ class TestFailurePaths:
         assert r.swept == "all patterns of length 1..3"
 
     def test_cross_validate_violation_past_bound(self, monkeypatch):
-        monkeypatch.setattr(harness.oracle, "is_isometric", lambda g: (
-            Verdict(False) if g.dimension == 2 * g.pattern.length + 1 else REAL_ISOMETRIC(g)
+        monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: (
+            ONE_PAIR if g.dimension == 2 * g.pattern.length + 1 else REAL_SCAN(g)
         ))
         r = cross_validate(3, workers=1)
         assert not r.passed and r.checked == 14
@@ -271,10 +274,9 @@ class TestFailurePaths:
         }
 
     def test_p_values_counts_every_bad_pattern(self, monkeypatch):
+        # Every critical pair reads p = 4; which graphs have pairs is unchanged.
         monkeypatch.setattr(
-            harness.oracle,
-            "find_critical_pairs",
-            lambda g, minimal_only=False: [SimpleNamespace(p=4)],
+            harness.oracle, "critical_p_values", lambda g: np.full_like(REAL_SCAN(g), 4)
         )
         r = check_p_values(4, workers=1)
         assert not r.passed and r.checked == 10
@@ -283,8 +285,8 @@ class TestFailurePaths:
         assert r.counterexample["min_p"] == 4
 
     def test_index_bound(self, monkeypatch):
-        monkeypatch.setattr(harness.oracle, "is_isometric", lambda g: (
-            Verdict(False) if g.dimension == 2 * g.pattern.length + 2 else REAL_ISOMETRIC(g)
+        monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: (
+            ONE_PAIR if g.dimension == 2 * g.pattern.length + 2 else REAL_SCAN(g)
         ))
         r = check_index_bound(3, workers=1)
         assert not r.passed and r.checked == 14
@@ -292,7 +294,7 @@ class TestFailurePaths:
         assert r.counterexample["first_violation_to_2n_plus_2"] == 4
 
     def test_doubling(self, monkeypatch):
-        monkeypatch.setattr(harness.oracle, "is_isometric", lambda g: Verdict(False))
+        monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: ONE_PAIR)
         r = check_doubling(3, workers=1)
         assert not r.passed and r.checked == 14
         assert r.counterexample["failure"] == "oracle-says-doubled-is-bad"
@@ -320,12 +322,12 @@ class TestFailurePaths:
             ), check_doubling, 14,
              {"pattern": "010", "index": 4, "doubled_index": 8, "dimension": 2,
               "failure": "doubled-graph-not-full-cube"}),
-            (oracle, "is_isometric", lambda g: (
-                Verdict(False) if str(g.pattern) == "010010" else REAL_ISOMETRIC(g)
+            (oracle, "critical_p_values", lambda g: (
+                ONE_PAIR if str(g.pattern) == "010010" else REAL_SCAN(g)
             ), check_doubling, 14,
              {"pattern": "010", "index": 4, "doubled_index": 8, "dimension": 2,
               "failure": "doubled-graph-not-isometric-below-index"}),
-            (oracle, "is_isometric", lambda g: Verdict(True), check_monotonicity, 2,
+            (oracle, "critical_p_values", lambda g: NO_PAIRS, check_monotonicity, 2,
              {"pattern": "010", "index": 4, "dimension": 5,
               "failure": "oracle-isometric-above-index"}),
         ],

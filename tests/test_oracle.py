@@ -3,14 +3,18 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibocube import oracle
 from fibocube.harness import patterns_up_to
 from fibocube.oracle import (
     UNREACHABLE,
     AvoidanceGraph,
+    _bfs_violation,
     _distances,
     build_graph,
+    critical_p_values,
     find_critical_pairs,
     first_violation_dimension,
     graph_distance,
@@ -241,11 +245,57 @@ class TestIsIsometric:
         assert reference_verdict(g) == (False, expected)
 
     def test_verdict_matches_pair_presence(self):
+        # The two routes on separate graph objects, so neither reads the
+        # other's cached tables.
         for text in ["11", "101", "0011"]:
             f = W(text)
             for d in range(2, 2 * f.length):
-                g = build_graph(f, d)
-                assert is_isometric(g).isometric == (not find_critical_pairs(g))
+                no_violation = _bfs_violation(build_graph(f, d)) is None
+                assert no_violation == (not find_critical_pairs(build_graph(f, d))), (text, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_hand_built_subgraphs_match_reference(self, data):
+        """Random induced subgraphs of Q_d, disconnected ones included: the
+        scan's verdict and the BFS-named pair equal the full distance matrices'."""
+        d = data.draw(st.integers(1, 6), label="d")
+        pattern = data.draw(st.text("01", min_size=1, max_size=d), label="pattern")
+        words = data.draw(st.sets(st.integers(0, (1 << d) - 1)), label="vertices")
+        g = AvoidanceGraph(W(pattern), d, np.array(sorted(words), dtype=np.int64))
+        v = is_isometric(g)
+        vp = v.violating_pair
+        if vp is not None:
+            vp = (str(vp[0]), str(vp[1]), vp[2], vp[3])
+        assert (v.isometric, vp) == reference_verdict(g)
+
+    def test_scan_runs_once_per_graph(self, monkeypatch):
+        g = build_graph(W("00011"), 8)
+        deposits = []
+        real_deposit = oracle._deposit
+
+        def deposit(t, masks):
+            deposits.append(t.size)
+            return real_deposit(t, masks)
+
+        monkeypatch.setattr(oracle, "_deposit", deposit)
+
+        def no_pair_objects(*args):
+            raise AssertionError("is_isometric built a CriticalPair")
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "CriticalPair", no_pair_objects)
+            v = is_isometric(g, with_min_p=True)
+        scans = len(deposits)
+        assert scans > 0 and not v.isometric and v.minimal_critical_p == 2
+        assert len(find_critical_pairs(g)) == 2
+        assert critical_p_values(g).tolist() == [2, 3]
+        assert len(deposits) == scans
+
+    def test_scan_pair_without_bfs_violation_raises(self):
+        g = build_graph(W("101"), 3)
+        g._critical_pairs = (np.array([0]), np.array([3]))
+        with pytest.raises(RuntimeError, match="BFS finds no violation"):
+            is_isometric(g)
 
 
 class TestCriticalPairs:
@@ -314,11 +364,11 @@ class TestCriticalPairs:
 
     @pytest.mark.parametrize("pattern, d", [("0011", 7), ("00011", 8), ("101", 6), ("01", 9)])
     def test_candidate_chunks_split_anywhere(self, monkeypatch, pattern, d):
-        g = build_graph(W(pattern), d)
-        expected = reference_critical_pairs(g)
+        expected = reference_critical_pairs(build_graph(W(pattern), d))
         for chunk in (1, 3, 7, 64):
             monkeypatch.setattr(oracle, "_CANDIDATE_CHUNK", chunk)
-            got = find_critical_pairs(g)
+            # A new graph each time: the scan is cached per graph.
+            got = find_critical_pairs(build_graph(W(pattern), d))
             assert [(str(c.alpha), str(c.beta), c.p, c.blocked_side) for c in got] == expected
 
 
