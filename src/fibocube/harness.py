@@ -240,8 +240,10 @@ def _monotonicity_one(p: _Pattern) -> dict:
 
 
 def _critical_equivalence_one(p: _Pattern) -> dict:
-    """The BFS route against the critical-pair scan on every graph: a
-    violating pair exactly when there is a critical pair."""
+    """The scan-free BFS route against the critical-pair scan on every graph:
+    a violating pair exactly when there is a critical pair, and the first
+    violating source is the least endpoint of the critical pairs, which is
+    where is_isometric runs its one BFS."""
     n = p.n
     d_max = 2 * n - 1 if n > 4 else 2 * n + 2
     for d in range(2, d_max + 1):
@@ -249,18 +251,25 @@ def _critical_equivalence_one(p: _Pattern) -> dict:
         violation = oracle._bfs_violation(g)
         pairs = oracle.find_critical_pairs(g)
         if (violation is None) == bool(pairs):
-            record = {
-                "pattern": p.text,
-                "dimension": d,
-                "isometric": violation is None,
-                "critical_pairs": len(pairs),
-                "failure": "equivalence-broken",
-            }
-            if violation is not None:
-                a, b, dg, h = violation
-                dg = "unreachable" if dg == oracle.UNREACHABLE else int(dg)
-                record["violating_pair"] = [str(a), str(b), dg, h]
-            return record
+            failure = "equivalence-broken"
+        elif pairs and violation[0] != pairs[0].alpha:
+            failure = "first-source-not-scan-endpoint"
+        else:
+            continue
+        record = {
+            "pattern": p.text,
+            "dimension": d,
+            "isometric": violation is None,
+            "critical_pairs": len(pairs),
+            "failure": failure,
+        }
+        if violation is not None:
+            a, b, dg, h = violation
+            dg = "unreachable" if dg == oracle.UNREACHABLE else int(dg)
+            record["violating_pair"] = [str(a), str(b), dg, h]
+        if pairs:
+            record["scan_endpoint"] = str(pairs[0].alpha)
+        return record
     return {"pattern": p.text, "dimensions_checked": d_max - 1}
 
 

@@ -12,11 +12,24 @@ sweep checks; Ilic, Klavzar and Rho, Generalized Fibonacci cubes, Discrete
 Math. 312 (2012); the proof is an induction on Hamming distance).  The scan
 enumerates, for each vertex, the words reached by flipping a subset of its
 forbidden positions, and runs once per graph: its result is cached on the
-graph.  BFS is the independent second route.  It names the first violating
-pair of a graph the scan calls non-isometric, and the lemma21 sweep checks
-the two routes against each other on every graph it covers.  It compares BFS
-distance sums with Hamming sums per batch of sources; only the first batch
-whose sums differ is re-run for its distance matrix.
+graph.
+
+BFS names the first violating pair, in (source, target) index order, of a
+graph the scan calls non-isometric: one single-source BFS runs from the least
+endpoint of the critical pairs, which is the first violating source.
+- Every endpoint of a critical pair violates.
+- Conversely, let t be a violating target of least Hamming distance from a
+  violating source u.  A neighbor of t inside the interval I(u, t) would be
+  at graph distance equal to its Hamming distance, so t would reach u in
+  H(u, t) steps; so (u, t) is a critical pair with t blocked (H >= 2, since
+  edges never violate).
+- So the first violating source is the least endpoint, and the first
+  violating target in its BFS row completes the pair.
+
+The lemma21 sweep checks the scan against an independent, scan-free BFS
+route on every graph it covers.  That route compares BFS distance sums with
+Hamming sums per batch of 64 sources; only the first batch whose sums differ
+is re-run for its distance matrix.
 """
 
 from __future__ import annotations
@@ -241,6 +254,18 @@ def _distances(g: AvoidanceGraph, sources: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _distance_row(g: AvoidanceGraph, source: int) -> np.ndarray:
+    """BFS distances (V, int64) from one source index to every vertex index;
+    -1 where a vertex is unreachable."""
+    # steps[v] counts the levels before v is seen: its distance, or one more
+    # than the last level when v is unreachable.
+    steps = np.zeros(g.vertex_count, dtype=np.int64)
+    for level, seen in enumerate(_bfs_levels(g, np.array([source]))):
+        steps += seen == 0
+    steps[steps > level] = -1
+    return steps
+
+
 def _distance_sum(g: AvoidanceGraph, sources: np.ndarray) -> tuple[int, bool]:
     """(sum of BFS distances from the sources to every vertex they reach,
     whether every source reaches every vertex), without a distance matrix.
@@ -260,7 +285,7 @@ def graph_distance(g: AvoidanceGraph, a: Word, b: Word) -> int | float:
     g._require_vertex(a)
     g._require_vertex(b)
     ia, ib = np.searchsorted(g.vertices, [a.bits, b.bits])
-    dg = int(_distances(g, np.array([ia]))[0, ib])
+    dg = int(_distance_row(g, int(ia))[ib])
     return UNREACHABLE if dg < 0 else dg
 
 
@@ -279,10 +304,29 @@ class CriticalPair:
     blocked_side: str  # "alpha", "beta", or "both"
 
 
+def _first_violation(
+    g: AvoidanceGraph, sources: np.ndarray, dist: np.ndarray
+) -> tuple[Word, Word, int | float, int] | None:
+    """The first (source, target) pair in index order whose BFS distance, a
+    row of dist per source, differs from its Hamming distance; None when
+    there is none.  Unreachable pairs (-1) violate."""
+    verts = g.vertices
+    ham = _popcount(verts[sources, None] ^ verts[None, :])
+    bad = np.argwhere(dist != ham)
+    if not bad.size:
+        return None
+    i, j = bad[0]
+    alpha = Word(g.dimension, int(verts[sources[i]]))
+    beta = Word(g.dimension, int(verts[j]))
+    dg = UNREACHABLE if dist[i, j] < 0 else int(dist[i, j])
+    return alpha, beta, dg, int(ham[i, j])
+
+
 def _bfs_violation(g: AvoidanceGraph) -> tuple[Word, Word, int | float, int] | None:
     """The first vertex pair, in (source, target) index order, whose BFS
     distance differs from its Hamming distance; None when there is none.
-    Unreachable pairs violate.
+    Unreachable pairs violate.  This route does not read the critical-pair
+    scan, so the lemma21 sweep can check one against the other.
 
     Sources run in batches of 64 in lexicographic order.  A batch passes when
     every pair is reachable and its BFS distance sum equals its Hamming sum,
@@ -302,13 +346,7 @@ def _bfs_violation(g: AvoidanceGraph) -> tuple[Word, Word, int | float, int] | N
         ham_sum = int((s * (n - ones) + (idx.size - s) * ones).sum())
         if _distance_sum(g, idx) == (ham_sum, True):
             continue
-        dist = _distances(g, idx)
-        ham = _popcount(verts[idx, None] ^ verts[None, :])
-        i, j = np.argwhere(dist != ham)[0]
-        alpha = Word(d, int(verts[idx[i]]))
-        beta = Word(d, int(verts[j]))
-        dg = UNREACHABLE if dist[i, j] < 0 else int(dist[i, j])
-        return alpha, beta, dg, int(ham[i, j])
+        return _first_violation(g, idx, _distances(g, idx))
     return None
 
 
@@ -324,11 +362,16 @@ def critical_p_values(g: AvoidanceGraph) -> np.ndarray:
 
 
 def is_isometric(g: AvoidanceGraph, with_min_p: bool = False) -> Verdict:
-    """Decide isometry from the critical-pair scan; name the violating pair by BFS.
+    """Decide isometry from the critical-pair scan; name the violating pair
+    with one BFS.
 
     A graph without critical pairs is isometric (see the module docstring).
-    Otherwise the BFS route names the first pair in (source, target) index
-    order whose graph distance differs from its Hamming distance, and
+    Otherwise the first pair in (source, target) index order whose graph
+    distance differs from its Hamming distance is named by one single-source
+    BFS from the least endpoint of the critical pairs.  That endpoint is the
+    first violating source: every critical-pair endpoint violates, and a
+    violating source's violating target of least Hamming distance has no
+    interval neighbor in the graph, so the two form a critical pair.
     with_min_p adds the least p among the critical pairs.
     """
     d = g.dimension
@@ -341,7 +384,8 @@ def is_isometric(g: AvoidanceGraph, with_min_p: bool = False) -> Verdict:
     ps = critical_p_values(g)
     if not ps.size:
         return Verdict(True)
-    pair = _bfs_violation(g)
+    source = int(g._critical_pairs[0][0])
+    pair = _first_violation(g, np.array([source]), _distance_row(g, source)[None, :])
     if pair is None:
         raise RuntimeError(
             f"Q_{d}({g.pattern}) has {ps.size} critical pairs but BFS finds no violation"

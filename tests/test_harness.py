@@ -24,6 +24,15 @@ from fibocube.structural import Classification, WitnessCheck
 
 REAL_BUILD = oracle.build_graph
 REAL_SCAN = oracle.critical_p_values
+REAL_BFS = oracle._bfs_violation
+
+
+def bfs_from_target_end(g):
+    """The scan-free BFS route with its named pair turned round."""
+    v = REAL_BFS(g)
+    return v and (v[1], v[0], v[2], v[3])
+
+
 # Scan results that make a graph read as isometric, or as not isometric.
 NO_PAIRS = np.zeros(0, dtype=np.int64)
 ONE_PAIR = np.array([2])
@@ -330,9 +339,14 @@ class TestFailurePaths:
             (oracle, "critical_p_values", lambda g: NO_PAIRS, check_monotonicity, 2,
              {"pattern": "010", "index": 4, "dimension": 5,
               "failure": "oracle-isometric-above-index"}),
+            (oracle, "_bfs_violation", bfs_from_target_end, check_critical_equivalence,
+             2 * 3 + 4 * 5 + 6 * 7,
+             {"pattern": "010", "dimension": 4, "isometric": False, "critical_pairs": 1,
+              "failure": "first-source-not-scan-endpoint",
+              "violating_pair": ["0110", "0000", 4, 2], "scan_endpoint": "0000"}),
         ],
         ids=["twice-length", "two-flip", "lost-goodness", "not-full-cube",
-             "doubled-not-isometric", "isometric-above-index"],
+             "doubled-not-isometric", "isometric-above-index", "source-not-scan-endpoint"],
     )
     def test_failure_kind(self, monkeypatch, module, name, broken, check, checked,
                           counterexample):

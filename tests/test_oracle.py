@@ -185,8 +185,10 @@ class TestIsIsometric:
     def test_q3_101_isometric(self):
         assert is_isometric(build_graph(W("101"), 3)).isometric
 
-    # The last two cases have their first violating source in the second
-    # and third batch of 64 BFS sources (indices 80 of 96 and 153 of 228).
+    # is_isometric names each pair with one BFS.  The scan-free route that
+    # lemma21 checks finds the last two cases' first violating source in its
+    # second and third batch of 64 BFS sources (indices 80 of 96 and 153 of
+    # 228), and must name the same pair.
     @pytest.mark.parametrize(
         "pattern, d, expected",
         [
@@ -200,6 +202,24 @@ class TestIsIsometric:
         assert not v.isometric
         alpha, beta, dg, h = v.violating_pair
         assert (str(alpha), str(beta), dg, h) == expected
+        assert _bfs_violation(build_graph(W(pattern), d)) == v.violating_pair
+
+    def test_names_pair_with_one_single_source_bfs(self, monkeypatch):
+        g = build_graph(W("1010101"), 13)
+        sources = []
+        real_levels = oracle._bfs_levels
+
+        def levels(g, src):
+            sources.append(len(src))
+            return real_levels(g, src)
+
+        def no_sums(*args):
+            raise AssertionError("is_isometric ran the batch sum pass")
+
+        monkeypatch.setattr(oracle, "_bfs_levels", levels)
+        monkeypatch.setattr(oracle, "_distance_sum", no_sums)
+        v = is_isometric(g)
+        assert not v.isometric and sources == [1]
 
     def test_full_cube_fast_path(self):
         v = is_isometric(build_graph(W("01100"), 4))
