@@ -456,6 +456,8 @@ def run_suites(
 ) -> list[TheoremReport]:
     """Run one named suite, or all of them in one pass plus the
     overlap-machinery check."""
+    if max_len < 1:
+        raise ValueError(f"sweep length must be at least 1, got {max_len}")
     selected = SUITES if suite == "all" else (suite,)
     unknown = set(selected) - set(SUITES)
     if unknown:

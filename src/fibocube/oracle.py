@@ -182,23 +182,25 @@ class AvoidanceGraph:
         key = np.unique(np.concatenate(keys))
         return key // n, key % n
 
-    def _edge_indices(self) -> tuple[list[int], list[int]]:
-        """Index pairs (i, j) with i < j of all edges, sorted.
+    def _edge_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (i, j), i < j, of all edges, sorted by (i, j).
 
         Index order is lexicographic order, so sorting index pairs sorts the
-        word pairs.
+        word pairs.  Row-major order of the table is already sorted: for
+        j > i, j is i's word with a zero bit k set, so j grows with k.
         """
         table = self.neighbor_table
         i, k = np.nonzero(table > np.arange(self.vertex_count)[:, None])
-        j = table[i, k]
-        order = np.lexsort((j, i))
-        return i[order].tolist(), j[order].tolist()
+        return i, table[i, k]
 
     def edge_list(self) -> list[tuple[Word, Word]]:
         """All edges with the smaller endpoint first, sorted."""
         d = self.dimension
-        verts = self.vertices.tolist()
-        return [(Word(d, verts[a]), Word(d, verts[b])) for a, b in zip(*self._edge_indices())]
+        i, j = self._edge_indices()
+        return [
+            (Word(d, a), Word(d, b))
+            for a, b in zip(self.vertices[i].tolist(), self.vertices[j].tolist())
+        ]
 
 
 def build_graph(f: Pattern, d: int, cap: int | None = None) -> AvoidanceGraph:
@@ -440,26 +442,56 @@ def index_bruteforce(f: Pattern, cap: int | None = None) -> int | None:
     return first_violation_dimension(f, 2 * f.length - 1, cap)
 
 
-def _vertex_names(g: AvoidanceGraph) -> list[str]:
-    spec = f"0{g.dimension}b"
-    return [format(v, spec) for v in g.vertices.tolist()]
+def _vertex_names(g: AvoidanceGraph) -> np.ndarray:
+    """Each vertex's word as one fixed-width bytes element (dtype S<d>)."""
+    d = g.dimension
+    digits = np.empty((g.vertex_count, d), dtype=np.uint8)
+    for k in range(d):
+        digits[:, k] = (g.vertices >> (d - 1 - k)) & 1
+    digits += ord("0")
+    return digits.view(f"S{d}").ravel()
+
+
+def _records(n: int, *parts) -> np.ndarray:
+    """An array of n fixed-width records whose bytes are each record's parts
+    in order: a bytes constant is repeated in every record, an S-dtype array
+    gives one element per record."""
+    fields = [
+        (f"f{k}", p.dtype if isinstance(p, np.ndarray) else f"S{len(p)}")
+        for k, p in enumerate(parts)
+    ]
+    out = np.empty(n, dtype=fields)
+    for (name, _), p in zip(fields, parts):
+        out[name] = p
+    return out
 
 
 def graph_to_dot(g: AvoidanceGraph) -> str:
+    """DOT text: one line per vertex, then one per edge in edge_list order.
+
+    Every vertex line and every edge line has a fixed width, so each block is
+    rendered as one array of records rather than one string per line.
+    """
     names = _vertex_names(g)
-    lines = [f'graph "Q_{g.dimension}({g.pattern})" {{']
-    lines += [f'  "{v}";' for v in names]
-    lines += [f'  "{names[a]}" -- "{names[b]}";' for a, b in zip(*g._edge_indices())]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    i, j = g._edge_indices()
+    header = f'graph "Q_{g.dimension}({g.pattern})" {{\n'.encode()
+    text = b"".join([
+        header,
+        _records(names.size, b'  "', names, b'";\n'),
+        _records(i.size, b'  "', names[i], b'" -- "', names[j], b'";\n'),
+        b"}\n",
+    ])
+    return text.decode("ascii")
 
 
 def graph_to_json_dict(g: AvoidanceGraph) -> dict:
-    names = _vertex_names(g)
+    # One str object per vertex, shared by its edge rows.
+    names = _vertex_names(g).astype(str).astype(object)
+    i, j = g._edge_indices()
     return {
         "pattern": str(g.pattern),
         "dimension": g.dimension,
         "vertex_count": g.vertex_count,
-        "vertices": names,
-        "edges": [[names[a], names[b]] for a, b in zip(*g._edge_indices())],
+        "vertices": names.tolist(),
+        "edges": np.stack([names[i], names[j]], 1).tolist(),
     }

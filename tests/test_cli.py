@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,9 @@ import pytest
 import fibocube
 from fibocube import harness
 from fibocube.cli import EXIT_BAD, EXIT_OK, EXIT_USAGE, main
+from fibocube.oracle import build_graph
+from fibocube.words import Word
+from test_oracle import reference_graph_to_dot, reference_graph_to_json_dict
 
 
 def run_cli(*argv):
@@ -143,8 +147,24 @@ class TestVerify:
         expected.append(json.dumps(overlap, sort_keys=True))
         assert out.splitlines() == expected
 
+    @pytest.mark.parametrize("max_len", ["0", "-2"])
+    def test_rejects_empty_sweep(self, max_len):
+        code, out, err = run_cli("verify", "--max-len", max_len, "--workers", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: sweep length must be at least 1, got {max_len}\n"
+
 
 class TestGraphExport:
+    def test_matches_reference_export(self):
+        g = build_graph(Word.parse("0011"), 7)
+        code, out, _ = run_cli("graph", "0011", "--dim", "7", "--format", "dot")
+        assert code == EXIT_OK
+        assert out == reference_graph_to_dot(g)
+        code, out, _ = run_cli("graph", "0011", "--dim", "7", "--format", "json")
+        assert code == EXIT_OK
+        assert out == json.dumps(reference_graph_to_json_dict(g), sort_keys=True) + "\n"
+
     def test_dot_q2_11(self):
         code, out, _ = run_cli("graph", "11", "--dim", "2")
         assert code == EXIT_OK
@@ -236,6 +256,18 @@ class TestDependencies:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "False"
+
+
+class TestModuleEntryPoint:
+    def test_python_m_fibocube(self):
+        src = str(Path(fibocube.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-m", "fibocube", "classify", "101"],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode == EXIT_BAD, run.stderr
+        assert run.stdout.splitlines()[0] == "bad B=4"
 
 
 class TestVerifyFailure:

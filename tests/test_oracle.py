@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import product
 
@@ -421,7 +422,74 @@ class TestIndexBruteforce:
         assert first_violation_dimension(W("11"), 8) is None
 
 
+def reference_edge_indices(g):
+    """Edge index pairs sorted by an explicit lexsort, not by nonzero order."""
+    table = g.neighbor_table
+    i, k = np.nonzero(table > np.arange(g.vertex_count)[:, None])
+    j = table[i, k]
+    order = np.lexsort((j, i))
+    return i[order].tolist(), j[order].tolist()
+
+
+def reference_vertex_names(g):
+    spec = f"0{g.dimension}b"
+    return [format(v, spec) for v in g.vertices.tolist()]
+
+
+def reference_graph_to_dot(g):
+    """The export with one f-string per line."""
+    names = reference_vertex_names(g)
+    lines = [f'graph "Q_{g.dimension}({g.pattern})" {{']
+    lines += [f'  "{v}";' for v in names]
+    lines += [f'  "{names[a]}" -- "{names[b]}";' for a, b in zip(*reference_edge_indices(g))]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_graph_to_json_dict(g):
+    names = reference_vertex_names(g)
+    return {
+        "pattern": str(g.pattern),
+        "dimension": g.dimension,
+        "vertex_count": g.vertex_count,
+        "vertices": names,
+        "edges": [[names[a], names[b]] for a, b in zip(*reference_edge_indices(g))],
+    }
+
+
+def reference_edge_list(g):
+    d, verts = g.dimension, g.vertices.tolist()
+    return [(Word(d, verts[a]), Word(d, verts[b])) for a, b in zip(*reference_edge_indices(g))]
+
+
+def assert_exports_match_reference(g):
+    assert graph_to_dot(g) == reference_graph_to_dot(g)
+    data, want = graph_to_json_dict(g), reference_graph_to_json_dict(g)
+    assert data == want
+    assert json.dumps(data, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert g.edge_list() == reference_edge_list(g)
+
+
 class TestExports:
+    def test_matches_reference_on_small_graphs(self):
+        for text in patterns_up_to(4):
+            for d in range(1, 2 * len(text) + 3):
+                assert_exports_match_reference(build_graph(W(text), d))
+
+    @pytest.mark.parametrize(
+        "text, d, vertices",
+        [
+            ("0000000", 13, 7936),
+            ("0", 3, 1),  # one vertex, no edges
+            ("1111", 3, 8),  # pattern longer than d: the full cube
+            ("01", 1, 2),
+        ],
+    )
+    def test_matches_reference(self, text, d, vertices):
+        g = build_graph(W(text), d)
+        assert g.vertex_count == vertices
+        assert_exports_match_reference(g)
+
     def test_dot_q2_11(self):
         dot = graph_to_dot(build_graph(W("11"), 2))
         assert dot == (
