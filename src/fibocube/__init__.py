@@ -9,8 +9,8 @@ violating pair of a non-isometric graph and backs the `lemma21` sweep, which
 checks the scan against it.
 """
 
-from .config import DEFAULT_DIMENSION_CAP, dimension_cap
 from .oracle import (
+    DEFAULT_DIMENSION_CAP,
     UNREACHABLE,
     AvoidanceGraph,
     CriticalPair,
@@ -81,7 +81,6 @@ __all__ = [
     "closure_implies",
     "contains_factor",
     "differing_positions",
-    "dimension_cap",
     "equation_system",
     "factor_offsets",
     "find_critical_pairs",

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import config, harness, oracle, structural
+from . import harness, oracle, structural
 from .periodicity import build_overlap_graph
 from .words import Word, WordError
 
@@ -20,6 +20,8 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_BAD = 10
+
+CAP_ENV_VAR = "FIBOCUBE_CAP"
 
 
 class UsageError(Exception):
@@ -38,6 +40,21 @@ def _workers(args) -> int:
     if workers < 1:
         raise UsageError("--workers must be at least 1")
     return workers
+
+
+def _dimension_cap(override: int | None) -> int:
+    """Effective dimension cap: explicit override, else env var, else default."""
+    if override is not None:
+        cap = int(override)
+    else:
+        env = os.environ.get(CAP_ENV_VAR)
+        try:
+            cap = int(env) if env else oracle.DEFAULT_DIMENSION_CAP
+        except ValueError:
+            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
+    if cap < 2:
+        raise ValueError(f"dimension cap must be at least 2, got {cap}")
+    return cap
 
 
 def _dumps(obj) -> str:
@@ -94,7 +111,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    cap = config.dimension_cap(args.cap)
+    cap = _dimension_cap(args.cap)
     row = harness.census(
         args.length, workers=_workers(args), oracle_confirm=args.oracle_confirm, cap=cap
     )
@@ -114,7 +131,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cap = config.dimension_cap(args.cap)
+    cap = _dimension_cap(args.cap)
     reports = harness.run_suites(args.suite, args.max_len, workers=_workers(args), cap=cap)
     for r in reports:
         if args.format == "json":
@@ -129,7 +146,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    cap = config.dimension_cap(args.cap)
+    cap = _dimension_cap(args.cap)
     f = _parse_pattern(args.pattern)
     g = oracle.build_graph(f, args.dim, cap=cap)
     if args.format == "json":
@@ -157,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=formats[0])
         if cap:
             p.add_argument("--cap", type=int, default=None,
-                           help=f"dimension cap (default {config.DEFAULT_DIMENSION_CAP}, "
-                                f"env {config.CAP_ENV_VAR})")
+                           help=f"dimension cap (default {oracle.DEFAULT_DIMENSION_CAP}, "
+                                f"env {CAP_ENV_VAR})")
         if workers:
             p.add_argument("--workers", type=int, default=None,
                            help="worker processes (default: cpu count)")

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import product
 
-from . import config, oracle, structural
+from . import oracle, structural
 from .periodicity import (
     build_overlap_graph,
     closure_implies,
@@ -127,7 +127,7 @@ class _Pattern:
     each classified once and each graph Q_d(w) is built and tested at most
     once, whichever checks ask; all of it is freed with the pattern."""
 
-    def __init__(self, text: str, cap: int | None):
+    def __init__(self, text: str, cap: int):
         self.text = text
         self.f = Word.parse(text)
         self.n = self.f.length
@@ -143,9 +143,8 @@ class _Pattern:
 
     def first_violation(self, w: Word, d_max: int) -> int | None:
         """Smallest d in 2..d_max where Q_d(w) is not isometric, else None."""
-        limit = config.dimension_cap(self.cap)
-        if d_max > limit:
-            raise ValueError(f"scan to dimension {d_max} exceeds dimension cap {limit}")
+        if d_max > self.cap:
+            raise ValueError(f"scan to dimension {d_max} exceeds dimension cap {self.cap}")
         return next((d for d in range(2, d_max + 1) if not self.isometric(w, d)), None)
 
     def index(self, w: Word) -> int | None:
@@ -348,39 +347,13 @@ def _pure_three_one(text):
 # sweeps
 
 def cross_validate_patterns(
-    texts: list[str], workers: int = 1, cap: int | None = None
+    texts: list[str], workers: int = 1, cap: int = oracle.DEFAULT_DIMENSION_CAP
 ) -> TheoremReport:
     return _run(("cross",), texts, workers, cap)[0]
 
 
-def cross_validate(max_len: int, workers: int = 1, cap: int | None = None) -> TheoremReport:
-    return _run(("cross",), patterns_up_to(max_len), workers, cap, max_len)[0]
-
-
-def check_p_values(max_len: int, workers: int = 1, cap: int | None = None) -> TheoremReport:
-    return _run(("p-values",), patterns_up_to(max_len), workers, cap, max_len)[0]
-
-
-def check_index_bound(max_len: int, workers: int = 1, cap: int | None = None) -> TheoremReport:
-    return _run(("index-bound",), patterns_up_to(max_len), workers, cap, max_len)[0]
-
-
-def check_doubling(max_len: int, workers: int = 1, cap: int | None = None) -> TheoremReport:
-    return _run(("doubling",), patterns_up_to(max_len), workers, cap, max_len)[0]
-
-
-def check_monotonicity(max_len: int, workers: int = 1, cap: int | None = None) -> TheoremReport:
-    return _run(("monotonicity",), patterns_up_to(max_len), workers, cap, max_len)[0]
-
-
-def check_critical_equivalence(
-    max_len: int, workers: int = 1, cap: int | None = None
-) -> TheoremReport:
-    return _run(("lemma21",), patterns_up_to(max_len), workers, cap, max_len)[0]
-
-
 def census(
-    n: int, workers: int = 1, oracle_confirm: bool = False, cap: int | None = None
+    n: int, workers: int = 1, oracle_confirm: bool = False, cap: int = oracle.DEFAULT_DIMENSION_CAP
 ) -> CensusRow:
     if not 1 <= n <= 14:
         raise ValueError(f"census length must be in 1..14, got {n}")
@@ -452,7 +425,7 @@ def find_pure_three_critical(max_len: int, workers: int = 1) -> list[str]:
 
 
 def run_suites(
-    suite: str, max_len: int, workers: int = 1, cap: int | None = None
+    suite: str, max_len: int, workers: int = 1, cap: int = oracle.DEFAULT_DIMENSION_CAP
 ) -> list[TheoremReport]:
     """Run one named suite, or all of them in one pass plus the
     overlap-machinery check."""

@@ -40,10 +40,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import config
 from .words import Pattern, Word, contains_factor
 
 UNREACHABLE = math.inf
+DEFAULT_DIMENSION_CAP = 25
 
 _ENUM_CHUNK = 1 << 22
 _CANDIDATE_CHUNK = 1 << 18  # critical-pair candidates held at once
@@ -203,11 +203,10 @@ class AvoidanceGraph:
         ]
 
 
-def build_graph(f: Pattern, d: int, cap: int | None = None) -> AvoidanceGraph:
+def build_graph(f: Pattern, d: int, cap: int = DEFAULT_DIMENSION_CAP) -> AvoidanceGraph:
     """Enumerate every length-d word avoiding f."""
-    limit = config.dimension_cap(cap)
-    if not 1 <= d <= limit:
-        raise ValueError(f"dimension {d} outside 1..{limit} (dimension cap {limit})")
+    if not 1 <= d <= cap:
+        raise ValueError(f"dimension {d} outside 1..{cap} (dimension cap {cap})")
     total = 1 << d
     chunks = []
     for lo in range(0, total, _ENUM_CHUNK):
@@ -421,19 +420,20 @@ def find_critical_pairs(g: AvoidanceGraph, minimal_only: bool = False) -> list[C
     return found
 
 
-def first_violation_dimension(f: Pattern, d_max: int, cap: int | None = None) -> int | None:
+def first_violation_dimension(
+    f: Pattern, d_max: int, cap: int = DEFAULT_DIMENSION_CAP
+) -> int | None:
     """Smallest d in 2..d_max where the graph is not isometric, else None.
     Decided from the critical-pair scan; no pair is named."""
-    limit = config.dimension_cap(cap)
-    if d_max > limit:
-        raise ValueError(f"scan to dimension {d_max} exceeds dimension cap {limit}")
+    if d_max > cap:
+        raise ValueError(f"scan to dimension {d_max} exceeds dimension cap {cap}")
     for d in range(2, d_max + 1):
         if critical_p_values(build_graph(f, d, cap)).size:
             return d
     return None
 
 
-def index_bruteforce(f: Pattern, cap: int | None = None) -> int | None:
+def index_bruteforce(f: Pattern, cap: int = DEFAULT_DIMENSION_CAP) -> int | None:
     """First non-isometric dimension scanning d = 2..2|f|-1, or None (good).
 
     The scan stops at 2|f|-1 because any bad factor fails by then, and never

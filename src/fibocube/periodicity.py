@@ -11,6 +11,7 @@ queries by connected components over the assumed equations.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .words import Word
@@ -73,22 +74,14 @@ def build_overlap_graph(r: int, s: int) -> OverlapGraph:
 
 
 def is_single_cycle(graph: OverlapGraph) -> bool:
-    """True iff the graph is connected; 2-regularity then makes it one cycle."""
-    adj: dict[str, list[str]] = {}
-    for a, b in graph.edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+    """True iff every vertex has degree 2 and the graph is connected."""
     vertices = graph.x_vertices + graph.y_vertices
-    if any(len(adj.get(v, ())) != 2 for v in vertices):
+    if Counter(v for edge in graph.edges for v in edge) != dict.fromkeys(vertices, 2):
         return False
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vertices)
+    dsu = _DSU(vertices)
+    for a, b in graph.edges:
+        dsu.union(a, b)
+    return len({dsu.find(v) for v in vertices}) == 1
 
 
 def residue_sequence(k1: int, k2: int) -> list[int]:

@@ -1,9 +1,12 @@
 """Fixed-length binary words as packed integers.
 
-A word of length d (1 <= d <= 63) keeps its bits in a plain Python int with
+A word of length d >= 1 keeps its bits in a plain Python int with
 position 1 = leftmost character = most significant bit, so the integer value
 of a word equals the binary reading of its text and doubles as a dense array
-index for length-d tables.  All values are immutable; all operations are pure.
+index for length-d tables.  `Word.parse` accepts at most MAX_LENGTH
+characters; words built from parsed ones, such as the length-(2|f|-1)
+witnesses of a bad f, may be longer.  All values are immutable; all
+operations are pure.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ class Word:
     bits: int
 
     def __post_init__(self):
-        if not isinstance(self.length, int) or not 1 <= self.length <= MAX_LENGTH:
-            raise WordError(f"word length must be in 1..{MAX_LENGTH}, got {self.length!r}")
+        if not isinstance(self.length, int) or self.length < 1:
+            raise WordError(f"word length must be at least 1, got {self.length!r}")
         if not isinstance(self.bits, int) or not 0 <= self.bits < (1 << self.length):
             raise WordError(f"bits {self.bits!r} out of range for length {self.length}")
 

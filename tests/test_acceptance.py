@@ -23,13 +23,8 @@ from fibocube import (
 from fibocube.harness import (
     all_patterns,
     census,
-    check_critical_equivalence,
-    check_doubling,
-    check_index_bound,
-    check_monotonicity,
-    check_p_values,
-    cross_validate,
     cross_validate_patterns,
+    run_suites,
 )
 
 WORKERS = max(1, os.cpu_count() or 1)
@@ -41,7 +36,7 @@ def report(num: int, name: str, ok: bool, detail=None):
 
 
 def test_criterion_1_oracle_structural_equivalence():
-    full = cross_validate(6, workers=WORKERS)
+    full = run_suites("cross", 6, workers=WORKERS)[0]
     spot_values = sorted(random.Random(271828).sample(range(128), 40))
     spot = cross_validate_patterns(
         [format(v, "07b") for v in spot_values], workers=WORKERS
@@ -66,7 +61,7 @@ def test_all_length_8_patterns_match_oracle():
     assert r.passed and r.checked == 256, r.counterexample
 
 def test_criterion_2_minimal_p_dichotomy():
-    r = check_p_values(6, workers=WORKERS)
+    r = run_suites("p-values", 6, workers=WORKERS)[0]
     ok = r.passed and r.checked == 78
     report(
         2,
@@ -78,7 +73,7 @@ def test_criterion_2_minimal_p_dichotomy():
 
 
 def test_criterion_3_index_bound():
-    r = check_index_bound(10, workers=WORKERS)
+    r = run_suites("index-bound", 10, workers=WORKERS)[0]
     ok = r.passed and r.checked == 2046
     report(
         3,
@@ -90,7 +85,7 @@ def test_criterion_3_index_bound():
 
 
 def test_criterion_4_doubling_preserves_good():
-    r = check_doubling(6, workers=WORKERS)
+    r = run_suites("doubling", 6, workers=WORKERS)[0]
     ok = r.passed and r.checked == 126
     report(
         4,
@@ -102,7 +97,7 @@ def test_criterion_4_doubling_preserves_good():
 
 
 def test_criterion_5_nonisometric_iff_critical_pair():
-    r = check_critical_equivalence(5, workers=WORKERS)
+    r = run_suites("lemma21", 5, workers=WORKERS)[0]
     ok = r.passed and r.checked >= 62
     report(
         5,
@@ -114,7 +109,7 @@ def test_criterion_5_nonisometric_iff_critical_pair():
 
 
 def test_criterion_6_witness_lifting():
-    r = check_monotonicity(6, workers=WORKERS)
+    r = run_suites("monotonicity", 6, workers=WORKERS)[0]
     ok = r.passed and r.checked == 78
     report(
         6,

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -64,6 +65,13 @@ class TestClassify:
         code, out, _ = run_cli("classify", "101")
         assert code == EXIT_BAD
         assert out.splitlines()[0] == "bad B=4"
+
+
+    def test_witnesses_longer_than_the_parser_limit(self):
+        code, out, err = run_cli("classify", "10100010110111111101011101010100000")
+        assert code == EXIT_BAD
+        assert out.splitlines()[0] == "bad B=65"
+        assert err == ""
 
 
 class TestIndexAndWitness:
@@ -256,6 +264,22 @@ class TestDependencies:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "False"
+
+
+class TestEnvironmentReads:
+    def test_only_the_cli_reads_the_environment(self):
+        readers = []
+        for path in sorted(Path(fibocube.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    names = [node.attr] if node.value.id == "os" else []
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if {"environ", "getenv"} & set(names):
+                    readers.append(path.name)
+        assert readers and set(readers) == {"cli.py"}
 
 
 class TestModuleEntryPoint:

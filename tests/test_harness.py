@@ -9,12 +9,6 @@ from fibocube.harness import (
     CensusRow,
     census,
     census_csv,
-    check_critical_equivalence,
-    check_doubling,
-    check_index_bound,
-    check_monotonicity,
-    check_p_values,
-    cross_validate,
     cross_validate_patterns,
     find_pure_three_critical,
     run_suites,
@@ -44,16 +38,16 @@ def row_bytes(row: CensusRow) -> str:
 
 class TestCrossValidate:
     def test_max_len_1(self):
-        r = cross_validate(1)
+        r = run_suites("cross", 1)[0]
         assert r.passed and r.checked == 2
 
     def test_max_len_3(self):
-        r = cross_validate(3)
+        r = run_suites("cross", 3)[0]
         assert r.passed and r.checked == 14
         assert r.counterexample is None
 
     def test_max_len_4_with_past_bound_probe(self):
-        r = cross_validate(4, workers=2)
+        r = run_suites("cross", 4, workers=2)[0]
         assert r.passed and r.checked == 30
 
     def test_explicit_pattern_list(self):
@@ -71,7 +65,7 @@ class TestCrossValidate:
             return REAL_BUILD(f, d, cap)
 
         monkeypatch.setattr(harness.oracle, "build_graph", spy)
-        r = cross_validate(3, workers=1)
+        r = run_suites("cross", 3, workers=1)[0]
         assert r.passed
         expected = []
         for p in harness.patterns_up_to(3):
@@ -82,33 +76,33 @@ class TestCrossValidate:
 
 class TestTheoremChecks:
     def test_p_values(self):
-        r = check_p_values(3)
+        r = run_suites("p-values", 3)[0]
         assert r.passed and r.checked == 2
 
     def test_p_values_vacuous_at_length_2(self):
-        r = check_p_values(2)
+        r = run_suites("p-values", 2)[0]
         assert r.passed and r.checked == 0
 
     def test_index_bound(self):
-        r = check_index_bound(5)
+        r = run_suites("index-bound", 5)[0]
         assert r.passed and r.checked == 62
 
     def test_doubling(self):
-        r = check_doubling(3)
+        r = run_suites("doubling", 3)[0]
         assert r.passed and r.checked == 14
 
     def test_monotonicity(self):
-        r = check_monotonicity(3)
+        r = run_suites("monotonicity", 3)[0]
         assert r.passed and r.checked == 2
 
     def test_critical_equivalence(self):
-        r = check_critical_equivalence(3)
+        r = run_suites("lemma21", 3)[0]
         assert r.passed
         # 2 patterns of length 1 scanned over d=2..4, 4 over d=2..6, 8 over d=2..8
         assert r.checked == 2 * 3 + 4 * 5 + 8 * 7
 
     def test_report_json_round_trip(self):
-        r = cross_validate(2)
+        r = run_suites("cross", 2)[0]
         data = json.loads(json.dumps(r.to_json_dict()))
         assert data["passed"] is True
         assert data["name"] == "oracle-structural-cross-validation"
@@ -262,7 +256,7 @@ class TestFailurePaths:
 
     def test_cross_validate(self, monkeypatch):
         monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: NO_PAIRS)
-        r = cross_validate(3, workers=1)
+        r = run_suites("cross", 3, workers=1)[0]
         assert not r.passed and r.checked == 14
         assert r.counterexample["failure"] == "index-mismatch"
         assert r.counterexample["pattern"] == "010"
@@ -272,7 +266,7 @@ class TestFailurePaths:
         monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: (
             ONE_PAIR if g.dimension == 2 * g.pattern.length + 1 else REAL_SCAN(g)
         ))
-        r = cross_validate(3, workers=1)
+        r = run_suites("cross", 3, workers=1)[0]
         assert not r.passed and r.checked == 14
         assert r.counterexample == {
             "pattern": "0",
@@ -287,7 +281,7 @@ class TestFailurePaths:
         monkeypatch.setattr(
             harness.oracle, "critical_p_values", lambda g: np.full_like(REAL_SCAN(g), 4)
         )
-        r = check_p_values(4, workers=1)
+        r = run_suites("p-values", 4, workers=1)[0]
         assert not r.passed and r.checked == 10
         assert r.counterexample["failure"] == "minimal-p-outside-2-3"
         assert r.counterexample["pattern"] == "010"
@@ -297,14 +291,14 @@ class TestFailurePaths:
         monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: (
             ONE_PAIR if g.dimension == 2 * g.pattern.length + 2 else REAL_SCAN(g)
         ))
-        r = check_index_bound(3, workers=1)
+        r = run_suites("index-bound", 3, workers=1)[0]
         assert not r.passed and r.checked == 14
         assert r.counterexample["failure"] == "oracle-disagrees-past-bound"
         assert r.counterexample["first_violation_to_2n_plus_2"] == 4
 
     def test_doubling(self, monkeypatch):
         monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: ONE_PAIR)
-        r = check_doubling(3, workers=1)
+        r = run_suites("doubling", 3, workers=1)[0]
         assert not r.passed and r.checked == 14
         assert r.counterexample["failure"] == "oracle-says-doubled-is-bad"
         assert r.counterexample["pattern"] == "0"
@@ -313,33 +307,33 @@ class TestFailurePaths:
         "module, name, broken, check, checked, counterexample",
         [
             (structural, "classify", lambda f: Classification(f, False, 2 * f.length, ()),
-             check_index_bound, 14,
+             "index-bound", 14,
              {"pattern": "0", "index": 2, "failure": "index-at-least-twice-length"}),
             (structural, "classify",
              lambda f: Classification(f, False, 2 * f.length - 1, (SimpleNamespace(p=2),)),
-             check_index_bound, 14,
+             "index-bound", 14,
              {"pattern": "0", "index": 1, "failure": "two-flip-index-above-2n-2"}),
             # length-1 patterns are good, their squares bad
             (structural, "classify",
              lambda f: Classification(f, f.length == 1, None if f.length == 1 else 3, ()),
-             check_doubling, 14,
+             "doubling", 14,
              {"pattern": "0", "index": None, "doubled_index": 3,
               "failure": "doubling-lost-goodness"}),
             (oracle, "build_graph", lambda f, d, cap=None: (
                 AvoidanceGraph(f, d, np.zeros(1, dtype=np.int64))
                 if str(f) == "010010" else REAL_BUILD(f, d, cap)
-            ), check_doubling, 14,
+            ), "doubling", 14,
              {"pattern": "010", "index": 4, "doubled_index": 8, "dimension": 2,
               "failure": "doubled-graph-not-full-cube"}),
             (oracle, "critical_p_values", lambda g: (
                 ONE_PAIR if str(g.pattern) == "010010" else REAL_SCAN(g)
-            ), check_doubling, 14,
+            ), "doubling", 14,
              {"pattern": "010", "index": 4, "doubled_index": 8, "dimension": 2,
               "failure": "doubled-graph-not-isometric-below-index"}),
-            (oracle, "critical_p_values", lambda g: NO_PAIRS, check_monotonicity, 2,
+            (oracle, "critical_p_values", lambda g: NO_PAIRS, "monotonicity", 2,
              {"pattern": "010", "index": 4, "dimension": 5,
               "failure": "oracle-isometric-above-index"}),
-            (oracle, "_bfs_violation", bfs_from_target_end, check_critical_equivalence,
+            (oracle, "_bfs_violation", bfs_from_target_end, "lemma21",
              2 * 3 + 4 * 5 + 6 * 7,
              {"pattern": "010", "dimension": 4, "isometric": False, "critical_pairs": 1,
               "failure": "first-source-not-scan-endpoint",
@@ -351,7 +345,7 @@ class TestFailurePaths:
     def test_failure_kind(self, monkeypatch, module, name, broken, check, checked,
                           counterexample):
         monkeypatch.setattr(module, name, broken)
-        r = check(3, workers=1)
+        r = run_suites(check, 3, workers=1)[0]
         assert not r.passed and r.checked == checked
         assert r.counterexample == counterexample
 
@@ -359,7 +353,7 @@ class TestFailurePaths:
         monkeypatch.setattr(
             harness.structural, "verify_witness", lambda w: WitnessCheck(False, "broken")
         )
-        r = check_monotonicity(4, workers=1)
+        r = run_suites("monotonicity", 4, workers=1)[0]
         assert not r.passed and r.checked == 10
         assert r.counterexample["failure"] == "lifted-witness-rejected"
         assert r.counterexample["reason"] == "broken"
@@ -369,7 +363,7 @@ class TestFailurePaths:
         monkeypatch.setattr(
             harness.oracle, "find_critical_pairs", lambda g, minimal_only=False: []
         )
-        r = check_critical_equivalence(3, workers=1)
+        r = run_suites("lemma21", 3, workers=1)[0]
         assert not r.passed
         # "010" and "101" fail at d=4; every other pattern checks all its dimensions
         assert r.checked == 2 * 3 + 4 * 5 + 6 * 7

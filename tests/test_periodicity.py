@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from fibocube.periodicity import (
+    OverlapGraph,
     build_overlap_graph,
     closure_implies,
     equation_system,
@@ -64,6 +65,19 @@ class TestOverlapGraph:
                 assert all((a in xs) != (b in xs) for a, b in g.edges)
                 assert len(g.edges) == 2 * (g.k1 + g.k2)
                 assert is_single_cycle(g)
+
+    def test_single_cycle_rejects_two_cycles_and_a_path(self):
+        def graph(edges):
+            xs, ys = ("a", "c", "e", "g"), ("b", "d", "f", "h")
+            return OverlapGraph(1, 1, 1, 1, 1, xs, ys, tuple(edges))
+
+        cycle = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
+        other = [("e", "f"), ("f", "g"), ("g", "h"), ("h", "e")]
+        path = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("f", "g"),
+                ("g", "h")]
+        assert is_single_cycle(graph(path + [("h", "a")]))
+        assert not is_single_cycle(graph(cycle + other))
+        assert not is_single_cycle(graph(path))
 
     def test_edges_match_equation_positions(self):
         # Contracting the tautology edges must leave exactly the gap-s and

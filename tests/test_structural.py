@@ -1,7 +1,10 @@
+import random
 from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibocube.oracle import index_bruteforce
 from fibocube.structural import (
@@ -316,3 +319,31 @@ class TestWitnessJson:
     def test_round_trip_three_flip(self):
         (w,) = three_flip_candidates(W("0011"))
         assert witness_from_json_dict(witness_to_json_dict(w)) == w
+
+
+def assert_classify_total(text):
+    """classify returns on f, and every witness verifies, also lifted by 3."""
+    cls = classify(W(text))
+    for w in cls.witnesses:
+        assert verify_witness(w).ok
+        assert verify_witness(lift_witness(w, w.dimension + 3)).ok
+    return cls
+
+
+class TestEveryParsedPattern:
+    """Witnesses live at d up to 2|f|-1, so a long f's witnesses outgrow the
+    parser's 63-character limit; classify still answers."""
+
+    def test_seeded_long_patterns(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            text = "".join(rng.choice("01") for _ in range(rng.randint(33, 63)))
+            assert_classify_total(text)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.text("01", min_size=1, max_size=63))
+    def test_total_and_symmetric(self, text):
+        f = W(text)
+        index = assert_classify_total(text).index
+        for g in (f.reverse(), f.complement(), f.reverse().complement()):
+            assert classify(g).index == index
