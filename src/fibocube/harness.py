@@ -80,21 +80,13 @@ CENSUS_CSV_HEADER = [
 
 
 def census_csv(rows: list[CensusRow]) -> str:
+    """One CSV line per row: to_json_dict's values in order, dicts as JSON."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CENSUS_CSV_HEADER)
     for r in rows:
         w.writerow(
-            [
-                r.length,
-                r.total,
-                r.good_count,
-                r.bad_count,
-                repr(r.good_count / r.total),
-                json.dumps({str(k): v for k, v in sorted(r.index_histogram.items())}),
-                json.dumps({str(k): v for k, v in sorted(r.p_histogram.items())}),
-                r.oracle_confirmed,
-            ]
+            json.dumps(v) if isinstance(v, dict) else v for v in r.to_json_dict().values()
         )
     return buf.getvalue()
 

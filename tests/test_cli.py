@@ -209,6 +209,12 @@ class TestGraphExport:
         assert code == EXIT_USAGE
         assert "cap" in err and "5" in err
 
+    def test_dimension_past_int64_refused_whatever_the_cap(self):
+        code, out, err = run_cli("graph", "0", "--dim", "64", "--cap", "70")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "dimension 64 outside 1..63 (vertices are packed in int64)" in err
+
     def test_cap_env_var(self, monkeypatch):
         monkeypatch.setenv("FIBOCUBE_CAP", "5")
         code, _, err = run_cli("graph", "11", "--dim", "6")

@@ -360,9 +360,7 @@ class TestFailurePaths:
         assert r.counterexample["dimension"] == 5
 
     def test_critical_equivalence(self, monkeypatch):
-        monkeypatch.setattr(
-            harness.oracle, "find_critical_pairs", lambda g, minimal_only=False: []
-        )
+        monkeypatch.setattr(harness.oracle, "find_critical_pairs", lambda g: [])
         r = run_suites("lemma21", 3, workers=1)[0]
         assert not r.passed
         # "010" and "101" fail at d=4; every other pattern checks all its dimensions

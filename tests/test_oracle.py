@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibocube import oracle
-from fibocube.harness import patterns_up_to
+from fibocube.harness import all_patterns, patterns_up_to
 from fibocube.oracle import (
     UNREACHABLE,
     AvoidanceGraph,
@@ -37,7 +37,10 @@ Q4_101_VERTICES = [
     "0111", "1000", "1001", "1100", "1110", "1111",
 ]
 
-FIBONACCI_COUNTS = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597]
+FIBONACCI_COUNTS = [
+    2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181, 6765,
+    10946, 17711, 28657, 46368, 75025, 121393, 196418,
+]
 
 
 def popcount(x, d):
@@ -61,6 +64,23 @@ def reference_verdict(g):
             return (False, (str(Word(d, int(verts[idx[i]]))), str(Word(d, int(verts[j]))),
                             dg, int(ham[i, j])))
     return (True, None)
+
+
+def reference_vertices(f, d):
+    """Every length-d word avoiding f, by testing each of the d - |f| + 1
+    windows of all 2^d words."""
+    values = np.arange(1 << d, dtype=np.int64)
+    contains = np.zeros(values.shape, dtype=bool)
+    mask = (1 << f.length) - 1
+    for shift in range(d - f.length + 1):
+        contains |= ((values >> shift) & mask) == f.bits
+    return values[~contains]
+
+
+def assert_vertices_match_reference(f, d):
+    got, want = build_graph(f, d).vertices, reference_vertices(f, d)
+    assert got.dtype == want.dtype == np.int64, (str(f), d)
+    assert np.array_equal(got, want), (str(f), d)
 
 
 def reference_critical_pairs(g):
@@ -120,7 +140,7 @@ class TestBuildGraph:
         assert g.vertex_count == 8
 
     def test_fibonacci_recurrence(self):
-        counts = [build_graph(W("11"), d).vertex_count for d in range(1, 16)]
+        counts = [build_graph(W("11"), d).vertex_count for d in range(1, 26)]
         assert counts == FIBONACCI_COUNTS
         for i in range(2, len(counts)):
             assert counts[i] == counts[i - 1] + counts[i - 2]
@@ -139,6 +159,33 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="cap"):
             build_graph(W("11"), 6, cap=5)
         assert build_graph(W("11"), 5, cap=5).vertex_count == 13
+
+    def test_dimension_bounded_by_int64_whatever_the_cap(self):
+        with pytest.raises(ValueError, match="1..63 .*int64"):
+            build_graph(W("01"), 64, cap=100)
+        g = build_graph(W("01"), 63, cap=100)
+        assert g.vertex_count == 64
+        assert (g.vertices >= 0).all()
+        # The words 1^a 0^b form a path, which is isometric.
+        assert is_isometric(g).isometric
+
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_matches_window_filter(self, length):
+        for text in all_patterns(length):
+            for d in range(1, 15):
+                assert_vertices_match_reference(W(text), d)
+
+    @pytest.mark.parametrize(
+        "text, d",
+        [
+            ("1111111111", 20), ("0101010101", 20), ("0000000", 13), ("1010101", 13),
+            ("0011", 10),
+            # Patterns longer than d: the whole cube.
+            ("0110", 3), ("0" * 30, 12), ("10" * 20, 16),
+        ],
+    )
+    def test_matches_window_filter_larger(self, text, d):
+        assert_vertices_match_reference(W(text), d)
 
 
 class TestGraphDistance:
@@ -338,8 +385,7 @@ class TestCriticalPairs:
             ("00001011", "00010011", 2, "both"),
             ("00001011", "00010111", 3, "alpha"),
         ]
-        minimal = find_critical_pairs(g, minimal_only=True)
-        assert [(str(c.alpha), str(c.beta), c.p) for c in minimal] == [
+        assert [(str(c.alpha), str(c.beta), c.p) for c in pairs if c.p == 2] == [
             ("00001011", "00010011", 2)
         ]
 
@@ -374,14 +420,10 @@ class TestCriticalPairs:
     def test_matches_definition_scan(self, pattern, dims):
         for d in dims:
             g = build_graph(W(pattern), d)
-            expected = reference_critical_pairs(g)
-            best = min((c[2] for c in expected), default=None)
-            minimal = [c for c in expected if c[2] == best]
-            for minimal_only, want in ((False, expected), (True, minimal)):
-                got = find_critical_pairs(g, minimal_only=minimal_only)
-                assert [(str(c.alpha), str(c.beta), c.p, c.blocked_side) for c in got] == want, (
-                    d, minimal_only,
-                )
+            got = find_critical_pairs(g)
+            assert [(str(c.alpha), str(c.beta), c.p, c.blocked_side) for c in got] == (
+                reference_critical_pairs(g)
+            ), d
 
     @pytest.mark.parametrize("pattern, d", [("0011", 7), ("00011", 8), ("101", 6), ("01", 9)])
     def test_candidate_chunks_split_anywhere(self, monkeypatch, pattern, d):
