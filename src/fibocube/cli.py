@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 f"env {CAP_ENV_VAR})")
         if workers:
             p.add_argument("--workers", type=int, default=None,
-                           help="worker processes (default: cpu count)")
+                           help="worker processes, at most the cpu count (default: cpu count)")
 
     p = sub.add_parser("classify", help="good/bad verdict with index and witnesses")
     p.add_argument("pattern")

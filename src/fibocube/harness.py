@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cache
@@ -104,7 +105,9 @@ def patterns_up_to(max_len: int) -> list[str]:
 
 def _pmap(fn, items, workers: int | None):
     items = list(items)
-    if not workers or workers <= 1 or len(items) <= 1:
+    # A forking pool forks all its processes at the first submit: no more than the CPUs.
+    workers = min(workers or 1, os.cpu_count() or 1)
+    if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         chunk = max(1, len(items) // (workers * 4))
@@ -126,23 +129,17 @@ class _Pattern:
         self.ff = self.f.concat(self.f)
         self.cap = cap
         self.classify = cache(lambda w: structural.classify(w))
-        self.graph = graph = cache(lambda w, d: oracle.build_graph(w, d, cap))
-        self.critical_p = cache(lambda w, d: oracle.critical_p_values(graph(w, d)).tolist())
+        self.graph = cache(lambda w, d: oracle.build_graph(w, d, cap))
 
     def isometric(self, w: Word, d: int) -> bool:
         """Whether Q_d(w) is isometric, decided from the critical-pair scan."""
-        return not self.critical_p(w, d)
+        return not oracle.critical_p_values(self.graph(w, d)).size
 
     def first_violation(self, w: Word, d_max: int) -> int | None:
-        """Smallest d in 2..d_max where Q_d(w) is not isometric, else None."""
-        if d_max > self.cap:
-            raise ValueError(f"scan to dimension {d_max} exceeds dimension cap {self.cap}")
-        return next((d for d in range(2, d_max + 1) if not self.isometric(w, d)), None)
+        return oracle.first_violation_dimension(w, d_max, self.cap, self.graph)
 
     def index(self, w: Word) -> int | None:
-        """Brute-force index of w: any bad factor fails by 2|w|-1, and
-        non-isometry persists upward."""
-        return self.first_violation(w, 2 * w.length - 1)
+        return oracle.index_bruteforce(w, self.cap, self.graph)
 
 
 def _cross_validate_one(p: _Pattern) -> dict:
@@ -163,7 +160,7 @@ def _min_p_one(p: _Pattern) -> dict:
     b = p.index(p.f)
     if b is None:
         return {"pattern": p.text, "index": None, "min_p": None}
-    ps = p.critical_p(p.f, b)
+    ps = oracle.critical_p_values(p.graph(p.f, b)).tolist()
     min_p = min(ps, default=None)
     record = {"pattern": p.text, "index": b, "min_p": min_p, "pairs_at_min": ps.count(min_p)}
     if min_p not in (2, 3):
@@ -328,13 +325,6 @@ def _census_one(args):
     return (text, cls.index, min(w.p for w in cls.witnesses))
 
 
-def _pure_three_one(text):
-    cls = structural.classify(Word.parse(text))
-    if not cls.good and all(w.p == 3 for w in cls.witnesses):
-        return text
-    return None
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -406,14 +396,6 @@ def check_overlap_machinery(limit: int = 12) -> TheoremReport:
                 bad = bad or {"word": t, "r": r, "s": s, "failure": "period-check-broken"}
     swept = f"period pairs 1..{limit}, plus concrete words for three pairs"
     return TheoremReport("overlap-cycle-closure", swept, bad is None, limit * limit, bad)
-
-
-def find_pure_three_critical(max_len: int, workers: int = 1) -> list[str]:
-    """Patterns whose minimal-dimension witnesses are all three-flip ones."""
-    if max_len > 12:
-        raise ValueError(f"sweep length must be at most 12, got {max_len}")
-    hits = _pmap(_pure_three_one, patterns_up_to(max_len), workers)
-    return [t for t in hits if t is not None]
 
 
 def run_suites(

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -416,25 +416,26 @@ def find_critical_pairs(g: AvoidanceGraph) -> list[CriticalPair]:
 
 
 def first_violation_dimension(
-    f: Pattern, d_max: int, cap: int = DEFAULT_DIMENSION_CAP
+    f: Pattern, d_max: int, cap: int = DEFAULT_DIMENSION_CAP, graph=None
 ) -> int | None:
-    """Smallest d in 2..d_max where the graph is not isometric, else None.
-    Decided from the critical-pair scan; no pair is named."""
+    """Smallest d in 2..d_max where Q_d(f), as graph(f, d) gives it (build_graph
+    under the cap by default), has a critical pair, else None; no pair is named."""
     if d_max > cap:
         raise ValueError(f"scan to dimension {d_max} exceeds dimension cap {cap}")
+    graph = graph or partial(build_graph, cap=cap)
     for d in range(2, d_max + 1):
-        if critical_p_values(build_graph(f, d, cap)).size:
+        if critical_p_values(graph(f, d)).size:
             return d
     return None
 
 
-def index_bruteforce(f: Pattern, cap: int = DEFAULT_DIMENSION_CAP) -> int | None:
+def index_bruteforce(f: Pattern, cap: int = DEFAULT_DIMENSION_CAP, graph=None) -> int | None:
     """First non-isometric dimension scanning d = 2..2|f|-1, or None (good).
 
     The scan stops at 2|f|-1 because any bad factor fails by then, and never
     resumes after a failure because non-isometry persists upward.
     """
-    return first_violation_dimension(f, 2 * f.length - 1, cap)
+    return first_violation_dimension(f, 2 * f.length - 1, cap, graph)
 
 
 def _vertex_names(g: AvoidanceGraph) -> np.ndarray:

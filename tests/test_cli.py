@@ -118,6 +118,15 @@ class TestCensus:
         _, out2, _ = run_cli("census", "5", "--format", "json", "--workers", "2")
         assert out1 == out2
 
+    def test_oracle_confirm_past_the_cap(self):
+        # Length 9 scans to dimension 2*9-1 = 17; the first pattern is refused.
+        code, out, err = run_cli(
+            "census", "9", "--oracle-confirm", "--cap", "16", "--workers", "1"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: scan to dimension 17 exceeds dimension cap 16\n"
+
     def test_text_format(self):
         code, out, _ = run_cli("census", "3", "--workers", "1")
         assert code == EXIT_OK
@@ -286,6 +295,23 @@ class TestEnvironmentReads:
                 if {"environ", "getenv"} & set(names):
                     readers.append(path.name)
         assert readers and set(readers) == {"cli.py"}
+
+
+class TestProcessPools:
+    def test_only_pmap_starts_a_process_pool(self):
+        # _pmap sizes its pool by the CPU count, so no other code may start one.
+        makers = []
+        for path in sorted(Path(fibocube.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            parent = {c: node for node in ast.walk(tree) for c in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                func = getattr(node, "func", None)
+                if getattr(func, "id", getattr(func, "attr", None)) != "ProcessPoolExecutor":
+                    continue
+                while node in parent and not isinstance(node, ast.FunctionDef):
+                    node = parent[node]
+                makers.append((path.name, getattr(node, "name", None)))
+        assert makers == [("harness.py", "_pmap")]
 
 
 class TestModuleEntryPoint:

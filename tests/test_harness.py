@@ -10,11 +10,11 @@ from fibocube.harness import (
     census,
     census_csv,
     cross_validate_patterns,
-    find_pure_three_critical,
     run_suites,
 )
 from fibocube.oracle import AvoidanceGraph
 from fibocube.structural import Classification, WitnessCheck
+from fibocube.words import Word
 
 REAL_BUILD = oracle.build_graph
 REAL_SCAN = oracle.critical_p_values
@@ -49,6 +49,12 @@ class TestCrossValidate:
     def test_max_len_4_with_past_bound_probe(self):
         r = run_suites("cross", 4, workers=2)[0]
         assert r.passed and r.checked == 30
+
+    def test_pattern_index_is_the_oracle_index(self):
+        # The sweeps' cached index and the library's run the same scan.
+        for t in harness.patterns_up_to(5):
+            f = Word.parse(t)
+            assert harness._Pattern(t, 25).index(f) == oracle.index_bruteforce(f)
 
     def test_explicit_pattern_list(self):
         r = cross_validate_patterns(["101", "0011", "11"])
@@ -159,9 +165,21 @@ class TestCensus:
         assert lines[0].startswith("length,total,good,bad,good_fraction")
         assert lines[1].startswith("3,8,6,2,0.75,")
 
+    def test_pure_three_patterns(self):
+        # p = 3 is first the least p at length 4, where the bad patterns whose
+        # witnesses all have p = 3 are 0011 and 1100.
+        assert census(4).p_histogram == {2: 6, 3: 2}
+        assert census(8).p_histogram[3] == 4
+        assert 3 not in census(3).p_histogram
+        pure = []
+        for t in harness.all_patterns(4):
+            cls = structural.classify(Word.parse(t))
+            if not cls.good and all(w.p == 3 for w in cls.witnesses):
+                pure.append(t)
+        assert pure == ["0011", "1100"]
+
     def test_good_counts_invariant_under_reversal_and_complement(self):
         from fibocube.structural import classify
-        from fibocube.words import Word
 
         n = 4
         row = census(n)
@@ -174,16 +192,30 @@ class TestCensus:
             assert good == row.good_count
 
 
-class TestPureThreeProbe:
-    def test_empty_up_to_3(self):
-        assert find_pure_three_critical(3) == []
+class TestWorkerPool:
+    @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (None, [])])
+    def test_pool_has_no_more_processes_than_cpus(self, monkeypatch, cpus, sizes):
+        # A stand-in pool that records its size and maps in this process, so
+        # asking for 5000 workers starts no process at all.
+        started = []
 
-    def test_length_4_hits(self):
-        assert find_pure_three_critical(4) == ["0011", "1100"]
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
 
-    def test_bound(self):
-        with pytest.raises(ValueError):
-            find_pure_three_critical(13)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        assert row_bytes(census(6, workers=5000)) == row_bytes(census(6, workers=1))
+        assert started == sizes
 
 
 class TestOverlapMachinery:
