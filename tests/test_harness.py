@@ -165,18 +165,27 @@ class TestCensus:
         assert lines[0].startswith("length,total,good,bad,good_fraction")
         assert lines[1].startswith("3,8,6,2,0.75,")
 
-    def test_pure_three_patterns(self):
+    @staticmethod
+    def _pure_three(patterns):
+        # Bad patterns whose witnesses all have p = 3.
+        pure = []
+        for t in patterns:
+            cls = structural.classify(Word.parse(t))
+            if not cls.good and all(w.p == 3 for w in cls.witnesses):
+                pure.append(t)
+        return pure
+
+    def test_no_pure_three_pattern_up_to_3(self):
+        for n in range(1, 4):
+            assert 3 not in census(n).p_histogram
+        assert self._pure_three(harness.patterns_up_to(3)) == []
+
+    def test_pure_three_patterns_at_length_4(self):
         # p = 3 is first the least p at length 4, where the bad patterns whose
         # witnesses all have p = 3 are 0011 and 1100.
         assert census(4).p_histogram == {2: 6, 3: 2}
         assert census(8).p_histogram[3] == 4
-        assert 3 not in census(3).p_histogram
-        pure = []
-        for t in harness.all_patterns(4):
-            cls = structural.classify(Word.parse(t))
-            if not cls.good and all(w.p == 3 for w in cls.witnesses):
-                pure.append(t)
-        assert pure == ["0011", "1100"]
+        assert self._pure_three(harness.all_patterns(4)) == ["0011", "1100"]
 
     def test_good_counts_invariant_under_reversal_and_complement(self):
         from fibocube.structural import classify
