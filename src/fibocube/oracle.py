@@ -10,6 +10,12 @@ Q_d(f) is grown one bit at a time from the f-avoiding words one bit shorter,
 so enumeration costs the sum of the vertex counts up to d, not 2^d window
 tests (Q_25(11) has 196,418 of the 2^25 words).
 
+The flip tables, the critical-pair scan and graph_distance find a word's
+vertex index through one lookup.  When 2^d <= d * V it is a gather through a
+dense index of all 2^d words, which then has no more entries than the d x V
+neighbor table it fills; sparser graphs, such as Q_25(11) or Q_63(01),
+binary-search the sorted vertices instead.
+
 The critical-pair scan decides isometry: an induced subgraph of Q_d is
 isometric exactly when it has no critical pair (the equivalence the lemma21
 sweep checks; Ilic, Klavzar and Rho, Generalized Fibonacci cubes, Discrete
@@ -105,29 +111,48 @@ class AvoidanceGraph:
             raise ValueError(f"{w} is not a vertex of Q_{self.dimension}({self.pattern})")
 
     @cached_property
+    def _dense_index(self) -> np.ndarray | None:
+        """index[w] is the dense index of vertex w and -1 for a non-vertex
+        word, over all 2^d words; None when 2^d > d * V, so the index never
+        has more entries than the d x V neighbor table it fills."""
+        d, n = self.dimension, self.vertices.size
+        if 1 << d > d * n:
+            return None
+        index = np.full(1 << d, -1, dtype=np.int64)
+        index[self.vertices] = np.arange(n)
+        return index
+
+    def _lookup(self, words: np.ndarray) -> np.ndarray:
+        """The dense index of each length-d word, or -1 for a non-vertex:
+        one gather through the dense index, or a binary search of the sorted
+        vertices when the graph is too sparse for one."""
+        index = self._dense_index
+        if index is not None:
+            return index[words]
+        verts = self.vertices
+        pos = np.minimum(np.searchsorted(verts, words), verts.size - 1)
+        return np.where(verts[pos] == words, pos, -1)
+
+    @cached_property
     def _flip_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(neighbor index table V x d, forbidden-flip mask per vertex).
 
         Table entry [v, k] is the dense index of vertex XOR (1 << k), or -1
         when that word contains the factor.  Bit k of the mask is set exactly
         in the -1 case, so interval-blocking tests reduce to integer masking.
-        The table is a view of a contiguous d x V array, whose rows the BFS
-        gathers through.
+        Each row k of the table is one _lookup of the vertices with bit k
+        flipped: a gather through the dense word index when 2^d <= d * V,
+        else a binary search.  The table is a view of a contiguous d x V
+        array, whose rows the BFS gathers through.
         """
         verts = self.vertices
-        n = verts.size
         d = self.dimension
-        by_bit = np.full((d, n), -1, dtype=np.int64)
-        in_mask = np.zeros(n, dtype=np.int64)
+        by_bit = np.empty((d, verts.size), dtype=np.int64)
+        forb = np.zeros(verts.size, dtype=np.int64)
         for k in range(d):
-            nb = verts ^ (1 << k)
-            pos = np.searchsorted(verts, nb)
-            ok = pos < n
-            ok[ok] = verts[pos[ok]] == nb[ok]
-            by_bit[k, ok] = pos[ok]
-            in_mask[ok] |= 1 << k
-        full = (1 << d) - 1
-        return by_bit.T, full ^ in_mask
+            by_bit[k] = self._lookup(verts ^ (1 << k))
+            forb |= (by_bit[k] < 0).astype(np.int64) << k
+        return by_bit.T, forb
 
     @property
     def neighbor_table(self) -> np.ndarray:
@@ -166,10 +191,9 @@ class AvoidanceGraph:
             t = np.arange(r.size) - np.repeat(np.cumsum(size[part]) - size[part], size[part])
             a = verts[r]
             x = np.where(subsets[r], _deposit(t, forb[r]), a ^ verts[t])
-            beta = a ^ x
-            pos = np.minimum(np.searchsorted(verts, beta), n - 1)
-            keep = (verts[pos] == beta) & ((x & ~forb[r]) == 0) & (_popcount(x) >= 2)
-            i, j = r[keep], pos[keep]
+            j = self._lookup(a ^ x)
+            keep = (j >= 0) & ((x & ~forb[r]) == 0) & (_popcount(x) >= 2)
+            i, j = r[keep], j[keep]
             keys.append(np.minimum(i, j) * n + np.maximum(i, j))
         key = np.unique(np.concatenate(keys))
         return key // n, key % n
@@ -284,7 +308,7 @@ def graph_distance(g: AvoidanceGraph, a: Word, b: Word) -> int | float:
     """BFS distance inside the graph; UNREACHABLE when no path exists."""
     g._require_vertex(a)
     g._require_vertex(b)
-    ia, ib = np.searchsorted(g.vertices, [a.bits, b.bits])
+    ia, ib = g._lookup(np.array([a.bits, b.bits]))
     dg = int(_distance_row(g, int(ia))[ib])
     return UNREACHABLE if dg < 0 else dg
 

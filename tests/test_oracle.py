@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +190,78 @@ class TestBuildGraph:
         assert_vertices_match_reference(W(text), d)
 
 
+def assert_flip_tables_match_reference(g):
+    """Entry [v, k] of the neighbor table names the vertex word v ^ (1 << k),
+    or is -1 exactly when that word is no vertex; bit k of the forbidden-flip
+    mask marks the -1 entries."""
+    verts, d = g.vertices, g.dimension
+    table, forb = g.neighbor_table, g.forbidden_flip_mask
+    assert table.shape == (verts.size, d) and table.dtype == forb.dtype == np.int64
+    for k in range(d):
+        nb = verts ^ (1 << k)
+        member = np.isin(nb, verts)
+        assert np.array_equal(table[:, k] >= 0, member), k
+        assert np.array_equal(verts[table[member, k]], nb[member]), k
+        assert np.array_equal((forb >> k) & 1, (~member).astype(np.int64)), k
+    assert not (forb >> d).any()
+
+
+def without_dense_index(monkeypatch):
+    monkeypatch.setattr(AvoidanceGraph, "_dense_index", property(lambda self: None))
+
+
+class TestWordLookup:
+    @pytest.mark.parametrize("dense", [True, False], ids=["as-built", "binary-search"])
+    def test_flip_tables_match_reference(self, monkeypatch, dense):
+        if not dense:
+            without_dense_index(monkeypatch)
+        for text in patterns_up_to(5):
+            for d in range(1, 2 * len(text) + 3):
+                assert_flip_tables_match_reference(build_graph(W(text), d))
+        assert_flip_tables_match_reference(build_graph(W("11"), 22))
+        assert_flip_tables_match_reference(build_graph(W("01"), 63, cap=63))
+
+    @pytest.mark.parametrize(
+        "text, d, dense",
+        [("0000000", 13, True), ("01101", 9, True),
+         ("11", 22, False), ("01", 25, False), ("01", 63, False),
+         # Either side of 2^d = d * V: 4096 <= 4524, 8192 > 7930, 65536 <= 66880.
+         ("11", 12, True), ("11", 13, False), ("001", 16, True)],
+    )
+    def test_dense_index_only_when_no_larger_than_the_table(self, text, d, dense):
+        g = build_graph(W(text), d, cap=63)
+        index = g._dense_index
+        assert (index is not None) == dense
+        if dense:
+            assert index.size == 1 << d <= g.neighbor_table.size
+            assert np.array_equal(index[g.vertices], np.arange(g.vertex_count))
+            assert (np.delete(index, g.vertices) == -1).all()
+
+    def test_only_the_lookup_binary_searches(self):
+        # The dense index replaces every binary search it can; the one
+        # fallback for sparse graphs lives in _lookup.
+        path = Path(oracle.__file__)
+        tree = ast.parse(path.read_text(), str(path))
+        parent = {c: node for node in ast.walk(tree) for c in ast.iter_child_nodes(node)}
+        callers = []
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "searchsorted":
+                continue
+            while node in parent and not isinstance(node, ast.FunctionDef):
+                node = parent[node]
+            callers.append(getattr(node, "name", None))
+        assert callers == ["_lookup"]
+
+
+def assert_distances_match_reference_bfs(g):
+    ws = [str(w) for w in g.words()]
+    for a in ws:
+        dist = reference_bfs(set(ws), a)
+        for b in ws:
+            assert graph_distance(g, W(a), W(b)) == dist.get(b, UNREACHABLE)
+
+
 class TestGraphDistance:
     def test_detour_distance(self):
         g = build_graph(W("101"), 4)
@@ -221,12 +295,12 @@ class TestGraphDistance:
 
     @pytest.mark.parametrize("pattern, d", [("101", 4), ("0011", 6), ("11", 7)])
     def test_matches_reference_bfs(self, pattern, d):
-        g = build_graph(W(pattern), d)
-        ws = [str(w) for w in g.words()]
-        for a in ws:
-            dist = reference_bfs(set(ws), a)
-            for b in ws:
-                assert graph_distance(g, W(a), W(b)) == dist.get(b, UNREACHABLE)
+        assert_distances_match_reference_bfs(build_graph(W(pattern), d))
+
+    @pytest.mark.parametrize("pattern, d", [("101", 4), ("0011", 6), ("11", 7)])
+    def test_matches_reference_bfs_by_binary_search(self, monkeypatch, pattern, d):
+        without_dense_index(monkeypatch)
+        assert_distances_match_reference_bfs(build_graph(W(pattern), d))
 
 
 class TestIsIsometric:
@@ -465,10 +539,17 @@ class TestIndexBruteforce:
 
 
 def reference_edge_indices(g):
-    """Edge index pairs sorted by an explicit lexsort, not by nonzero order."""
-    table = g.neighbor_table
-    i, k = np.nonzero(table > np.arange(g.vertex_count)[:, None])
-    j = table[i, k]
+    """Edge index pairs from the vertex words, not from the neighbor table:
+    each vertex with bit k clear joins its bit-k flip when that is a vertex,
+    sorted by an explicit lexsort."""
+    verts = g.vertices
+    i, j = [], []
+    for k in range(g.dimension):
+        nb = verts ^ (1 << k)
+        lo = np.flatnonzero(np.isin(nb, verts) & (nb > verts))
+        i.append(lo)
+        j.append(np.searchsorted(verts, nb[lo]))
+    i, j = np.concatenate(i), np.concatenate(j)
     order = np.lexsort((j, i))
     return i[order].tolist(), j[order].tolist()
 
