@@ -35,11 +35,17 @@ endpoint of the critical pairs, which is the first violating source.
   edges never violate).
 - So the first violating source is the least endpoint, and the first
   violating target in its BFS row completes the pair.
+That BFS, like graph_distance's, is level-synchronous over the frontier only:
+each level gathers the neighbors of the vertices it reached last, so the whole
+BFS reads each neighbor-table entry once.
 
 The lemma21 sweep checks the scan against an independent, scan-free BFS
 route on every graph it covers.  That route compares BFS distance sums with
 Hamming sums per batch of 64 sources; only the first batch whose sums differ
-is re-run for its distance matrix.
+is re-run for its distance matrix.  Batches keep the bit-parallel engine
+(_bfs_levels): each source is one bit of a uint64 per vertex, so one gather
+of the whole table per level advances all 64 BFS at once.  A batch reads the
+table once per level; 64 frontier BFS would read it once per source.
 """
 
 from __future__ import annotations
@@ -280,14 +286,25 @@ def _distances(g: AvoidanceGraph, sources: np.ndarray) -> np.ndarray:
 
 def _distance_row(g: AvoidanceGraph, source: int) -> np.ndarray:
     """BFS distances (V, int64) from one source index to every vertex index;
-    -1 where a vertex is unreachable."""
-    # steps[v] counts the levels before v is seen: its distance, or one more
-    # than the last level when v is unreachable.
-    steps = np.zeros(g.vertex_count, dtype=np.int64)
-    for level, seen in enumerate(_bfs_levels(g, np.array([source]))):
-        steps += seen == 0
-    steps[steps > level] = -1
-    return steps
+    -1 where a vertex is unreachable.
+
+    Each level gathers the neighbors of the frontier only, so the BFS reads
+    every table entry once (V * d in all) rather than the whole table per
+    level, as the 64-lane _bfs_levels does.  dist has one extra last slot,
+    held at 0, so the table's -1 entries land there and never count as new.
+    """
+    n = g.vertex_count
+    by_bit = g.neighbor_table.T
+    dist = np.full(n + 1, -1, dtype=np.int64)
+    dist[n] = dist[source] = 0
+    frontier = np.array([source])
+    level = 0
+    while frontier.size:
+        level += 1
+        reach = by_bit[:, frontier]
+        dist[reach[dist[reach] < 0]] = level
+        frontier = np.flatnonzero(dist == level)
+    return dist[:n]
 
 
 def _distance_sum(g: AvoidanceGraph, sources: np.ndarray) -> tuple[int, bool]:
@@ -305,7 +322,9 @@ def _distance_sum(g: AvoidanceGraph, sources: np.ndarray) -> tuple[int, bool]:
 
 
 def graph_distance(g: AvoidanceGraph, a: Word, b: Word) -> int | float:
-    """BFS distance inside the graph; UNREACHABLE when no path exists."""
+    """BFS distance inside the graph; UNREACHABLE when no path exists.
+
+    One single-source BFS from a that expands only the frontier."""
     g._require_vertex(a)
     g._require_vertex(b)
     ia, ib = g._lookup(np.array([a.bits, b.bits]))

@@ -254,6 +254,72 @@ class TestWordLookup:
         assert callers == ["_lookup"]
 
 
+def assert_rows_match_batch_engine(g, sources, lanes=1):
+    """The frontier BFS from each source equals its row of the 64-lane
+    engine, run on `lanes` of the sources at a time (its lanes do not
+    interact, so a batch gives each source's single-lane row)."""
+    sources = np.asarray(sources, dtype=np.int64)
+    for lo in range(0, sources.size, lanes):
+        batch = sources[lo : lo + lanes]
+        for s, expected in zip(batch.tolist(), _distances(g, batch)):
+            row = oracle._distance_row(g, s)
+            assert row.dtype == np.int64 and np.array_equal(row, expected), s
+
+
+# Hand-built vertex sets: no enumerated graph of length <= 6 at d <= 12 is
+# disconnected.  Each case: pattern, vertex words, the first violating pair.
+DISCONNECTED_SUBGRAPHS = [
+    # 00 and 11 without 01 or 10 between them: no edges at all.
+    pytest.param("01", ["00", "11"], ("00", "11", UNREACHABLE, 2), id="no-edges"),
+    # The path 0001-0000-1000 runs three levels, which is what each pair with
+    # the isolated 0111 counts, against Hamming distances 2, 3 and 4: the sums
+    # agree, and only the reach test catches it.
+    pytest.param(
+        "1111", ["0000", "0001", "0111", "1000"], ("0000", "0111", UNREACHABLE, 3),
+        id="sums-agree",
+    ),
+]
+
+
+def hand_built_graph(pattern, words):
+    return AvoidanceGraph(W(pattern), len(words[0]), np.array([int(w, 2) for w in words]))
+
+
+class TestDistanceRow:
+    """The single-source frontier BFS against the bit-parallel batch engine,
+    through both word lookups."""
+
+    @pytest.fixture(autouse=True, params=["as-built", "binary-search"])
+    def lookup(self, request, monkeypatch):
+        if request.param == "binary-search":
+            without_dense_index(monkeypatch)
+
+    def test_every_source_of_short_patterns(self):
+        for text in patterns_up_to(4):
+            for d in range(1, 2 * len(text) + 3):
+                g = build_graph(W(text), d)
+                assert_rows_match_batch_engine(g, range(g.vertex_count), lanes=64)
+
+    @pytest.mark.parametrize(
+        "text, d", [("0000000", 13), ("1010101", 13), ("0110110", 13), ("0011", 7), ("0011", 10)]
+    )
+    def test_large_graphs(self, text, d):
+        g = build_graph(W(text), d)
+        n = g.vertex_count
+        sources = {0, n // 2, n - 1}
+        endpoints = g._critical_pairs[0]
+        if endpoints.size:
+            sources.add(int(endpoints.min()))
+        assert_rows_match_batch_engine(g, sorted(sources))
+
+    @pytest.mark.parametrize("pattern, words, expected", DISCONNECTED_SUBGRAPHS)
+    def test_disconnected_subgraphs(self, pattern, words, expected):
+        g = hand_built_graph(pattern, words)
+        assert_rows_match_batch_engine(g, range(g.vertex_count))
+        source, target = (words.index(w) for w in expected[:2])
+        assert oracle._distance_row(g, source)[target] == -1
+
+
 def assert_distances_match_reference_bfs(g):
     ws = [str(w) for w in g.words()]
     for a in ws:
@@ -327,21 +393,30 @@ class TestIsIsometric:
         assert _bfs_violation(build_graph(W(pattern), d)) == v.violating_pair
 
     def test_names_pair_with_one_single_source_bfs(self, monkeypatch):
+        # One frontier BFS, from the least critical-pair endpoint (alpha is
+        # the lexicographically first side of each pair); neither the batch
+        # sum pass nor the 64-lane engine runs.
+        pairs = find_critical_pairs(build_graph(W("1010101"), 13))
         g = build_graph(W("1010101"), 13)
+        least = int(np.searchsorted(g.vertices, min(p.alpha.bits for p in pairs)))
         sources = []
-        real_levels = oracle._bfs_levels
+        real_row = oracle._distance_row
 
-        def levels(g, src):
-            sources.append(len(src))
-            return real_levels(g, src)
+        def row(g, source):
+            sources.append(source)
+            return real_row(g, source)
 
-        def no_sums(*args):
-            raise AssertionError("is_isometric ran the batch sum pass")
+        def refuse(name):
+            def run(*args):
+                raise AssertionError(f"is_isometric ran {name}")
+            return run
 
-        monkeypatch.setattr(oracle, "_bfs_levels", levels)
-        monkeypatch.setattr(oracle, "_distance_sum", no_sums)
+        monkeypatch.setattr(oracle, "_distance_row", row)
+        monkeypatch.setattr(oracle, "_distance_sum", refuse("_distance_sum"))
+        monkeypatch.setattr(oracle, "_bfs_levels", refuse("_bfs_levels"))
         v = is_isometric(g)
-        assert not v.isometric and sources == [1]
+        assert not v.isometric and sources == [least]
+        assert v.violating_pair[0].bits == g.vertices[least]
 
     def test_full_cube_fast_path(self):
         v = is_isometric(build_graph(W("01100"), 4))
@@ -362,24 +437,9 @@ class TestIsIsometric:
                 vp = (str(vp[0]), str(vp[1]), vp[2], vp[3])
             assert (v.isometric, vp) == reference_verdict(g), d
 
-    # Hand-built vertex sets: no enumerated graph of length <= 6 at d <= 12 is
-    # disconnected.
-    @pytest.mark.parametrize(
-        "pattern, words, expected",
-        [
-            # 00 and 11 without 01 or 10 between them: no edges at all.
-            pytest.param("01", ["00", "11"], ("00", "11", UNREACHABLE, 2), id="no-edges"),
-            # The path 0001-0000-1000 runs three levels, which is what each
-            # pair with the isolated 0111 counts, against Hamming distances 2,
-            # 3 and 4: the sums agree, and only the reach test catches it.
-            pytest.param(
-                "1111", ["0000", "0001", "0111", "1000"], ("0000", "0111", UNREACHABLE, 3),
-                id="sums-agree",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("pattern, words, expected", DISCONNECTED_SUBGRAPHS)
     def test_unreachable_pair_violates(self, pattern, words, expected):
-        g = AvoidanceGraph(W(pattern), len(words[0]), np.array([int(w, 2) for w in words]))
+        g = hand_built_graph(pattern, words)
         v = is_isometric(g)
         assert not v.isometric
         alpha, beta, dg, h = v.violating_pair
