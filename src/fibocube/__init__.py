@@ -40,9 +40,6 @@ from .structural import (
     WitnessCheck,
     classify,
     lift_witness,
-    mirrored_three_flip_candidates,
-    three_flip_candidates,
-    two_flip_candidates,
     verify_witness,
     witness_from_json_dict,
     witness_to_json_dict,
@@ -91,11 +88,8 @@ __all__ = [
     "is_isometric",
     "is_single_cycle",
     "lift_witness",
-    "mirrored_three_flip_candidates",
     "period_closure_check",
     "residue_sequence",
-    "three_flip_candidates",
-    "two_flip_candidates",
     "verify_witness",
     "witness_from_json_dict",
     "witness_to_json_dict",

@@ -64,15 +64,20 @@ DEFAULT_DIMENSION_CAP = 25
 _CANDIDATE_CHUNK = 1 << 18  # critical-pair candidates held at once
 _SOURCE_CHUNK = 64  # BFS sources per batch: one bit each in a uint64
 
+_BYTE_POP = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
+
+
+def _popcount_bytes(a: np.ndarray) -> np.ndarray:
+    """Set bits per element through a byte table; the numpy < 2.0 popcount."""
+    b = np.ascontiguousarray(a).view(np.uint8)
+    return _BYTE_POP[b].reshape(*a.shape, -1).sum(axis=-1).astype(np.int64)
+
+
 if hasattr(np, "bitwise_count"):
     def _popcount(a: np.ndarray) -> np.ndarray:
         return np.bitwise_count(a).astype(np.int64)
 else:  # pragma: no cover - numpy < 2.0
-    _BYTE_POP = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
-
-    def _popcount(a: np.ndarray) -> np.ndarray:
-        b = np.ascontiguousarray(a).view(np.uint8)
-        return _BYTE_POP[b].reshape(*a.shape, -1).sum(axis=-1).astype(np.int64)
+    _popcount = _popcount_bytes
 
 
 def _deposit(t: np.ndarray, masks: np.ndarray) -> np.ndarray:

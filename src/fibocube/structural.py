@@ -5,10 +5,11 @@ at Hamming distance p >= 2 such that every interval flip on one side contains
 f.  At the smallest such d only two rigid layouts of the flips and of the
 copies of f are possible (two flips over two overlapping copies, or three
 equally spaced flips over three copies, the latter also in mirror image).
-Both layouts are enumerated over their full parameter ranges and every
-candidate is validated mechanically - window consistency plus avoidance of
-both endpoints - so emitted certificates are sound by construction and the
-smallest surviving dimension is the exact index.
+Each enumerator lists its layout over the full parameter range as (flip,
+copy offset) pairs; `_witnesses` alone places every copy window in the word,
+drops layouts whose windows disagree on an overlap and keeps those whose
+endpoints both avoid f, so emitted certificates are sound by construction and
+the smallest surviving dimension is the exact index.
 """
 
 from __future__ import annotations
@@ -75,85 +76,62 @@ class WitnessCheck:
         return self.ok
 
 
-def _e(length: int, pos: int) -> int:
-    """Packed bit for 1-based position pos in a word of the given length."""
-    return 1 << (length - pos)
-
-
-def _merge_windows(d: int, flen: int, windows) -> int | None:
-    """Combine length-flen windows at given offsets into one length-d word.
-
-    Returns the packed word, or None when two windows disagree on an overlap.
-    The callers' window layouts always cover 1..d.
-    """
-    fmask = (1 << flen) - 1
-    value = 0
-    known = 0
-    for offset, wbits in windows:
-        shift = d - (offset + flen - 1)
-        wval = wbits << shift
-        wmask = fmask << shift
-        if (value ^ wval) & known & wmask:
-            return None
-        value |= wval
-        known |= wmask
-    if known != (1 << d) - 1:
-        raise RuntimeError("window layout does not cover the word")
-    return value
-
-
 def _witness_sort_key(w: CriticalWitness):
     return (w.dimension, w.alpha.bits, w.beta.bits)
 
 
 def _witnesses(f: Pattern, layouts) -> list[CriticalWitness]:
-    """Witnesses from layouts whose copy windows have already been merged.
+    """Witnesses from copy layouts, sorted by (d, alpha, beta).
 
-    Each layout is (d, shift, ((flip, copy offset), ...), alpha).  A layout
-    survives when alpha and beta (alpha with every flip complemented) both
-    avoid f; the first layout of each unordered pair is kept, and the result
-    is sorted by (d, alpha, beta).
+    Each layout is (d, shift, ((flip i, copy offset u), ...)): complementing
+    bit i of alpha must leave a copy of f at offset u, so alpha holds the
+    window (f.bits << s) ^ (1 << (d - i)) with s = d - (u + |f| - 1).  A
+    layout whose windows disagree on an overlap is dropped; the windows of
+    every layout must cover 1..d.  Beta is alpha with every flip complemented.
+    A layout survives when alpha and beta both avoid f; the first layout of
+    each unordered pair is kept.
     """
     n = f.length
+    fmask = (1 << n) - 1
     out: list[CriticalWitness] = []
     seen: set[tuple[int, int, int]] = set()
-    for d, shift, copies, alpha in layouts:
-        if _contains_bits(alpha, d, f.bits, n):
-            continue
-        beta = alpha
-        for i, _ in copies:
-            beta ^= _e(d, i)
-        if _contains_bits(beta, d, f.bits, n):
-            continue
-        key = (d, min(alpha, beta), max(alpha, beta))
-        if key in seen:
-            continue
-        seen.add(key)
-        offsets = tuple(sorted(copies))
-        out.append(
-            CriticalWitness(
-                pattern=f,
-                dimension=d,
-                p=len(copies),
-                flips=tuple(i for i, _ in offsets),
-                offsets=offsets,
-                shift=shift,
-                alpha=Word(d, alpha),
-                beta=Word(d, beta),
+    for d, shift, copies in layouts:
+        alpha = known = flipped = 0
+        for i, u in copies:
+            s = d - (u + n - 1)
+            flip = 1 << (d - i)
+            window = (f.bits << s) ^ flip
+            wmask = fmask << s
+            if (alpha ^ window) & known & wmask:
+                break  # two copies disagree on an overlap
+            alpha |= window
+            known |= wmask
+            flipped |= flip
+        else:
+            if known != (1 << d) - 1:
+                raise RuntimeError("window layout does not cover the word")
+            beta = alpha ^ flipped
+            if _contains_bits(alpha, d, f.bits, n) or _contains_bits(beta, d, f.bits, n):
+                continue
+            key = (d, min(alpha, beta), max(alpha, beta))
+            if key in seen:
+                continue
+            seen.add(key)
+            offsets = tuple(sorted(copies))
+            out.append(
+                CriticalWitness(
+                    pattern=f,
+                    dimension=d,
+                    p=len(copies),
+                    flips=tuple(i for i, _ in offsets),
+                    offsets=offsets,
+                    shift=shift,
+                    alpha=Word(d, alpha),
+                    beta=Word(d, beta),
+                )
             )
-        )
     out.sort(key=_witness_sort_key)
     return out
-
-
-def _merged(f: Pattern, layouts):
-    """(d, shift, copies, alpha) for each (d, shift, copies) layout whose
-    windows agree: complementing flip i of alpha makes a copy of f at offset u."""
-    n = f.length
-    for d, shift, copies in layouts:
-        alpha = _merge_windows(d, n, ((u, f.bits ^ _e(n, i - u + 1)) for i, u in copies))
-        if alpha is not None:
-            yield d, shift, copies, alpha
 
 
 def two_flip_candidates(f: Pattern) -> list[CriticalWitness]:
@@ -166,18 +144,13 @@ def two_flip_candidates(f: Pattern) -> list[CriticalWitness]:
     order (r, then flips ascending).
     """
     n = f.length
-    layouts = []
-    for r in range(1, n - 1):
-        d = n + r
-        for pa in range(r + 1, n + 1):
-            for pb in range(r + 1, n + 1):
-                if pb == pa:
-                    continue
-                alpha = _merge_windows(
-                    d, n, ((1, f.bits ^ _e(n, pa)), (r + 1, f.bits ^ _e(n, pb - r)))
-                )
-                if alpha is not None:
-                    layouts.append((d, r, ((pa, 1), (pb, r + 1)), alpha))
+    layouts = (
+        (n + r, r, ((pa, 1), (pb, r + 1)))
+        for r in range(1, n - 1)
+        for pa in range(r + 1, n + 1)
+        for pb in range(r + 1, n + 1)
+        if pb != pa
+    )
     return _witnesses(f, layouts)
 
 
@@ -196,7 +169,7 @@ def three_flip_candidates(f: Pattern) -> list[CriticalWitness]:
         for rp in range(1, (n - 1) // 3 + 1)
         for i in range(2 * rp + 1, min(3 * rp, n - rp) + 1)
     )
-    return _witnesses(f, _merged(f, layouts))
+    return _witnesses(f, layouts)
 
 
 def mirrored_three_flip_candidates(f: Pattern) -> list[CriticalWitness]:
@@ -213,7 +186,7 @@ def mirrored_three_flip_candidates(f: Pattern) -> list[CriticalWitness]:
         for rp in range(1, (n - 1) // 3 + 1)
         for i in range(max(2 * rp + 1, n - 2 * rp + 1), n - rp + 1)
     )
-    return _witnesses(f, _merged(f, layouts))
+    return _witnesses(f, layouts)
 
 
 def classify(f: Pattern) -> Classification:

@@ -254,6 +254,37 @@ class TestWordLookup:
         assert callers == ["_lookup"]
 
 
+@pytest.mark.skipif(not hasattr(np, "bitwise_count"), reason="reference needs numpy >= 2.0")
+class TestBytePopcount:
+    """The byte-table popcount that numpy < 2.0 runs, against np.bitwise_count.
+    Signed values stay below bit 63: bitwise_count counts a negative's
+    magnitude, the byte table its two's complement."""
+
+    @staticmethod
+    def assert_matches(a):
+        got = oracle._popcount_bytes(a)
+        assert got.dtype == np.int64 and got.shape == a.shape
+        assert np.array_equal(got, np.bitwise_count(a).astype(np.int64))
+
+    def values(self, dtype):
+        rng = np.random.default_rng(7)
+        edges = [0, 1, 1 << 31, 1 << 62, (1 << 63) - 1]
+        return np.concatenate([np.array(edges), rng.integers(0, 1 << 63, 995)]).astype(dtype)
+
+    def test_int64_up_to_bit_62(self):
+        self.assert_matches(self.values(np.int64))
+
+    def test_uint64_with_bit_63_set(self):
+        self.assert_matches(self.values(np.uint64) | np.uint64(1 << 63))
+
+    def test_two_d_and_strided(self):
+        a = self.values(np.int64).reshape(20, 50)
+        self.assert_matches(a)
+        self.assert_matches(a[::3, 1::2])
+        self.assert_matches(a.T)
+        self.assert_matches(self.values(np.uint64)[::7])
+
+
 def assert_rows_match_batch_engine(g, sources, lanes=1):
     """The frontier BFS from each source equals its row of the 64-lane
     engine, run on `lanes` of the sources at a time (its lanes do not

@@ -1,6 +1,9 @@
+import hashlib
+import json
 import random
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from fibocube.oracle import index_bruteforce
 from fibocube.structural import (
     MalformedWitnessError,
+    _witnesses,
     classify,
     lift_witness,
     mirrored_three_flip_candidates,
@@ -137,6 +141,21 @@ class TestThreeFlipCandidates:
                     assert w.dimension == f.length + 3 * w.shift
 
 
+class TestWindowMerge:
+    """The window placement and checks that every layout goes through."""
+
+    def test_gap_between_windows_is_an_error(self):
+        # Copies of 101 at offsets 1 and 5 of a length-7 word leave position 4 uncovered.
+        with pytest.raises(RuntimeError, match="does not cover"):
+            _witnesses(W("101"), [(7, 1, ((2, 1), (6, 5)))])
+
+    def test_windows_disagreeing_on_an_overlap_give_no_witness(self):
+        # Flipping bit 2 of a copy at 1 gives 0111 over bits 1..4, flipping
+        # bit 4 of a copy at 2 gives 0001 over bits 2..5.  Their OR, 01111,
+        # and its flip 00101 would both avoid 0011.
+        assert _witnesses(W("0011"), [(5, 1, ((2, 1), (4, 2)))]) == []
+
+
 class TestClassify:
     def test_101(self):
         cls = classify(W("101"))
@@ -210,6 +229,21 @@ class TestClassify:
                     frozenset((str(w.alpha), str(w.beta))) for w in cls.witnesses
                 }
                 assert struct_pairs == oracle_pairs, str(f)
+
+
+def test_classify_matches_stored_table():
+    # The benchmark's answer table: (pattern, verdict, index, witness count,
+    # digest) for all 4096 patterns of length 12, then 2048 seeded patterns
+    # of length 24-32.
+    table = Path(__file__).resolve().parents[1] / "bench" / "expected" / "classify.tsv"
+    rows = [line.split("\t") for line in table.read_text().splitlines()]
+    assert len(rows) == 4096 + 2048
+    for text, verdict, index, count, digest in rows[:4096] + rows[4096::16]:
+        cls = classify(W(text))
+        wits = json.dumps([witness_to_json_dict(w) for w in cls.witnesses], sort_keys=True)
+        got = [cls.verdict, "-" if cls.good else str(cls.index), str(len(cls.witnesses)),
+               hashlib.sha256(wits.encode()).hexdigest()[:16]]
+        assert got == [verdict, index, count, digest], text
 
 
 class TestVerifyWitness:
