@@ -12,9 +12,12 @@ import json
 import os
 import sys
 
-from . import harness, oracle, structural
-from .periodicity import build_overlap_graph
-from .words import Word, WordError
+from . import structural
+from .words import DEFAULT_DIMENSION_CAP, Word, WordError
+
+# harness, oracle and periodicity are imported by the commands that use them,
+# so the string-only commands (classify, index, witness, overlap-graph) start
+# without numpy.
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -22,6 +25,8 @@ EXIT_USAGE = 2
 EXIT_BAD = 10
 
 CAP_ENV_VAR = "FIBOCUBE_CAP"
+# `verify --suite` choices; a test pins them to ("all",) + harness.SUITES.
+SUITE_CHOICES = ("all", "cross", "p-values", "index-bound", "doubling", "monotonicity", "lemma21")
 
 
 class UsageError(Exception):
@@ -49,7 +54,7 @@ def _dimension_cap(override: int | None) -> int:
     else:
         env = os.environ.get(CAP_ENV_VAR)
         try:
-            cap = int(env) if env else oracle.DEFAULT_DIMENSION_CAP
+            cap = int(env) if env else DEFAULT_DIMENSION_CAP
         except ValueError:
             raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
     if cap < 2:
@@ -111,6 +116,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    from . import harness
+
     cap = _dimension_cap(args.cap)
     row = harness.census(
         args.length, workers=_workers(args), oracle_confirm=args.oracle_confirm, cap=cap
@@ -131,6 +138,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import harness
+
     cap = _dimension_cap(args.cap)
     reports = harness.run_suites(args.suite, args.max_len, workers=_workers(args), cap=cap)
     for r in reports:
@@ -146,6 +155,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from . import oracle
+
     cap = _dimension_cap(args.cap)
     f = _parse_pattern(args.pattern)
     g = oracle.build_graph(f, args.dim, cap=cap)
@@ -157,6 +168,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_overlap_graph(args) -> int:
+    from .periodicity import build_overlap_graph
+
     graph = build_overlap_graph(args.r, args.s)
     sys.stdout.write(graph.to_dot())
     return EXIT_OK
@@ -174,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=formats[0])
         if cap:
             p.add_argument("--cap", type=int, default=None,
-                           help=f"dimension cap (default {oracle.DEFAULT_DIMENSION_CAP}, "
+                           help=f"dimension cap (default {DEFAULT_DIMENSION_CAP}, "
                                 f"env {CAP_ENV_VAR})")
         if workers:
             p.add_argument("--workers", type=int, default=None,
@@ -204,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification sweeps")
     p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--suite", choices=("all",) + harness.SUITES, default="all")
+    p.add_argument("--suite", choices=SUITE_CHOICES, default="all")
     add_common(p, formats=("text", "json"), cap=True, workers=True)
     p.set_defaults(handler=_cmd_verify)
 

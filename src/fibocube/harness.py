@@ -237,10 +237,13 @@ def _critical_equivalence_one(p: _Pattern) -> dict:
     for d in range(2, d_max + 1):
         g = p.graph(p.f, d)
         violation = oracle._bfs_violation(g)
-        pairs = oracle.find_critical_pairs(g)
-        if (violation is None) == bool(pairs):
+        # The scan's index pairs are sorted with i < j, so the least alpha of
+        # find_critical_pairs(g) is vertices[i[0]].
+        i, _ = g._critical_pairs
+        endpoint = Word(d, int(g.vertices[i[0]])) if i.size else None
+        if (violation is None) == (endpoint is not None):
             failure = "equivalence-broken"
-        elif pairs and violation[0] != pairs[0].alpha:
+        elif endpoint is not None and violation[0] != endpoint:
             failure = "first-source-not-scan-endpoint"
         else:
             continue
@@ -248,15 +251,15 @@ def _critical_equivalence_one(p: _Pattern) -> dict:
             "pattern": p.text,
             "dimension": d,
             "isometric": violation is None,
-            "critical_pairs": len(pairs),
+            "critical_pairs": i.size,
             "failure": failure,
         }
         if violation is not None:
             a, b, dg, h = violation
             dg = "unreachable" if dg == oracle.UNREACHABLE else int(dg)
             record["violating_pair"] = [str(a), str(b), dg, h]
-        if pairs:
-            record["scan_endpoint"] = str(pairs[0].alpha)
+        if endpoint is not None:
+            record["scan_endpoint"] = str(endpoint)
         return record
     return {"pattern": p.text, "dimensions_checked": d_max - 1}
 

@@ -56,10 +56,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .words import Pattern, Word, contains_factor
+from .words import DEFAULT_DIMENSION_CAP, Pattern, Word, contains_factor
 
 UNREACHABLE = math.inf
-DEFAULT_DIMENSION_CAP = 25
 
 _CANDIDATE_CHUNK = 1 << 18  # critical-pair candidates held at once
 _SOURCE_CHUNK = 64  # BFS sources per batch: one bit each in a uint64

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fibocube
-from fibocube import harness
+from fibocube import cli, harness
 from fibocube.cli import EXIT_BAD, EXIT_OK, EXIT_USAGE, main
 from fibocube.oracle import build_graph
 from fibocube.words import Word
@@ -280,6 +280,33 @@ class TestDependencies:
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "False"
 
+    def test_cli_import_loads_no_numpy(self):
+        src = str(Path(fibocube.__file__).resolve().parents[1])
+        heavy = ("numpy", "fibocube.oracle", "fibocube.harness", "concurrent.futures.process")
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import fibocube.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "0011", "--format", "json"),
+        ("index", "00011"),
+        ("witness", "101"),
+        ("overlap-graph", "10", "3"),
+    ], ids=lambda argv: argv[0])
+    def test_string_commands_run_without_numpy(self, argv):
+        src = str(Path(fibocube.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); sys.modules['numpy'] = None; "
+            f"from fibocube.cli import main; sys.exit(main({list(argv)!r}))"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        exit_code, out, _ = run_cli(*argv)
+        assert (run.returncode, run.stdout, run.stderr) == (exit_code, out, "")
+
 
 class TestEnvironmentReads:
     def test_only_the_cli_reads_the_environment(self):
@@ -312,6 +339,29 @@ class TestProcessPools:
                     node = parent[node]
                 makers.append((path.name, getattr(node, "name", None)))
         assert makers == [("harness.py", "_pmap")]
+
+
+class TestModuleLevelImports:
+    def test_cli_imports_no_numpy_layer_at_module_level(self):
+        # Only the commands that build graphs or run sweeps may load numpy.
+        heavy = {"numpy", "oracle", "harness", "periodicity"}
+        path = Path(cli.__file__)
+        imported = []
+        nodes = list(ast.parse(path.read_text(), str(path)).body)
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            nodes.extend(ast.iter_child_nodes(node))
+        assert "structural" in " ".join(imported)
+        assert [m for m in imported if heavy & set(m.split("."))] == []
+
+    def test_suite_choices_are_the_harness_suites(self):
+        assert cli.SUITE_CHOICES == ("all",) + harness.SUITES
 
 
 class TestModuleEntryPoint:

@@ -401,12 +401,15 @@ class TestFailurePaths:
         assert r.counterexample["dimension"] == 5
 
     def test_critical_equivalence(self, monkeypatch):
-        monkeypatch.setattr(harness.oracle, "find_critical_pairs", lambda g: [])
+        # Every graph's critical-pair scan reads as empty.
+        monkeypatch.setattr(AvoidanceGraph, "_critical_pairs",
+                            property(lambda g: (NO_PAIRS, NO_PAIRS)))
         r = run_suites("lemma21", 3, workers=1)[0]
         assert not r.passed
         # "010" and "101" fail at d=4; every other pattern checks all its dimensions
         assert r.checked == 2 * 3 + 4 * 5 + 6 * 7
         assert r.counterexample["failure"] == "equivalence-broken"
+        assert r.counterexample["critical_pairs"] == 0
         assert r.counterexample["dimension"] == 4
         assert r.counterexample["pattern"] == "010"
         assert r.counterexample["violating_pair"] == ["0000", "0110", 4, 2]
