@@ -52,7 +52,6 @@ _EXPORTS = {
         "witness_to_json_dict",
     ),
     "words": (
-        "DEFAULT_DIMENSION_CAP",
         "MAX_LENGTH",
         "Pattern",
         "Word",

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = good / all checks passed, 10 = bad pattern, 2 = usage error
-(including cap violations), 1 = internal error or failed verification suite.
+(including graphs over the size limit), 1 = internal error or failed
+verification suite.
 Output is deterministic for identical invocations regardless of --workers.
 """
 
@@ -13,7 +14,7 @@ import os
 import sys
 
 from . import structural
-from .words import DEFAULT_DIMENSION_CAP, Word, WordError
+from .words import Word, WordError
 
 # harness, oracle and periodicity are imported by the commands that use them,
 # so the string-only commands (classify, index, witness, overlap-graph) start
@@ -24,7 +25,6 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_BAD = 10
 
-CAP_ENV_VAR = "FIBOCUBE_CAP"
 # `verify --suite` choices; a test pins them to ("all",) + harness.SUITES.
 SUITE_CHOICES = ("all", "cross", "p-values", "index-bound", "doubling", "monotonicity", "lemma21")
 
@@ -45,21 +45,6 @@ def _workers(args) -> int:
     if workers < 1:
         raise UsageError("--workers must be at least 1")
     return workers
-
-
-def _dimension_cap(override: int | None) -> int:
-    """Effective dimension cap: explicit override, else env var, else default."""
-    if override is not None:
-        cap = int(override)
-    else:
-        env = os.environ.get(CAP_ENV_VAR)
-        try:
-            cap = int(env) if env else DEFAULT_DIMENSION_CAP
-        except ValueError:
-            raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
-    if cap < 2:
-        raise ValueError(f"dimension cap must be at least 2, got {cap}")
-    return cap
 
 
 def _dumps(obj) -> str:
@@ -118,10 +103,7 @@ def _cmd_witness(args) -> int:
 def _cmd_census(args) -> int:
     from . import harness
 
-    cap = _dimension_cap(args.cap)
-    row = harness.census(
-        args.length, workers=_workers(args), oracle_confirm=args.oracle_confirm, cap=cap
-    )
+    row = harness.census(args.length, workers=_workers(args), oracle_confirm=args.oracle_confirm)
     if args.format == "json":
         print(_dumps(row.to_json_dict()))
     elif args.format == "csv":
@@ -140,8 +122,7 @@ def _cmd_census(args) -> int:
 def _cmd_verify(args) -> int:
     from . import harness
 
-    cap = _dimension_cap(args.cap)
-    reports = harness.run_suites(args.suite, args.max_len, workers=_workers(args), cap=cap)
+    reports = harness.run_suites(args.suite, args.max_len, workers=_workers(args))
     for r in reports:
         if args.format == "json":
             print(_dumps(r.to_json_dict()))
@@ -157,9 +138,8 @@ def _cmd_verify(args) -> int:
 def _cmd_graph(args) -> int:
     from . import oracle
 
-    cap = _dimension_cap(args.cap)
     f = _parse_pattern(args.pattern)
-    g = oracle.build_graph(f, args.dim, cap=cap)
+    g = oracle.build_graph(f, args.dim)
     if args.format == "json":
         print(_dumps(oracle.graph_to_json_dict(g)))
     else:
@@ -183,12 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("text", "json", "csv"), cap=False, workers=False):
+    def add_common(p, formats=("text", "json", "csv"), workers=False):
         p.add_argument("--format", choices=formats, default=formats[0])
-        if cap:
-            p.add_argument("--cap", type=int, default=None,
-                           help=f"dimension cap (default {DEFAULT_DIMENSION_CAP}, "
-                                f"env {CAP_ENV_VAR})")
         if workers:
             p.add_argument("--workers", type=int, default=None,
                            help="worker processes, at most the cpu count (default: cpu count)")
@@ -212,19 +188,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("length", type=int)
     p.add_argument("--oracle-confirm", action="store_true",
                    help="also confirm each verdict by brute force (length <= 9)")
-    add_common(p, cap=True, workers=True)
+    add_common(p, workers=True)
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("verify", help="run verification sweeps")
     p.add_argument("--max-len", type=int, default=4)
     p.add_argument("--suite", choices=SUITE_CHOICES, default="all")
-    add_common(p, formats=("text", "json"), cap=True, workers=True)
+    add_common(p, formats=("text", "json"), workers=True)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("graph", help="export an avoidance graph")
     p.add_argument("pattern")
     p.add_argument("--dim", type=int, required=True)
-    add_common(p, formats=("dot", "json"), cap=True)
+    add_common(p, formats=("dot", "json"))
     p.set_defaults(handler=_cmd_graph)
 
     p = sub.add_parser("overlap-graph", help="export an overlap graph as DOT")

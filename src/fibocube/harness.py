@@ -122,24 +122,23 @@ class _Pattern:
     each classified once and each graph Q_d(w) is built and tested at most
     once, whichever checks ask; all of it is freed with the pattern."""
 
-    def __init__(self, text: str, cap: int):
+    def __init__(self, text: str):
         self.text = text
         self.f = Word.parse(text)
         self.n = self.f.length
         self.ff = self.f.concat(self.f)
-        self.cap = cap
         self.classify = cache(lambda w: structural.classify(w))
-        self.graph = cache(lambda w, d: oracle.build_graph(w, d, cap))
+        self.graph = cache(lambda w, d: oracle.build_graph(w, d))
 
     def isometric(self, w: Word, d: int) -> bool:
         """Whether Q_d(w) is isometric, decided from the critical-pair scan."""
         return not oracle.critical_p_values(self.graph(w, d)).size
 
     def first_violation(self, w: Word, d_max: int) -> int | None:
-        return oracle.first_violation_dimension(w, d_max, self.cap, self.graph)
+        return oracle.first_violation_dimension(w, d_max, self.graph)
 
     def index(self, w: Word) -> int | None:
-        return oracle.index_bruteforce(w, self.cap, self.graph)
+        return oracle.index_bruteforce(w, self.graph)
 
 
 def _cross_validate_one(p: _Pattern) -> dict:
@@ -293,16 +292,16 @@ SUITES = tuple(_SUITES)
 
 
 def _check_one(args) -> list[dict]:
-    text, names, cap = args
-    p = _Pattern(text, cap)
+    text, names = args
+    p = _Pattern(text)
     return [_SUITES[name][2](p) for name in names]
 
 
-def _run(names, texts, workers, cap, max_len=None) -> list[TheoremReport]:
+def _run(names, texts, workers, max_len=None) -> list[TheoremReport]:
     """Run the named suites' checks on each text in one pass; per suite,
     report the first failing record and the checked count of all records.
     Without max_len the texts are an explicit list, swept as "N patterns"."""
-    rows = _pmap(_check_one, [(t, names, cap) for t in texts], workers)
+    rows = _pmap(_check_one, [(t, names) for t in texts], workers)
     reports = []
     for i, name in enumerate(names):
         title, swept, _, checked = _SUITES[name]
@@ -314,8 +313,8 @@ def _run(names, texts, workers, cap, max_len=None) -> list[TheoremReport]:
 
 
 def _census_one(args):
-    text, confirm, cap = args
-    p = _Pattern(text, cap)
+    text, confirm = args
+    p = _Pattern(text)
     cls = p.classify(p.f)
     if confirm:
         b = p.index(p.f)
@@ -331,21 +330,17 @@ def _census_one(args):
 # ---------------------------------------------------------------------------
 # sweeps
 
-def cross_validate_patterns(
-    texts: list[str], workers: int = 1, cap: int = oracle.DEFAULT_DIMENSION_CAP
-) -> TheoremReport:
-    return _run(("cross",), texts, workers, cap)[0]
+def cross_validate_patterns(texts: list[str], workers: int = 1) -> TheoremReport:
+    return _run(("cross",), texts, workers)[0]
 
 
-def census(
-    n: int, workers: int = 1, oracle_confirm: bool = False, cap: int = oracle.DEFAULT_DIMENSION_CAP
-) -> CensusRow:
+def census(n: int, workers: int = 1, oracle_confirm: bool = False) -> CensusRow:
     if not 1 <= n <= 14:
         raise ValueError(f"census length must be in 1..14, got {n}")
     if oracle_confirm and n > 9:
         raise ValueError(f"oracle confirmation is limited to length 9, got {n}")
     texts = all_patterns(n)
-    results = _pmap(_census_one, [(t, oracle_confirm, cap) for t in texts], workers)
+    results = _pmap(_census_one, [(t, oracle_confirm) for t in texts], workers)
     good = 0
     index_hist: dict[int, int] = {}
     p_hist: dict[int, int] = {}
@@ -401,9 +396,7 @@ def check_overlap_machinery(limit: int = 12) -> TheoremReport:
     return TheoremReport("overlap-cycle-closure", swept, bad is None, limit * limit, bad)
 
 
-def run_suites(
-    suite: str, max_len: int, workers: int = 1, cap: int = oracle.DEFAULT_DIMENSION_CAP
-) -> list[TheoremReport]:
+def run_suites(suite: str, max_len: int, workers: int = 1) -> list[TheoremReport]:
     """Run one named suite, or all of them in one pass plus the
     overlap-machinery check."""
     if max_len < 1:
@@ -412,7 +405,7 @@ def run_suites(
     unknown = set(selected) - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suite {sorted(unknown)}; choose from {('all',) + SUITES}")
-    reports = _run(selected, patterns_up_to(max_len), workers, cap, max_len)
+    reports = _run(selected, patterns_up_to(max_len), workers, max_len)
     if suite == "all":
         reports.append(check_overlap_machinery())
     return reports

@@ -8,7 +8,9 @@ can check each other.
 
 Q_d(f) is grown one bit at a time from the f-avoiding words one bit shorter,
 so enumeration costs the sum of the vertex counts up to d, not 2^d window
-tests (Q_25(11) has 196,418 of the 2^25 words).
+tests (Q_25(11) has 196,418 of the 2^25 words).  A graph is refused before
+anything is allocated when its d x V neighbor table would exceed
+MAX_TABLE_BYTES; V is counted exactly from f's autocorrelation.
 
 The flip tables, the critical-pair scan and graph_distance find a word's
 vertex index through one lookup.  When 2^d <= d * V it is a gather through a
@@ -52,31 +54,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
-from .words import DEFAULT_DIMENSION_CAP, Pattern, Word, contains_factor
+from .words import Pattern, Word, contains_factor
 
 UNREACHABLE = math.inf
 
 _CANDIDATE_CHUNK = 1 << 18  # critical-pair candidates held at once
 _SOURCE_CHUNK = 64  # BFS sources per batch: one bit each in a uint64
-
-_BYTE_POP = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
-
-
-def _popcount_bytes(a: np.ndarray) -> np.ndarray:
-    """Set bits per element through a byte table; the numpy < 2.0 popcount."""
-    b = np.ascontiguousarray(a).view(np.uint8)
-    return _BYTE_POP[b].reshape(*a.shape, -1).sum(axis=-1).astype(np.int64)
+MAX_TABLE_BYTES = 1 << 30  # largest d x V int64 neighbor table a graph may need
 
 
-if hasattr(np, "bitwise_count"):
-    def _popcount(a: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(a).astype(np.int64)
-else:  # pragma: no cover - numpy < 2.0
-    _popcount = _popcount_bytes
+def _popcount(a: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(a).astype(np.int64)
 
 
 def _deposit(t: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -229,16 +221,46 @@ class AvoidanceGraph:
         ]
 
 
-def build_graph(f: Pattern, d: int, cap: int = DEFAULT_DIMENSION_CAP) -> AvoidanceGraph:
+def _vertex_count(f: Pattern, d: int) -> int:
+    """The exact number of length-d words avoiding f, from f's autocorrelation
+    (Guibas and Odlyzko, String overlaps, pattern matching, and nontransitive
+    games, JCTA 30 (1981)): with c_r = 1 iff f[r:] == f[:n-r], the counts
+    have generating function c(z) / den(z), den = z^n + (1 - 2z) c(z)."""
+    n = f.length
+    c = [int(f.bits & ((1 << (n - r)) - 1) == f.bits >> r) for r in range(n)] + [0]
+    den = [c[k] - 2 * c[k - 1] if k else 1 for k in range(n + 1)]
+    den[n] += 1
+    a = []
+    for m in range(d + 1):
+        cm = c[m] if m < n else 0
+        a.append(cm - sum(den[k] * a[m - k] for k in range(1, min(m, n) + 1)))
+    return a[d]
+
+
+def _check_size(f: Pattern, d: int) -> None:
+    """Refuse Q_d(f) before anything is allocated when d cannot be packed in
+    int64 or the d x V neighbor table would exceed MAX_TABLE_BYTES.  V is
+    only counted when the whole cube's table, 8 d 2^d bytes, would not fit."""
+    if not 1 <= d <= 63:
+        raise ValueError(f"dimension {d} outside 1..63 (vertices are packed in int64)")
+    if 8 * d << d > MAX_TABLE_BYTES:
+        n = _vertex_count(f, d)
+        if 8 * d * n > MAX_TABLE_BYTES:
+            raise ValueError(
+                f"Q_{d}({f}) has {n} vertices; its {d} x {n} neighbor table needs "
+                f"{8 * d * n / (1 << 30):.1f} GiB, over the "
+                f"{MAX_TABLE_BYTES / (1 << 30):g} GiB limit"
+            )
+
+
+def build_graph(f: Pattern, d: int) -> AvoidanceGraph:
     """Every length-d word avoiding f, sorted: each length from |f| to d
     appends 0 and 1 to the words one bit shorter and drops those ending in f
     (the prefix avoids f, so only the last window can be new).  Appending the
     low bit keeps the order; the work grows with the vertex counts, not 2^d.
+    Graphs over the size limit are refused first (_check_size).
     """
-    if not 1 <= d <= cap:
-        raise ValueError(f"dimension {d} outside 1..{cap} (dimension cap {cap})")
-    if d > 63:
-        raise ValueError(f"dimension {d} outside 1..63 (vertices are packed in int64)")
+    _check_size(f, d)
     verts = np.arange(1 << min(d, f.length - 1), dtype=np.int64)
     mask = (1 << f.length) - 1
     for _ in range(f.length, d + 1):
@@ -462,27 +484,25 @@ def find_critical_pairs(g: AvoidanceGraph) -> list[CriticalPair]:
     ]
 
 
-def first_violation_dimension(
-    f: Pattern, d_max: int, cap: int = DEFAULT_DIMENSION_CAP, graph=None
-) -> int | None:
+def first_violation_dimension(f: Pattern, d_max: int, graph=None) -> int | None:
     """Smallest d in 2..d_max where Q_d(f), as graph(f, d) gives it (build_graph
-    under the cap by default), has a critical pair, else None; no pair is named."""
-    if d_max > cap:
-        raise ValueError(f"scan to dimension {d_max} exceeds dimension cap {cap}")
-    graph = graph or partial(build_graph, cap=cap)
+    by default), has a critical pair, else None; no pair is named.  V never
+    decreases with d, so Q_{d_max}(f) is size-checked before any graph is built."""
+    _check_size(f, d_max)
+    graph = graph or build_graph
     for d in range(2, d_max + 1):
         if critical_p_values(graph(f, d)).size:
             return d
     return None
 
 
-def index_bruteforce(f: Pattern, cap: int = DEFAULT_DIMENSION_CAP, graph=None) -> int | None:
+def index_bruteforce(f: Pattern, graph=None) -> int | None:
     """First non-isometric dimension scanning d = 2..2|f|-1, or None (good).
 
     The scan stops at 2|f|-1 because any bad factor fails by then, and never
     resumes after a failure because non-isometry persists upward.
     """
-    return first_violation_dimension(f, 2 * f.length - 1, cap, graph)
+    return first_violation_dimension(f, 2 * f.length - 1, graph)
 
 
 def _vertex_names(g: AvoidanceGraph) -> np.ndarray:

@@ -248,11 +248,11 @@ def verify_witness(w: CriticalWitness) -> WitnessCheck:
         return WitnessCheck(False, "hamming-mismatch")
     if tuple(differing_positions(w.alpha, w.beta)) != w.flips:
         return WitnessCheck(False, "flips-mismatch")
+    if not all(contains_factor(w.alpha.flip(i), f) for i in w.flips):
+        return WitnessCheck(False, "interval-not-blocked")
     for i, u in w.offsets:
         if u not in factor_offsets(w.alpha.flip(i), f):
             return WitnessCheck(False, "copy-offset")
-    if not all(contains_factor(w.alpha.flip(i), f) for i in w.flips):
-        return WitnessCheck(False, "interval-not-blocked")
     return WitnessCheck(True)
 
 

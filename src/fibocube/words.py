@@ -14,9 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 MAX_LENGTH = 63
-# The oracle's default bound on the dimension d; kept here so that the CLI can
-# show it without importing the oracle, and with it numpy.
-DEFAULT_DIMENSION_CAP = 25
 
 
 class WordError(ValueError):

@@ -60,7 +60,7 @@ class TestClassify:
         assert out == "pattern,verdict,index\n11,good,\n"
 
     def test_ignores_dimension_cap(self, monkeypatch):
-        # classify builds no graph, so the oracle's cap does not apply
+        # No command reads the FIBOCUBE_CAP variable of older versions.
         monkeypatch.setenv("FIBOCUBE_CAP", "1")
         code, out, _ = run_cli("classify", "101")
         assert code == EXIT_BAD
@@ -117,15 +117,6 @@ class TestCensus:
         _, out1, _ = run_cli("census", "5", "--format", "json", "--workers", "1")
         _, out2, _ = run_cli("census", "5", "--format", "json", "--workers", "2")
         assert out1 == out2
-
-    def test_oracle_confirm_past_the_cap(self):
-        # Length 9 scans to dimension 2*9-1 = 17; the first pattern is refused.
-        code, out, err = run_cli(
-            "census", "9", "--oracle-confirm", "--cap", "16", "--workers", "1"
-        )
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert err == "error: scan to dimension 17 exceeds dimension cap 16\n"
 
     def test_text_format(self):
         code, out, _ = run_cli("census", "3", "--workers", "1")
@@ -209,35 +200,50 @@ class TestGraphExport:
         assert data["dimension"] == 4
 
     def test_cap_violation(self):
-        code, out, err = run_cli("graph", "11", "--dim", "26")
+        # The only cap is on the neighbor table's size, not on the dimension.
+        code, out, err = run_cli("graph", "1" * 25, "--dim", "24")
         assert code == EXIT_USAGE
-        assert "cap" in err
+        assert out == ""
+        assert err == (
+            f"error: Q_24({'1' * 25}) has 16777216 vertices; its 24 x 16777216 "
+            "neighbor table needs 3.0 GiB, over the 1 GiB limit\n"
+        )
+
+    def test_refused_before_allocating(self):
+        # The limit case refuses under a 3 GB address-space limit set on the
+        # child process only; building the graph would need 3 GiB.
+        src = str(Path(fibocube.__file__).resolve().parents[1])
+        code = (
+            f"import resource, sys; sys.path.insert(0, {src!r}); "
+            "resource.setrlimit(resource.RLIMIT_AS, "
+            "(3_000_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+            "from fibocube.cli import main; "
+            f"sys.exit(main(['graph', {'1' * 25!r}, '--dim', '24']))"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert run.returncode == EXIT_USAGE, run.stderr
+        assert run.stdout == ""
+        assert "16777216 vertices" in run.stderr and "3.0 GiB" in run.stderr
 
     def test_cap_flag(self):
-        code, _, err = run_cli("graph", "11", "--dim", "6", "--cap", "5")
-        assert code == EXIT_USAGE
-        assert "cap" in err and "5" in err
+        # There is no --cap option: argparse refuses it with exit 2.
+        for argv in (("graph", "11", "--dim", "6"), ("census", "3"), ("verify",)):
+            with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+                main([*argv, "--cap", "5"])
+            assert exc.value.code == EXIT_USAGE
 
     def test_dimension_past_int64_refused_whatever_the_cap(self):
-        code, out, err = run_cli("graph", "0", "--dim", "64", "--cap", "70")
+        # Q_64(0) has one vertex, far under the size cap, yet is refused.
+        code, out, err = run_cli("graph", "0", "--dim", "64")
         assert code == EXIT_USAGE
         assert out == ""
         assert "dimension 64 outside 1..63 (vertices are packed in int64)" in err
 
     def test_cap_env_var(self, monkeypatch):
+        # FIBOCUBE_CAP, which older versions read, no longer limits anything.
+        _, expected, _ = run_cli("graph", "11", "--dim", "6")
         monkeypatch.setenv("FIBOCUBE_CAP", "5")
-        code, _, err = run_cli("graph", "11", "--dim", "6")
-        assert code == EXIT_USAGE
-        assert "5" in err
-        code, out, _ = run_cli("graph", "11", "--dim", "5")
-        assert code == EXIT_OK
-
-    def test_cap_env_var_not_an_integer(self, monkeypatch):
-        monkeypatch.setenv("FIBOCUBE_CAP", "abc")
-        code, out, err = run_cli("graph", "11", "--dim", "3")
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "FIBOCUBE_CAP" in err
+        assert run_cli("graph", "11", "--dim", "6") == (EXIT_OK, expected, "")
 
 
 class TestOverlapGraphExport:
@@ -309,7 +315,7 @@ class TestDependencies:
 
 
 class TestEnvironmentReads:
-    def test_only_the_cli_reads_the_environment(self):
+    def test_no_module_reads_the_environment(self):
         readers = []
         for path in sorted(Path(fibocube.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -321,7 +327,7 @@ class TestEnvironmentReads:
                     continue
                 if {"environ", "getenv"} & set(names):
                     readers.append(path.name)
-        assert readers and set(readers) == {"cli.py"}
+        assert readers == []
 
 
 class TestProcessPools:
@@ -397,7 +403,7 @@ class TestInternalError:
     def test_empty_message_names_the_exception_type(self, monkeypatch):
         from fibocube import oracle
 
-        def out_of_memory(f, d, cap=None):
+        def out_of_memory(f, d):
             raise MemoryError()
 
         monkeypatch.setattr(oracle, "build_graph", out_of_memory)

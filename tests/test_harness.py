@@ -54,7 +54,7 @@ class TestCrossValidate:
         # The sweeps' cached index and the library's run the same scan.
         for t in harness.patterns_up_to(5):
             f = Word.parse(t)
-            assert harness._Pattern(t, 25).index(f) == oracle.index_bruteforce(f)
+            assert harness._Pattern(t).index(f) == oracle.index_bruteforce(f)
 
     def test_explicit_pattern_list(self):
         r = cross_validate_patterns(["101", "0011", "11"])
@@ -66,9 +66,9 @@ class TestCrossValidate:
         # further, and no graph is built twice.
         built = []
 
-        def spy(f, d, cap=None):
+        def spy(f, d):
             built.append((str(f), d))
-            return REAL_BUILD(f, d, cap)
+            return REAL_BUILD(f, d)
 
         monkeypatch.setattr(harness.oracle, "build_graph", spy)
         r = run_suites("cross", 3, workers=1)[0]
@@ -257,13 +257,13 @@ class TestRunSuites:
             harness._Pattern, structural.classify, harness._pmap
         )
 
-        def pattern(text, cap):
+        def pattern(text):
             current.append(text)
-            return real_pattern(text, cap)
+            return real_pattern(text)
 
-        def build(f, d, cap=None):
+        def build(f, d):
             built.append((current[-1], str(f), d))
-            return REAL_BUILD(f, d, cap)
+            return REAL_BUILD(f, d)
 
         def classify(f):
             classified.append((current[-1], str(f)))
@@ -360,9 +360,9 @@ class TestFailurePaths:
              "doubling", 14,
              {"pattern": "0", "index": None, "doubled_index": 3,
               "failure": "doubling-lost-goodness"}),
-            (oracle, "build_graph", lambda f, d, cap=None: (
+            (oracle, "build_graph", lambda f, d: (
                 AvoidanceGraph(f, d, np.zeros(1, dtype=np.int64))
-                if str(f) == "010010" else REAL_BUILD(f, d, cap)
+                if str(f) == "010010" else REAL_BUILD(f, d)
             ), "doubling", 14,
              {"pattern": "010", "index": 4, "doubled_index": 8, "dimension": 2,
               "failure": "doubled-graph-not-full-cube"}),

@@ -156,16 +156,16 @@ class TestBuildGraph:
                     assert (count == 1 << d) == (f.length > d)
 
     def test_dimension_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            build_graph(W("11"), 26)
-        with pytest.raises(ValueError, match="cap"):
-            build_graph(W("11"), 6, cap=5)
-        assert build_graph(W("11"), 5, cap=5).vertex_count == 13
+        # There is none: graphs are refused by their size.  Q_24(1^25) is the
+        # whole 24-cube, whose table needs 8 * 24 * 2^24 bytes.
+        with pytest.raises(ValueError, match=r"16777216 vertices; .* 3\.0 GiB, over the 1 GiB"):
+            build_graph(W("1" * 25), 24)
+        assert build_graph(W("11"), 26).vertex_count == 317811
 
     def test_dimension_bounded_by_int64_whatever_the_cap(self):
         with pytest.raises(ValueError, match="1..63 .*int64"):
-            build_graph(W("01"), 64, cap=100)
-        g = build_graph(W("01"), 63, cap=100)
+            build_graph(W("01"), 64)
+        g = build_graph(W("01"), 63)
         assert g.vertex_count == 64
         assert (g.vertices >= 0).all()
         # The words 1^a 0^b form a path, which is isometric.
@@ -219,7 +219,7 @@ class TestWordLookup:
             for d in range(1, 2 * len(text) + 3):
                 assert_flip_tables_match_reference(build_graph(W(text), d))
         assert_flip_tables_match_reference(build_graph(W("11"), 22))
-        assert_flip_tables_match_reference(build_graph(W("01"), 63, cap=63))
+        assert_flip_tables_match_reference(build_graph(W("01"), 63))
 
     @pytest.mark.parametrize(
         "text, d, dense",
@@ -229,7 +229,7 @@ class TestWordLookup:
          ("11", 12, True), ("11", 13, False), ("001", 16, True)],
     )
     def test_dense_index_only_when_no_larger_than_the_table(self, text, d, dense):
-        g = build_graph(W(text), d, cap=63)
+        g = build_graph(W(text), d)
         index = g._dense_index
         assert (index is not None) == dense
         if dense:
@@ -252,37 +252,6 @@ class TestWordLookup:
                 node = parent[node]
             callers.append(getattr(node, "name", None))
         assert callers == ["_lookup"]
-
-
-@pytest.mark.skipif(not hasattr(np, "bitwise_count"), reason="reference needs numpy >= 2.0")
-class TestBytePopcount:
-    """The byte-table popcount that numpy < 2.0 runs, against np.bitwise_count.
-    Signed values stay below bit 63: bitwise_count counts a negative's
-    magnitude, the byte table its two's complement."""
-
-    @staticmethod
-    def assert_matches(a):
-        got = oracle._popcount_bytes(a)
-        assert got.dtype == np.int64 and got.shape == a.shape
-        assert np.array_equal(got, np.bitwise_count(a).astype(np.int64))
-
-    def values(self, dtype):
-        rng = np.random.default_rng(7)
-        edges = [0, 1, 1 << 31, 1 << 62, (1 << 63) - 1]
-        return np.concatenate([np.array(edges), rng.integers(0, 1 << 63, 995)]).astype(dtype)
-
-    def test_int64_up_to_bit_62(self):
-        self.assert_matches(self.values(np.int64))
-
-    def test_uint64_with_bit_63_set(self):
-        self.assert_matches(self.values(np.uint64) | np.uint64(1 << 63))
-
-    def test_two_d_and_strided(self):
-        a = self.values(np.int64).reshape(20, 50)
-        self.assert_matches(a)
-        self.assert_matches(a[::3, 1::2])
-        self.assert_matches(a.T)
-        self.assert_matches(self.values(np.uint64)[::7])
 
 
 def assert_rows_match_batch_engine(g, sources, lanes=1):
@@ -600,6 +569,34 @@ class TestCriticalPairs:
             assert [(str(c.alpha), str(c.beta), c.p, c.blocked_side) for c in got] == expected
 
 
+class TestSizeCheck:
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_vertex_count_matches_enumeration(self, length):
+        for text in all_patterns(length):
+            for d in range(1, 19):
+                assert oracle._vertex_count(W(text), d) == build_graph(W(text), d).vertex_count
+
+    def test_vertex_count_closed_forms(self):
+        fib = [0, 1]
+        while len(fib) < 66:
+            fib.append(fib[-1] + fib[-2])
+        for d in range(1, 64):
+            assert oracle._vertex_count(W("11"), d) == fib[d + 2]
+            assert oracle._vertex_count(W("01"), d) == d + 1
+
+    def test_scan_refused_before_any_graph_is_built(self, monkeypatch):
+        def no_graph(f, d):
+            raise AssertionError(f"built Q_{d}({f})")
+
+        monkeypatch.setattr(oracle, "build_graph", no_graph)
+        with pytest.raises(ValueError, match=r"Q_25\(0000000000000\) has 33525760 vertices"):
+            first_violation_dimension(W("0" * 13), 25)
+
+    @pytest.mark.parametrize("text, d", [("11", 25), ("11", 30), ("01", 63), ("10101", 22)])
+    def test_accepted_graphs(self, text, d):
+        oracle._check_size(W(text), d)
+
+
 class TestIndexBruteforce:
     @pytest.mark.parametrize(
         "text,expected",
@@ -609,7 +606,8 @@ class TestIndexBruteforce:
         assert index_bruteforce(W(text)) == expected
 
     def test_cap_exceeded(self):
-        with pytest.raises(ValueError, match="cap"):
+        # The scan to d = 27 is refused up front: Q_27(1^14) needs 27.0 GiB.
+        with pytest.raises(ValueError, match="Q_27.*GiB"):
             index_bruteforce(W("1" * 14))
 
     def test_symmetry_under_reverse_and_complement(self):

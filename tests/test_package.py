@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fibocube
-from fibocube import oracle, structural, words
+from fibocube import structural
 
 SRC = str(Path(fibocube.__file__).resolve().parents[1])
 
@@ -25,10 +25,6 @@ class TestExports:
             # classes and functions live where they are defined; words.Pattern is Word
             if inspect.isclass(value) or inspect.isfunction(value):
                 assert value.__module__ == home_module(name).__name__, name
-
-    def test_dimension_cap_is_one_object(self):
-        assert fibocube.DEFAULT_DIMENSION_CAP is oracle.DEFAULT_DIMENSION_CAP
-        assert oracle.DEFAULT_DIMENSION_CAP is words.DEFAULT_DIMENSION_CAP == 25
 
     def test_star_import_and_dir(self):
         namespace = {}
@@ -57,7 +53,7 @@ class TestLazyNumpy:
     def test_only_oracle_names_load_numpy(self):
         code = (
             f"import json, sys; sys.path.insert(0, {SRC!r}); import fibocube; "
-            "names = ('Word', 'DEFAULT_DIMENSION_CAP', 'classify', 'build_overlap_graph'); "
+            "names = ('Word', 'MAX_LENGTH', 'classify', 'build_overlap_graph'); "
             "[getattr(fibocube, n) for n in names]; before = 'numpy' in sys.modules; "
             "fibocube.build_graph; print(json.dumps([before, 'numpy' in sys.modules]))"
         )

@@ -295,6 +295,23 @@ class TestVerifyWitness:
         assert not check.ok
         assert check.reason == "alpha-length"
 
+    def test_wrong_length_beta(self):
+        check = verify_witness(replace(self.witness(), beta=W("10011")))
+        assert not check.ok
+        assert check.reason == "beta-length"
+
+    def test_alpha_contains_pattern(self):
+        check = verify_witness(replace(self.witness(), alpha=W("1010")))
+        assert not check.ok
+        assert check.reason == "alpha-contains-factor"
+
+    def test_unblocked_interval(self):
+        # 0000 and 0110 avoid 101 and differ at the declared flips 2 and 3,
+        # but flipping either bit of 0000 gives a word that avoids 101 too.
+        check = verify_witness(replace(self.witness(), alpha=W("0000"), beta=W("0110")))
+        assert not check.ok
+        assert check.reason == "interval-not-blocked"
+
 
 class TestLiftWitness:
     def witness(self):
