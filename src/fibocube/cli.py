@@ -29,21 +29,17 @@ EXIT_BAD = 10
 SUITE_CHOICES = ("all", "cross", "p-values", "index-bound", "doubling", "monotonicity", "lemma21")
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_pattern(text: str) -> Word:
     try:
         return Word.parse(text)
     except WordError as exc:
-        raise UsageError(f"bad pattern {text!r}: {exc}") from exc
+        raise ValueError(f"bad pattern {text!r}: {exc}") from exc
 
 
 def _workers(args) -> int:
     workers = (os.cpu_count() or 1) if args.workers is None else args.workers
     if workers < 1:
-        raise UsageError("--workers must be at least 1")
+        raise ValueError("--workers must be at least 1")
     return workers
 
 
@@ -217,10 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (WordError, ValueError) as exc:
+    except ValueError as exc:  # WordError is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

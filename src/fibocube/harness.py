@@ -31,6 +31,8 @@ from .periodicity import (
 )
 from .words import Word
 
+MAX_SWEEP_LENGTH = 14  # longest pattern a census or verification sweep enumerates
+
 
 @dataclass(frozen=True)
 class TheoremReport:
@@ -335,8 +337,8 @@ def cross_validate_patterns(texts: list[str], workers: int = 1) -> TheoremReport
 
 
 def census(n: int, workers: int = 1, oracle_confirm: bool = False) -> CensusRow:
-    if not 1 <= n <= 14:
-        raise ValueError(f"census length must be in 1..14, got {n}")
+    if not 1 <= n <= MAX_SWEEP_LENGTH:
+        raise ValueError(f"census length must be in 1..{MAX_SWEEP_LENGTH}, got {n}")
     if oracle_confirm and n > 9:
         raise ValueError(f"oracle confirmation is limited to length 9, got {n}")
     texts = all_patterns(n)
@@ -399,8 +401,8 @@ def check_overlap_machinery(limit: int = 12) -> TheoremReport:
 def run_suites(suite: str, max_len: int, workers: int = 1) -> list[TheoremReport]:
     """Run one named suite, or all of them in one pass plus the
     overlap-machinery check."""
-    if max_len < 1:
-        raise ValueError(f"sweep length must be at least 1, got {max_len}")
+    if not 1 <= max_len <= MAX_SWEEP_LENGTH:
+        raise ValueError(f"sweep length must be in 1..{MAX_SWEEP_LENGTH}, got {max_len}")
     selected = SUITES if suite == "all" else (suite,)
     unknown = set(selected) - set(SUITES)
     if unknown:

@@ -2,9 +2,11 @@
 
 Builds the vertex set of every length-d word avoiding a factor, finds
 critical word pairs straight from the definition (all interval neighbors of
-one endpoint forbidden), and computes graph distances by BFS.  Everything
-here is exhaustive and makes no use of the structural classifier, so the two
-can check each other.
+one endpoint are non-vertices), and computes graph distances by BFS.  Every
+answer is read from the sorted vertex array; f only builds, size-checks and
+labels Q_d(f), so a hand-built vertex set is answered exactly too.  All of it
+is exhaustive and independent of the structural classifier, so the two can
+check each other.
 
 Q_d(f) is grown one bit at a time from the f-avoiding words one bit shorter,
 so enumeration costs the sum of the vertex counts up to d, not 2^d window
@@ -13,10 +15,10 @@ anything is allocated when its d x V neighbor table would exceed
 MAX_TABLE_BYTES; V is counted exactly from f's autocorrelation.
 
 The flip tables, the critical-pair scan and graph_distance find a word's
-vertex index through one lookup.  When 2^d <= d * V it is a gather through a
-dense index of all 2^d words, which then has no more entries than the d x V
-neighbor table it fills; sparser graphs, such as Q_25(11) or Q_63(01),
-binary-search the sorted vertices instead.
+vertex index, or -1 for a non-vertex, through one lookup.  When 2^d <= d * V
+it is a gather through a dense index of all 2^d words, which then has no more
+entries than the d x V neighbor table it fills; sparser graphs, such as
+Q_25(11) or Q_63(01), binary-search the sorted vertices instead.
 
 The critical-pair scan decides isometry: an induced subgraph of Q_d is
 isometric exactly when it has no critical pair (the equivalence the lemma21
@@ -58,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .words import Pattern, Word, contains_factor
+from .words import Pattern, Word
 
 UNREACHABLE = math.inf
 
@@ -86,10 +88,11 @@ def _deposit(t: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 
 class AvoidanceGraph:
-    """Vertices are the f-avoiding length-d words; edges join Hamming-1 pairs.
+    """An induced subgraph of Q_d; edges join Hamming-1 pairs.
 
-    Vertex storage is a sorted array of packed words, so array index order is
-    lexicographic order of the words.  Adjacency structures are built lazily.
+    The vertices, a sorted array of packed length-d words, are the graph: the
+    pattern only labels it.  Array index order is lexicographic order of the
+    words.  Adjacency structures are built lazily.
     """
 
     def __init__(self, pattern: Pattern, dimension: int, vertices: np.ndarray):
@@ -104,13 +107,6 @@ class AvoidanceGraph:
     def words(self):
         d = self.dimension
         return (Word(d, int(v)) for v in self.vertices)
-
-    def contains_vertex(self, w: Word) -> bool:
-        return w.length == self.dimension and not contains_factor(w, self.pattern)
-
-    def _require_vertex(self, w: Word) -> None:
-        if not self.contains_vertex(w):
-            raise ValueError(f"{w} is not a vertex of Q_{self.dimension}({self.pattern})")
 
     @cached_property
     def _dense_index(self) -> np.ndarray | None:
@@ -140,7 +136,7 @@ class AvoidanceGraph:
         """(neighbor index table V x d, forbidden-flip mask per vertex).
 
         Table entry [v, k] is the dense index of vertex XOR (1 << k), or -1
-        when that word contains the factor.  Bit k of the mask is set exactly
+        when that word is not a vertex.  Bit k of the mask is set exactly
         in the -1 case, so interval-blocking tests reduce to integer masking.
         Each row k of the table is one _lookup of the vertices with bit k
         flipped: a gather through the dense word index when 2^d <= d * V,
@@ -173,11 +169,12 @@ class AvoidanceGraph:
         the words flipped at a submask of F and keeps those that are
         vertices.  A vertex with more submasks than the graph has vertices
         tests every vertex instead, so no vertex costs more than one row of
-        all pairs.
+        all pairs.  The whole cube forbids no flip, so it has no pair and
+        builds no flip table.
         """
         verts = self.vertices
         n = verts.size
-        if n < 2 or self.pattern.length > self.dimension:
+        if n < 2 or n == 1 << self.dimension:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty
         forb = self.forbidden_flip_mask
@@ -350,11 +347,16 @@ def _distance_sum(g: AvoidanceGraph, sources: np.ndarray) -> tuple[int, bool]:
 def graph_distance(g: AvoidanceGraph, a: Word, b: Word) -> int | float:
     """BFS distance inside the graph; UNREACHABLE when no path exists.
 
-    One single-source BFS from a that expands only the frontier."""
-    g._require_vertex(a)
-    g._require_vertex(b)
-    ia, ib = g._lookup(np.array([a.bits, b.bits]))
-    dg = int(_distance_row(g, int(ia))[ib])
+    One single-source BFS from a that expands only the frontier.  A word of
+    another length is no vertex; a longer one would index past the dense table."""
+    d = g.dimension
+    ends = []
+    for w in (a, b):
+        i = int(g._lookup(np.array([w.bits]))[0]) if w.length == d and g.vertex_count else -1
+        if i < 0:
+            raise ValueError(f"{w} is not a vertex of Q_{d}({g.pattern})")
+        ends.append(i)
+    dg = int(_distance_row(g, ends[0])[ends[1]])
     return UNREACHABLE if dg < 0 else dg
 
 
@@ -431,8 +433,8 @@ def critical_p_values(g: AvoidanceGraph) -> np.ndarray:
 
 
 def is_isometric(g: AvoidanceGraph, with_min_p: bool = False) -> Verdict:
-    """Decide isometry from the critical-pair scan; name the violating pair
-    with one BFS.
+    """Decide isometry from the critical-pair scan of g's vertices; name the
+    violating pair with one BFS.
 
     A graph without critical pairs is isometric (see the module docstring).
     Otherwise the first pair in (source, target) index order whose graph
@@ -444,12 +446,6 @@ def is_isometric(g: AvoidanceGraph, with_min_p: bool = False) -> Verdict:
     with_min_p adds the least p among the critical pairs.
     """
     d = g.dimension
-    if g.pattern.length > d:
-        # No length-d word contains the factor, so the graph is the whole
-        # cube, where graph distance and Hamming distance agree.
-        if g.vertex_count != 1 << d:
-            raise RuntimeError("enumeration bug: full cube expected")
-        return Verdict(True)
     ps = critical_p_values(g)
     if not ps.size:
         return Verdict(True)

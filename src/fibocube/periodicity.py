@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 from .words import Word
 
+MAX_OVERLAP_VERTICES = 1 << 20  # its DOT export needs about half a KiB per vertex
+
 
 @dataclass(frozen=True)
 class OverlapGraph:
@@ -54,11 +56,17 @@ class OverlapGraph:
 
 
 def build_overlap_graph(r: int, s: int) -> OverlapGraph:
-    """The 2-regular bipartite incidence graph of the (r, s) equation system."""
+    """The 2-regular bipartite incidence graph of the (r, s) equation system:
+    2(k1 + k2) vertices, refused over MAX_OVERLAP_VERTICES."""
     if r < 1 or s < 1:
         raise ValueError(f"periods must be positive, got r={r}, s={s}")
     g = math.gcd(r, s)
     k1, k2 = r // g, s // g
+    if 2 * (k1 + k2) > MAX_OVERLAP_VERTICES:
+        raise ValueError(
+            f"overlap graph of r={r}, s={s} has {2 * (k1 + k2)} vertices, "
+            f"over the limit of {MAX_OVERLAP_VERTICES}"
+        )
     xs = tuple(f"v1_{i}" for i in range(1, k1 + 1)) + tuple(
         f"v3_{k}" for k in range(1, k2 + 1)
     )
@@ -103,8 +111,7 @@ class EquationSystem:
     """Concrete position equalities of the (r, s) system based at position t.
 
     type2[i] for i = 1..r/g is the pair (t+(i-1)g, t+(i-1)g+s);
-    type3[j] for j = 1..s/g is the pair (t+(j-1)g, t+(j-1)g+r);
-    type4[i] for i = 1..(r+s)/g is the tautological pair (t+(i-1)g, t+(i-1)g).
+    type3[j] for j = 1..s/g is the pair (t+(j-1)g, t+(j-1)g+r).
     """
 
     r: int
@@ -116,7 +123,6 @@ class EquationSystem:
     span: tuple[int, ...]
     type2: dict[int, tuple[int, int]]
     type3: dict[int, tuple[int, int]]
-    type4: dict[int, tuple[int, int]]
 
 
 def equation_system(r: int, s: int, base: int = 1) -> EquationSystem:
@@ -129,8 +135,7 @@ def equation_system(r: int, s: int, base: int = 1) -> EquationSystem:
     span = tuple(base + j * g for j in range(k1 + k2))
     type2 = {i: (base + (i - 1) * g, base + (i - 1) * g + s) for i in range(1, k1 + 1)}
     type3 = {j: (base + (j - 1) * g, base + (j - 1) * g + r) for j in range(1, k2 + 1)}
-    type4 = {i: (base + (i - 1) * g,) * 2 for i in range(1, k1 + k2 + 1)}
-    return EquationSystem(r, s, g, k1, k2, base, span, type2, type3, type4)
+    return EquationSystem(r, s, g, k1, k2, base, span, type2, type3)
 
 
 class _DSU:
@@ -155,7 +160,6 @@ def closure_implies(
     s: int,
     assumed: set[tuple[int, int]] | frozenset[tuple[int, int]] | list[tuple[int, int]],
     queried: tuple[int, int],
-    base: int = 1,
 ) -> bool:
     """True iff the assumed equations force equality of the queried positions.
 
@@ -163,7 +167,7 @@ def closure_implies(
     tautological identifications are always in force and need not be listed.
     Both queried positions must lie in the system's span.
     """
-    system = equation_system(r, s, base)
+    system = equation_system(r, s)
     dsu = _DSU(system.span)
     for eq in assumed:
         if not (isinstance(eq, tuple) and len(eq) == 2):

@@ -24,6 +24,20 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_cli_limited(argv, limit_kib):
+    """Run the CLI in a child process whose address space is limited to
+    limit_kib KiB; the limit is set on the child only."""
+    src = str(Path(fibocube.__file__).resolve().parents[1])
+    code = (
+        f"import resource, sys; sys.path.insert(0, {src!r}); "
+        "resource.setrlimit(resource.RLIMIT_AS, "
+        f"({limit_kib} * 1024, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+        "from fibocube.cli import main; "
+        f"sys.exit(main({list(argv)!r}))"
+    )
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
 class TestClassify:
     def test_bad_pattern_101(self):
         code, out, _ = run_cli("classify", "101")
@@ -96,6 +110,25 @@ class TestIndexAndWitness:
         assert code == EXIT_OK
         assert json.loads(out) == []
 
+    def test_index_json(self):
+        assert run_cli("index", "0011", "--format", "json") == (
+            EXIT_BAD, '{"index": 7, "pattern": "0011", "verdict": "bad"}\n', ""
+        )
+
+    def test_index_csv(self):
+        assert run_cli("index", "111", "--format", "csv") == (
+            EXIT_OK, "pattern,verdict,index\n111,good,\n", ""
+        )
+
+    def test_witness_text(self):
+        # One JSON object per line rather than one JSON list.
+        assert run_cli("witness", "0011", "--format", "text") == (
+            EXIT_BAD,
+            '{"alpha": "0010111", "beta": "0001011", "dimension": 7, "flips": [3, 4, 5], '
+            '"offsets": {"3": 3, "4": 1, "5": 4}, "p": 3, "pattern": "0011", "shift": 1}\n',
+            "",
+        )
+
 
 class TestCensus:
     def test_csv_row(self):
@@ -122,6 +155,11 @@ class TestCensus:
         code, out, _ = run_cli("census", "3", "--workers", "1")
         assert code == EXIT_OK
         assert out.startswith("length=3 total=8 good=6 bad=2")
+
+    def test_rejects_zero_workers(self):
+        assert run_cli("census", "4", "--workers", "0") == (
+            EXIT_USAGE, "", "error: --workers must be at least 1\n"
+        )
 
 
 class TestVerify:
@@ -160,7 +198,15 @@ class TestVerify:
         code, out, err = run_cli("verify", "--max-len", max_len, "--workers", "1")
         assert code == EXIT_USAGE
         assert out == ""
-        assert err == f"error: sweep length must be at least 1, got {max_len}\n"
+        assert err == f"error: sweep length must be in 1..14, got {max_len}\n"
+
+    def test_rejects_sweep_past_census_limit_before_enumerating(self):
+        # Length 40 would list about 2^41 pattern strings before any check;
+        # under a 1.5 GB address-space limit that ran out of memory.
+        run = run_cli_limited(["verify", "--max-len", "40", "--suite", "index-bound"], 1_500_000)
+        assert (run.returncode, run.stdout, run.stderr) == (
+            EXIT_USAGE, "", "error: sweep length must be in 1..14, got 40\n"
+        )
 
 
 class TestGraphExport:
@@ -212,15 +258,7 @@ class TestGraphExport:
     def test_refused_before_allocating(self):
         # The limit case refuses under a 3 GB address-space limit set on the
         # child process only; building the graph would need 3 GiB.
-        src = str(Path(fibocube.__file__).resolve().parents[1])
-        code = (
-            f"import resource, sys; sys.path.insert(0, {src!r}); "
-            "resource.setrlimit(resource.RLIMIT_AS, "
-            "(3_000_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1])); "
-            "from fibocube.cli import main; "
-            f"sys.exit(main(['graph', {'1' * 25!r}, '--dim', '24']))"
-        )
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        run = run_cli_limited(["graph", "1" * 25, "--dim", "24"], 3_000_000)
         assert run.returncode == EXIT_USAGE, run.stderr
         assert run.stdout == ""
         assert "16777216 vertices" in run.stderr and "3.0 GiB" in run.stderr
@@ -267,6 +305,16 @@ class TestOverlapGraphExport:
         code, _, err = run_cli("overlap-graph", "0", "3")
         assert code == EXIT_USAGE
         assert "positive" in err
+
+    def test_refuses_oversized_graph_before_building(self):
+        # 2 * 10^9 vertex labels ran out of memory under a 1.5 GB limit.
+        run = run_cli_limited(["overlap-graph", "1000000000", "1"], 1_500_000)
+        assert (run.returncode, run.stdout, run.stderr) == (
+            EXIT_USAGE,
+            "",
+            "error: overlap graph of r=1000000000, s=1 has 2000000002 vertices, "
+            "over the limit of 1048576\n",
+        )
 
 
 class TestDeterminism:

@@ -159,6 +159,20 @@ class TestCensus:
         with pytest.raises(ValueError):
             census(10, oracle_confirm=True)
 
+    def test_one_length_bound_for_census_and_sweeps(self):
+        assert harness.MAX_SWEEP_LENGTH == 14
+        with pytest.raises(ValueError, match=r"^census length must be in 1\.\.14, got 15$"):
+            census(15)
+        with pytest.raises(ValueError, match=r"^sweep length must be in 1\.\.14, got 15$"):
+            run_suites("cross", 15)
+
+    def test_oracle_confirmation_names_a_disagreeing_pattern(self, monkeypatch):
+        # The oracle side reports index 99 for every pattern; 00 comes first.
+        monkeypatch.setattr(oracle, "index_bruteforce", lambda f, graph=None: 99)
+        message = r"^classifier disagrees with oracle on 00: None vs 99$"
+        with pytest.raises(RuntimeError, match=message):
+            census(2, workers=1, oracle_confirm=True)
+
     def test_csv_layout(self):
         text = census_csv([census(3)])
         lines = text.splitlines()

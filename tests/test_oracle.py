@@ -53,7 +53,7 @@ def reference_verdict(g):
     """Isometry from full distance matrices of every 64-source batch: the
     first (source, target) pair in index order whose distances differ."""
     verts, d = g.vertices, g.dimension
-    if g.vertex_count <= 1 or g.pattern.length > d:
+    if g.vertex_count <= 1:
         return (True, None)
     for lo in range(0, g.vertex_count, 64):
         idx = np.arange(lo, min(lo + 64, g.vertex_count))
@@ -90,7 +90,7 @@ def reference_critical_pairs(g):
     distance at least 2 and every differing position a forbidden flip of
     one endpoint."""
     verts, n, d = g.vertices, g.vertex_count, g.dimension
-    if n < 2 or g.pattern.length > d:
+    if n < 2:
         return []
     forb = g.forbidden_flip_mask
     cols = np.arange(n)[None, :]
@@ -347,6 +347,32 @@ class TestGraphDistance:
         with pytest.raises(ValueError):
             graph_distance(g, W("1010"), W("0000"))
 
+    # The path 000 - 001 - 011, labelled 11 although 011 contains 11: the
+    # vertex array decides membership, not the label.
+    def test_hand_built_vertex_despite_its_label(self):
+        g = hand_built_graph("11", ["000", "001", "011"])
+        assert graph_distance(g, W("000"), W("011")) == 2
+        assert graph_distance(g, W("011"), W("000")) == 2
+
+    def test_hand_built_non_vertex_rejected(self):
+        # 010 avoids the label 11 but is not in the vertex array.
+        g = hand_built_graph("11", ["000", "001", "011"])
+        with pytest.raises(ValueError, match=r"^010 is not a vertex of Q_3\(11\)$"):
+            graph_distance(g, W("000"), W("010"))
+
+    @pytest.mark.parametrize("other", ["01", "0011", "0000"])
+    def test_wrong_length_endpoint_named(self, other):
+        g = hand_built_graph("11", ["000", "001", "011"])
+        with pytest.raises(ValueError, match=rf"^{other} is not a vertex of Q_3\(11\)$"):
+            graph_distance(g, W("000"), W(other))
+        with pytest.raises(ValueError, match=rf"^{other} is not a vertex of Q_3\(11\)$"):
+            graph_distance(g, W(other), W("001"))
+
+    def test_empty_graph_has_no_vertex(self):
+        g = AvoidanceGraph(W("11"), 3, np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match=r"^000 is not a vertex of Q_3\(11\)$"):
+            graph_distance(g, W("000"), W("000"))
+
     def test_distance_at_least_hamming(self):
         g = build_graph(W("101"), 4)
         ws = list(g.words())
@@ -422,6 +448,28 @@ class TestIsIsometric:
         v = is_isometric(build_graph(W("01100"), 4))
         assert v.isometric and v.violating_pair is None
 
+    def test_full_cube_builds_no_flip_table(self):
+        # The whole cube is known free of pairs from its vertex count alone,
+        # whatever its label, so no d x 2^d table is built.
+        for label in ("01100", "11"):
+            g = AvoidanceGraph(W(label), 4, np.arange(16, dtype=np.int64))
+            assert is_isometric(g) == oracle.Verdict(True)
+            assert find_critical_pairs(g) == []
+            assert "_flip_tables" not in vars(g)
+
+    # {000, 011} at d = 3: two vertices at Hamming distance 2 with no path.
+    # Labelled 1111, longer than d, the graph is still not the whole cube.
+    def test_label_longer_than_dimension(self):
+        g = hand_built_graph("1111", ["000", "011"])
+        assert [(str(c.alpha), str(c.beta), c.p, c.blocked_side)
+                for c in find_critical_pairs(g)] == [("000", "011", 2, "both")]
+        v = is_isometric(g)
+        assert not v.isometric
+        alpha, beta, dg, h = v.violating_pair
+        assert (str(alpha), str(beta), dg, h) == ("000", "011", UNREACHABLE, 2)
+        assert reference_verdict(g) == (False, ("000", "011", UNREACHABLE, 2))
+        assert reference_critical_pairs(g) == [("000", "011", 2, "both")]
+
     def test_with_min_p(self):
         v = is_isometric(build_graph(W("101"), 4), with_min_p=True)
         assert v.minimal_critical_p == 2
@@ -459,9 +507,10 @@ class TestIsIsometric:
     @given(st.data())
     def test_hand_built_subgraphs_match_reference(self, data):
         """Random induced subgraphs of Q_d, disconnected ones included: the
-        scan's verdict and the BFS-named pair equal the full distance matrices'."""
+        scan's verdict and the BFS-named pair equal the full distance matrices'.
+        The label, up to two bits longer than d, plays no part."""
         d = data.draw(st.integers(1, 6), label="d")
-        pattern = data.draw(st.text("01", min_size=1, max_size=d), label="pattern")
+        pattern = data.draw(st.text("01", min_size=1, max_size=d + 2), label="pattern")
         words = data.draw(st.sets(st.integers(0, (1 << d) - 1)), label="vertices")
         g = AvoidanceGraph(W(pattern), d, np.array(sorted(words), dtype=np.int64))
         v = is_isometric(g)
@@ -469,6 +518,8 @@ class TestIsIsometric:
         if vp is not None:
             vp = (str(vp[0]), str(vp[1]), vp[2], vp[3])
         assert (v.isometric, vp) == reference_verdict(g)
+        pairs = [(str(c.alpha), str(c.beta), c.p, c.blocked_side) for c in find_critical_pairs(g)]
+        assert pairs == reference_critical_pairs(g)
 
     def test_scan_runs_once_per_graph(self, monkeypatch):
         g = build_graph(W("00011"), 8)

@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from fibocube import periodicity
 from fibocube.periodicity import (
     OverlapGraph,
     build_overlap_graph,
@@ -54,6 +55,15 @@ class TestOverlapGraph:
             build_overlap_graph(0, 3)
         with pytest.raises(ValueError):
             build_overlap_graph(3, -1)
+
+    def test_vertex_limit(self, monkeypatch):
+        # 2(k1 + k2) vertices: (3, 1) has 8, (4, 1) has 10, (8, 2) reduces to (4, 1).
+        monkeypatch.setattr(periodicity, "MAX_OVERLAP_VERTICES", 8)
+        assert len(build_overlap_graph(3, 1).edges) == 8
+        assert len(build_overlap_graph(6, 2).edges) == 8
+        for r, s in [(4, 1), (8, 2)]:
+            with pytest.raises(ValueError, match=rf"s={s} has 10 vertices, over the limit of 8$"):
+                build_overlap_graph(r, s)
 
     def test_sweep_two_regular_bipartite_single_cycle(self):
         for r in range(1, 9):
@@ -138,10 +148,19 @@ class TestEquationSystem:
         assert (sys_.g, sys_.k1, sys_.k2) == (3, 2, 3)
         assert len(sys_.type2) == 2
         assert len(sys_.type3) == 3
-        assert len(sys_.type4) == 5
         assert sys_.span == (2, 5, 8, 11, 14)
         assert sys_.type2[1] == (2, 11)
         assert sys_.type3[2] == (5, 11)
+
+
+    @pytest.mark.parametrize("r, s", [(0, 3), (3, 0), (-1, 2)])
+    def test_rejects_nonpositive_periods(self, r, s):
+        with pytest.raises(ValueError, match=rf"periods must be positive, got r={r}, s={s}"):
+            equation_system(r, s)
+
+    def test_rejects_nonpositive_base(self):
+        with pytest.raises(ValueError, match="base position must be positive, got 0"):
+            equation_system(2, 3, base=0)
 
 
 class TestClosure:
@@ -254,6 +273,11 @@ class TestPeriodClosureCheck:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             period_closure_check(Word.parse("0101"), 2, 4)
+
+    @pytest.mark.parametrize("r, s", [(0, 4), (4, 0), (-1, 5)])
+    def test_rejects_nonpositive_periods(self, r, s):
+        with pytest.raises(ValueError, match=rf"periods must be positive, got r={r}, s={s}"):
+            period_closure_check(Word.parse("0101"), r, s)
 
     def test_never_fails_exhaustively(self):
         # The conclusion is entailed by the hypotheses, so ok is always True.

@@ -261,16 +261,35 @@ class TestVerifyWitness:
         assert check.reason == "beta-contains-factor"
 
     def test_wrong_p_is_malformed(self):
-        with pytest.raises(MalformedWitnessError):
+        with pytest.raises(MalformedWitnessError, match=r"^2 flips declared for p=3$"):
             verify_witness(replace(self.witness(), p=3))
 
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_p_outside_2_3_is_malformed(self, p):
+        with pytest.raises(MalformedWitnessError, match=rf"^p must be 2 or 3, got {p}$"):
+            verify_witness(replace(self.witness(), p=p))
+
+    def test_flips_not_ascending_is_malformed(self):
+        w = replace(self.witness(), flips=(3, 2), offsets=((3, 2), (2, 1)))
+        message = r"^flips not strictly ascending: \(3, 2\)$"
+        with pytest.raises(MalformedWitnessError, match=message):
+            verify_witness(w)
+
     def test_flip_out_of_range_is_malformed(self):
-        with pytest.raises(MalformedWitnessError):
+        with pytest.raises(MalformedWitnessError, match=r"^flip outside 1\.\.4: \(2, 9\)$"):
             verify_witness(replace(self.witness(), flips=(2, 9), offsets=((2, 1), (9, 2))))
 
     def test_offset_keys_must_match_flips(self):
-        with pytest.raises(MalformedWitnessError):
+        with pytest.raises(MalformedWitnessError, match=r"^offset keys do not match flips$"):
             verify_witness(replace(self.witness(), offsets=((1, 1), (3, 2))))
+
+    @pytest.mark.parametrize("offset", [0, 3])
+    def test_copy_window_outside_word_is_malformed(self, offset):
+        # 101 at offset 3 would end at position 5 of a length-4 word.
+        w = replace(self.witness(), offsets=((2, 1), (3, offset)))
+        message = rf"^copy window at offset {offset} outside word$"
+        with pytest.raises(MalformedWitnessError, match=message):
+            verify_witness(w)
 
     def test_beta_equal_to_alpha(self):
         w = self.witness()

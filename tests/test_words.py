@@ -67,6 +67,10 @@ class TestFactorSearch:
         assert factor_offsets(W("0000"), W("11")) == []
         assert factor_offsets(W("11"), W("11")) == [1]
 
+    def test_longer_factor_has_no_offsets(self):
+        assert factor_offsets(W("101"), W("1011")) == []
+        assert factor_offsets(W("1"), W("11")) == []
+
     def test_contains_iff_offsets_nonempty_exhaustive(self):
         for nu in range(1, 6):
             for u in all_words(nu):
@@ -180,3 +184,8 @@ class TestWindowsAndConcat:
     def test_bit_positions(self):
         w = W("10010")
         assert [w.bit(i) for i in range(1, 6)] == [1, 0, 0, 1, 0]
+
+    @pytest.mark.parametrize("i", [0, 6, -1])
+    def test_bit_out_of_range(self, i):
+        with pytest.raises(WordError, match=rf"^position {i} out of range 1\.\.5$"):
+            W("10010").bit(i)
