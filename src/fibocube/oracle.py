@@ -14,11 +14,17 @@ tests (Q_25(11) has 196,418 of the 2^25 words).  A graph is refused before
 anything is allocated when its d x V neighbor table would exceed
 MAX_TABLE_BYTES; V is counted exactly from f's autocorrelation.
 
-The flip tables, the critical-pair scan and graph_distance find a word's
-vertex index, or -1 for a non-vertex, through one lookup.  When 2^d <= d * V
-it is a gather through a dense index of all 2^d words, which then has no more
-entries than the d x V neighbor table it fills; sparser graphs, such as
-Q_25(11) or Q_63(01), binary-search the sorted vertices instead.
+The flip tables, the critical-pair scan, graph_distance and the export find
+a word's vertex index, or -1 for a non-vertex, through one lookup.  When
+2^d <= d * V it is a gather through a dense index of all 2^d words, which
+then has no more entries than the d x V neighbor table; sparser graphs, such
+as Q_25(11) or Q_63(01), binary-search the sorted vertices instead.  The
+vertices must be sorted and distinct, so the constructor checks them.
+
+The export takes each edge from its lower end i and the bit k it sets (one
+lookup per bit into a V x d bool matrix), never from the flip tables.  DOT is
+written into one byte buffer and decoded once: an edge line is a copy of its
+lower end's fixed-width line template with digit d-1-k of the upper name set.
 
 The critical-pair scan decides isometry: an induced subgraph of Q_d is
 isometric exactly when it has no critical pair (the equivalence the lemma21
@@ -96,6 +102,12 @@ class AvoidanceGraph:
     """
 
     def __init__(self, pattern: Pattern, dimension: int, vertices: np.ndarray):
+        v = vertices
+        if v.dtype != np.int64 or v.ndim != 1 or v.size and (
+            v[0] < 0 or int(v[-1]) >> dimension or not (v[1:] > v[:-1]).all()
+        ):
+            raise ValueError(f"vertices of Q_{dimension}({pattern}) are not a strictly "
+                             f"increasing 1-D int64 array of words in [0, 2^{dimension})")
         self.pattern = pattern
         self.dimension = dimension
         self.vertices = vertices
@@ -138,10 +150,8 @@ class AvoidanceGraph:
         Table entry [v, k] is the dense index of vertex XOR (1 << k), or -1
         when that word is not a vertex.  Bit k of the mask is set exactly
         in the -1 case, so interval-blocking tests reduce to integer masking.
-        Each row k of the table is one _lookup of the vertices with bit k
-        flipped: a gather through the dense word index when 2^d <= d * V,
-        else a binary search.  The table is a view of a contiguous d x V
-        array, whose rows the BFS gathers through.
+        Row k of the contiguous d x V array the table views, which the BFS
+        gathers through, is one _lookup of the vertices with bit k flipped.
         """
         verts = self.vertices
         d = self.dimension
@@ -197,25 +207,26 @@ class AvoidanceGraph:
         key = np.unique(np.concatenate(keys))
         return key // n, key % n
 
-    def _edge_indices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays (i, j), i < j, of all edges, sorted by (i, j).
-
-        Index order is lexicographic order, so sorting index pairs sorts the
-        word pairs.  Row-major order of the table is already sorted: for
-        j > i, j is i's word with a zero bit k set, so j grows with k.
-        """
-        table = self.neighbor_table
-        i, k = np.nonzero(table > np.arange(self.vertex_count)[:, None])
-        return i, table[i, k]
+    def _up_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(i, k) of every edge: its lower end's index i and the bit k, 0 in
+        i, that its upper end j sets.  Row-major order of the V x d bool
+        matrix is (i, j) order, hence word order, since j grows with k.  One
+        lookup per bit fills it: j > i exactly when bit k of i is 0 and
+        setting it gives a vertex (a set bit gives j = i)."""
+        verts = self.vertices
+        n, d = verts.size, self.dimension
+        up, below = np.empty((n, d), dtype=bool), np.arange(n)
+        for k in range(d):
+            up[:, k] = self._lookup(verts | 1 << k) > below
+        flat = np.flatnonzero(up)
+        i = flat // d
+        return i, flat - i * d
 
     def edge_list(self) -> list[tuple[Word, Word]]:
         """All edges with the smaller endpoint first, sorted."""
-        d = self.dimension
-        i, j = self._edge_indices()
-        return [
-            (Word(d, a), Word(d, b))
-            for a, b in zip(self.vertices[i].tolist(), self.vertices[j].tolist())
-        ]
+        i, k = self._up_edges()
+        lo, d = self.vertices[i], self.dimension
+        return [(Word(d, a), Word(d, b)) for a, b in zip(lo.tolist(), (lo | 1 << k).tolist())]
 
 
 def _vertex_count(f: Pattern, d: int) -> int:
@@ -501,52 +512,41 @@ def index_bruteforce(f: Pattern, graph=None) -> int | None:
     return first_violation_dimension(f, 2 * f.length - 1, graph)
 
 
-def _vertex_names(g: AvoidanceGraph) -> np.ndarray:
-    """Each vertex's word as one fixed-width bytes element (dtype S<d>)."""
+def _digits(g: AvoidanceGraph) -> np.ndarray:
+    """Each vertex's word as one row of ASCII digits (V x d uint8)."""
     d = g.dimension
     digits = np.empty((g.vertex_count, d), dtype=np.uint8)
     for k in range(d):
-        digits[:, k] = (g.vertices >> (d - 1 - k)) & 1
-    digits += ord("0")
-    return digits.view(f"S{d}").ravel()
-
-
-def _records(n: int, *parts) -> np.ndarray:
-    """An array of n fixed-width records whose bytes are each record's parts
-    in order: a bytes constant is repeated in every record, an S-dtype array
-    gives one element per record."""
-    fields = [
-        (f"f{k}", p.dtype if isinstance(p, np.ndarray) else f"S{len(p)}")
-        for k, p in enumerate(parts)
-    ]
-    out = np.empty(n, dtype=fields)
-    for (name, _), p in zip(fields, parts):
-        out[name] = p
-    return out
+        digits[:, k] = (g.vertices >> (d - 1 - k)) & 1 | ord("0")
+    return digits
 
 
 def graph_to_dot(g: AvoidanceGraph) -> str:
-    """DOT text: one line per vertex, then one per edge in edge_list order.
-
-    Every vertex line and every edge line has a fixed width, so each block is
-    rendered as one array of records rather than one string per line.
-    """
-    names = _vertex_names(g)
-    i, j = g._edge_indices()
-    header = f'graph "Q_{g.dimension}({g.pattern})" {{\n'.encode()
-    text = b"".join([
-        header,
-        _records(names.size, b'  "', names, b'";\n'),
-        _records(i.size, b'  "', names[i], b'" -- "', names[j], b'";\n'),
-        b"}\n",
-    ])
-    return text.decode("ascii")
+    """DOT text: one line per vertex, then one per edge in edge_list order,
+    written into one byte buffer as the module docstring describes."""
+    d, n = g.dimension, g.vertex_count
+    i, k = g._up_edges()
+    head, width = f'graph "Q_{d}({g.pattern})" {{\n'.encode(), 2 * d + 12
+    body = len(head) + n * (d + 6)
+    text = np.empty(body + i.size * width + 2, dtype=np.uint8)
+    text[: len(head)], text[-2:] = list(head), list(b"}\n")
+    lines = text[len(head) : body].reshape(n, d + 6)  # '  "w";\n'
+    lines[:, :3], lines[:, 3:-3], lines[:, -3:] = list(b'  "'), _digits(g), list(b'";\n')
+    template = np.empty((n, width), dtype=np.uint8)  # '  "w" -- "w";\n'
+    template[:, : d + 3], template[:, d + 9 :] = lines[:, : d + 3], lines[:, 3:]
+    template[:, d + 3 : d + 9] = list(b'" -- "')
+    np.take(template, i, axis=0, out=text[body:-2].reshape(i.size, width), mode="clip")
+    # The upper name starts at column d + 9; its digit d-1-k is bit k.
+    text[np.arange(body + 2 * d + 8, text.size - 2, width) - k] = ord("1")
+    del i, k, template  # so that only the buffer is held while it is decoded
+    return str(text, "ascii")
 
 
 def graph_to_json_dict(g: AvoidanceGraph) -> dict:
     # One str object per vertex, shared by its edge rows.
-    names = _vertex_names(g).astype(str).astype(object)
-    i, j = g._edge_indices()
+    names = _digits(g).view(f"S{g.dimension}").ravel().astype(str).astype(object)
+    i, k = g._up_edges()
+    j = g._lookup(g.vertices[i] | 1 << k)
     return {
         "pattern": str(g.pattern),
         "dimension": g.dimension,

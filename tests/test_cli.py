@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -210,6 +211,16 @@ class TestVerify:
 
 
 class TestGraphExport:
+    def test_matches_stored_benchmark_export(self):
+        # The oracle-big benchmark checks this export's size and sha256
+        # against bench/expected/oracle.json; a byte change fails here too.
+        path = Path(__file__).resolve().parents[1] / "bench" / "expected" / "oracle.json"
+        want = json.loads(path.read_text())["graph-0000000-d13-dot"]
+        code, out, _ = run_cli("graph", "0000000", "--dim", "13", "--format", "dot")
+        data = out.encode()
+        assert code == want["code"] == EXIT_OK
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (want["bytes"], want["sha256"])
+
     def test_matches_reference_export(self):
         g = build_graph(Word.parse("0011"), 7)
         code, out, _ = run_cli("graph", "0011", "--dim", "7", "--format", "dot")

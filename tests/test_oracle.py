@@ -124,6 +124,40 @@ def reference_bfs(vertices, source):
     return dist
 
 
+class TestVertexArrayCheck:
+    """The lookups, the scan and the edge order all assume a strictly
+    increasing int64 array of d-bit words, so the constructor insists."""
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            [3, 0],  # unsorted: was answered isometric, though [0, 3] is not
+            [0, 9],  # 9 is not a 3-bit word: was answered isometric
+            [7, 3, 1, 0],  # descending: edge_list put the larger word first
+            [1, 1],
+            [-1, 2],
+        ],
+    )
+    def test_rejected(self, words):
+        with pytest.raises(ValueError, match=r"^vertices of Q_3\(1111\) are not a strictly"):
+            AvoidanceGraph(W("1111"), 3, np.array(words, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "vertices", [np.array([0.0, 1.0]), np.array([[0, 1]]), np.array([0, 1], dtype=np.uint64)]
+    )
+    def test_rejected_shape_or_dtype(self, vertices):
+        with pytest.raises(ValueError, match="1-D int64 array"):
+            AvoidanceGraph(W("11"), 3, vertices)
+
+    def test_sorted_set_is_answered(self):
+        g = AvoidanceGraph(W("1111"), 3, np.array([0, 3]))
+        assert is_isometric(g) == oracle.Verdict(False, (W("000"), W("011"), UNREACHABLE, 2))
+
+    @pytest.mark.parametrize("d, words", [(3, []), (3, [7]), (63, [0, (1 << 63) - 1])])
+    def test_accepted(self, d, words):
+        AvoidanceGraph(W("11"), d, np.array(words, dtype=np.int64))
+
+
 class TestBuildGraph:
     def test_fibonacci_cube_d4(self):
         assert build_graph(W("11"), 4).vertex_count == 8
@@ -726,11 +760,13 @@ def reference_edge_list(g):
 
 
 def assert_exports_match_reference(g):
+    """g must be fresh: no export, nor the reference, builds the flip tables."""
     assert graph_to_dot(g) == reference_graph_to_dot(g)
     data, want = graph_to_json_dict(g), reference_graph_to_json_dict(g)
     assert data == want
     assert json.dumps(data, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert g.edge_list() == reference_edge_list(g)
+    assert "_flip_tables" not in vars(g)
 
 
 class TestExports:
@@ -746,12 +782,38 @@ class TestExports:
             ("0", 3, 1),  # one vertex, no edges
             ("1111", 3, 8),  # pattern longer than d: the full cube
             ("01", 1, 2),
+            ("11", 16, 2584),  # 2^16 > 16 * 2584: the lookup binary-searches
         ],
     )
     def test_matches_reference(self, text, d, vertices):
         g = build_graph(W(text), d)
         assert g.vertex_count == vertices
         assert_exports_match_reference(g)
+
+    def test_matches_reference_by_binary_search(self, monkeypatch):
+        without_dense_index(monkeypatch)
+        for text in patterns_up_to(3):
+            for d in range(1, 2 * len(text) + 3):
+                assert_exports_match_reference(build_graph(W(text), d))
+
+    @pytest.mark.parametrize("pattern, words, expected", DISCONNECTED_SUBGRAPHS)
+    def test_matches_reference_on_hand_built_graphs(self, pattern, words, expected):
+        assert_exports_match_reference(hand_built_graph(pattern, words))
+
+    def test_one_hand_built_vertex(self):
+        g = hand_built_graph("1", ["101"])
+        assert_exports_match_reference(g)
+        assert graph_to_dot(g) == 'graph "Q_3(1)" {\n  "101";\n}\n'
+
+    def test_empty_graph(self):
+        g = AvoidanceGraph(W("11"), 3, np.zeros(0, dtype=np.int64))
+        assert_exports_match_reference(g)
+        assert graph_to_dot(g) == 'graph "Q_3(11)" {\n}\n'
+
+    def test_words_up_to_the_int64_limit(self):
+        g = AvoidanceGraph(W("01"), 63, np.array([0, 1, 1 << 62, (1 << 63) - 2, (1 << 63) - 1]))
+        assert_exports_match_reference(g)
+        assert len(g.edge_list()) == 3
 
     def test_dot_q2_11(self):
         dot = graph_to_dot(build_graph(W("11"), 2))
