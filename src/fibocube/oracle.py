@@ -19,7 +19,7 @@ a word's vertex index, or -1 for a non-vertex, through one lookup.  When
 2^d <= d * V it is a gather through a dense index of all 2^d words, which
 then has no more entries than the d x V neighbor table; sparser graphs, such
 as Q_25(11) or Q_63(01), binary-search the sorted vertices instead.  The
-vertices must be sorted and distinct, so the constructor checks them.
+vertices must be sorted, distinct d-bit words, so the constructor checks them.
 
 The export takes each edge from its lower end i and the bit k it sets (one
 lookup per bit into a V x d bool matrix), never from the flip tables.  DOT is
