@@ -314,19 +314,9 @@ def _run(names, texts, workers, max_len=None) -> list[TheoremReport]:
     return reports
 
 
-def _census_one(args):
-    text, confirm = args
-    p = _Pattern(text)
-    cls = p.classify(p.f)
-    if confirm:
-        b = p.index(p.f)
-        if b != cls.index:
-            raise RuntimeError(
-                f"classifier disagrees with oracle on {text}: {cls.index} vs {b}"
-            )
-    if cls.good:
-        return (text, None, None)
-    return (text, cls.index, min(w.p for w in cls.witnesses))
+def _census_one(text: str):
+    cls = structural.classify(Word.parse(text))
+    return cls.index, min((w.p for w in cls.witnesses), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +327,24 @@ def cross_validate_patterns(texts: list[str], workers: int = 1) -> TheoremReport
 
 
 def census(n: int, workers: int = 1, oracle_confirm: bool = False) -> CensusRow:
+    """The classifier's counts for every pattern of length n.  oracle_confirm
+    first runs the cross check on them all (probing to 2n+2 when n <= 4) and
+    raises RuntimeError on its counterexample."""
     if not 1 <= n <= MAX_SWEEP_LENGTH:
         raise ValueError(f"census length must be in 1..{MAX_SWEEP_LENGTH}, got {n}")
     if oracle_confirm and n > 9:
         raise ValueError(f"oracle confirmation is limited to length 9, got {n}")
     texts = all_patterns(n)
-    results = _pmap(_census_one, [(t, oracle_confirm) for t in texts], workers)
+    bad = cross_validate_patterns(texts, workers).counterexample if oracle_confirm else None
+    if bad is not None:
+        detail = (f"{bad['structural_index']} vs {bad['bruteforce_index']}"
+                  if bad["failure"] == "index-mismatch"
+                  else f"{bad['failure']} at d = {bad['first_violation_to_2n_plus_2']}")
+        raise RuntimeError(f"classifier disagrees with oracle on {bad['pattern']}: {detail}")
     good = 0
     index_hist: dict[int, int] = {}
     p_hist: dict[int, int] = {}
-    for _, index, min_p in results:
+    for index, min_p in _pmap(_census_one, texts, workers):
         if index is None:
             good += 1
         else:

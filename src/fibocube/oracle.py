@@ -12,7 +12,9 @@ Q_d(f) is grown one bit at a time from the f-avoiding words one bit shorter,
 so enumeration costs the sum of the vertex counts up to d, not 2^d window
 tests (Q_25(11) has 196,418 of the 2^25 words).  A graph is refused before
 anything is allocated when its d x V neighbor table would exceed
-MAX_TABLE_BYTES; V is counted exactly from f's autocorrelation.
+MAX_TABLE_BYTES; V is counted exactly from f's autocorrelation.  An export
+is refused, once its edges are counted and before they are listed, when its
+DOT text would exceed the same limit.
 
 The flip tables, the critical-pair scan, graph_distance and the export find
 a word's vertex index, or -1 for a non-vertex, through one lookup.  When
@@ -72,7 +74,7 @@ UNREACHABLE = math.inf
 
 _CANDIDATE_CHUNK = 1 << 18  # critical-pair candidates held at once
 _SOURCE_CHUNK = 64  # BFS sources per batch: one bit each in a uint64
-MAX_TABLE_BYTES = 1 << 30  # largest d x V int64 neighbor table a graph may need
+MAX_TABLE_BYTES = 1 << 30  # largest d x V int64 neighbor table, or DOT text, of a graph
 
 
 def _popcount(a: np.ndarray) -> np.ndarray:
@@ -212,12 +214,21 @@ class AvoidanceGraph:
         i, that its upper end j sets.  Row-major order of the V x d bool
         matrix is (i, j) order, hence word order, since j grows with k.  One
         lookup per bit fills it: j > i exactly when bit k of i is 0 and
-        setting it gives a vertex (a set bit gives j = i)."""
+        setting it gives a vertex (a set bit gives j = i).  The edges are
+        counted first: every export is refused, before any array of E
+        entries exists, when graph_to_dot's text would exceed MAX_TABLE_BYTES."""
         verts = self.vertices
         n, d = verts.size, self.dimension
         up, below = np.empty((n, d), dtype=bool), np.arange(n)
         for k in range(d):
             up[:, k] = self._lookup(verts | 1 << k) > below
+        e = int(np.count_nonzero(up))
+        size = len(_dot_header(self)) + n * (d + 6) + e * (2 * d + 12) + 2
+        if size > MAX_TABLE_BYTES:
+            raise ValueError(
+                f"Q_{d}({self.pattern}) has {n} vertices and {e} edges; its DOT text needs "
+                f"{size / (1 << 30):.2f} GiB, over the {MAX_TABLE_BYTES / (1 << 30):g} GiB limit"
+            )
         flat = np.flatnonzero(up)
         i = flat // d
         return i, flat - i * d
@@ -521,12 +532,16 @@ def _digits(g: AvoidanceGraph) -> np.ndarray:
     return digits
 
 
+def _dot_header(g: AvoidanceGraph) -> bytes:
+    return f'graph "Q_{g.dimension}({g.pattern})" {{\n'.encode()
+
+
 def graph_to_dot(g: AvoidanceGraph) -> str:
     """DOT text: one line per vertex, then one per edge in edge_list order,
     written into one byte buffer as the module docstring describes."""
     d, n = g.dimension, g.vertex_count
     i, k = g._up_edges()
-    head, width = f'graph "Q_{d}({g.pattern})" {{\n'.encode(), 2 * d + 12
+    head, width = _dot_header(g), 2 * d + 12
     body = len(head) + n * (d + 6)
     text = np.empty(body + i.size * width + 2, dtype=np.uint8)
     text[: len(head)], text[-2:] = list(head), list(b"}\n")
@@ -543,9 +558,9 @@ def graph_to_dot(g: AvoidanceGraph) -> str:
 
 
 def graph_to_json_dict(g: AvoidanceGraph) -> dict:
+    i, k = g._up_edges()
     # One str object per vertex, shared by its edge rows.
     names = _digits(g).view(f"S{g.dimension}").ravel().astype(str).astype(object)
-    i, k = g._up_edges()
     j = g._lookup(g.vertices[i] | 1 << k)
     return {
         "pattern": str(g.pattern),

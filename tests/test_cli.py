@@ -274,6 +274,18 @@ class TestGraphExport:
         assert run.stdout == ""
         assert "16777216 vertices" in run.stderr and "3.0 GiB" in run.stderr
 
+    @pytest.mark.parametrize("fmt", ["dot", "json"])
+    def test_export_refused_by_its_dot_size_before_allocating(self, fmt):
+        # The whole 22-cube passes the table rule (0.69 GiB), but its DOT
+        # text would need 2.52 GiB; json is refused by the same count.
+        run = run_cli_limited(["graph", "1" * 25, "--dim", "22", "--format", fmt], 3_000_000)
+        assert run.returncode == EXIT_USAGE, run.stderr
+        assert run.stdout == ""
+        assert run.stderr == (
+            f"error: Q_22({'1' * 25}) has 4194304 vertices and 46137344 edges; "
+            "its DOT text needs 2.52 GiB, over the 1 GiB limit\n"
+        )
+
     def test_cap_flag(self):
         # There is no --cap option: argparse refuses it with exit 2.
         for argv in (("graph", "11", "--dim", "6"), ("census", "3"), ("verify",)):

@@ -97,6 +97,22 @@ class TestTheoremChecks:
         r = run_suites("doubling", 3)[0]
         assert r.passed and r.checked == 14
 
+    def test_doubled_index_is_past_twice_the_length(self):
+        # Q_d(ff) is the whole cube for d < 2|f| and lacks only ff at d = 2|f|;
+        # one missing vertex blocks at most one of the k >= 2 disjoint shortest
+        # paths between two words, so both are isometric and B(ff) >= 2|f| + 1,
+        # above B(f) <= 2|f| - 1: a doubled index never falls below the index.
+        for text in harness.patterns_up_to(7):
+            f = Word.parse(text)
+            ff, n = f.concat(f), f.length
+            if not structural.classify(f).good:
+                index = structural.classify(ff).index
+                assert index is None or index >= 2 * n + 1, text
+            if n <= 4:
+                g = oracle.build_graph(ff, 2 * n)
+                assert g.vertex_count == (1 << 2 * n) - 1, text
+                assert oracle.is_isometric(g).isometric, text
+
     def test_monotonicity(self):
         r = run_suites("monotonicity", 3)[0]
         assert r.passed and r.checked == 2
@@ -172,6 +188,26 @@ class TestCensus:
         message = r"^classifier disagrees with oracle on 00: None vs 99$"
         with pytest.raises(RuntimeError, match=message):
             census(2, workers=1, oracle_confirm=True)
+
+    def test_oracle_confirmation_probes_good_patterns_past_the_bound(self, monkeypatch):
+        # One critical pair appears only at d = 2n + 2, which the cross
+        # check's probe reaches; 000 is the first good pattern of length 3.
+        monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: (
+            ONE_PAIR if g.dimension == 2 * g.pattern.length + 2 else REAL_SCAN(g)
+        ))
+        message = (r"^classifier disagrees with oracle on 000: "
+                   r"violation-appears-past-bound at d = 8$")
+        with pytest.raises(RuntimeError, match=message):
+            census(3, workers=1, oracle_confirm=True)
+
+    def test_census_without_confirmation_never_reaches_the_oracle(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle was called")
+
+        expected = row_bytes(census(6, workers=1))
+        monkeypatch.setattr(oracle, "build_graph", refuse)
+        monkeypatch.setattr(oracle, "index_bruteforce", refuse)
+        assert row_bytes(census(6, workers=1)) == expected
 
     def test_csv_layout(self):
         text = census_csv([census(3)])

@@ -815,6 +815,20 @@ class TestExports:
         assert_exports_match_reference(g)
         assert len(g.edge_list()) == 3
 
+    @pytest.mark.parametrize("export", [graph_to_dot, graph_to_json_dict, AvoidanceGraph.edge_list])
+    def test_refused_by_its_dot_size(self, monkeypatch, export):
+        # The path 0000-0001-0011 and the isolated 1111: its DOT text is the
+        # header, 10 bytes per vertex and 20 per edge, and the closing line.
+        words = ["0000", "0001", "0011", "1111"]
+        size = len(reference_graph_to_dot(hand_built_graph("1", words)))
+        assert size == len('graph "Q_4(1)" {\n') + 4 * 10 + 2 * 20 + 2
+        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", size - 1)
+        message = r"^Q_4\(1\) has 4 vertices and 2 edges; its DOT text needs 0\.00 GiB, over the "
+        with pytest.raises(ValueError, match=message):
+            export(hand_built_graph("1", words))
+        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", size)
+        assert_exports_match_reference(hand_built_graph("1", words))
+
     def test_dot_q2_11(self):
         dot = graph_to_dot(build_graph(W("11"), 2))
         assert dot == (
