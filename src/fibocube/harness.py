@@ -143,6 +143,11 @@ class _Pattern:
         return oracle.index_bruteforce(w, self.graph)
 
 
+def _probe_depth(f: Word) -> int:
+    """The deepest Q_d(f) of the cross and lemma21 checks: 2n-1, or 2n+2 for n <= 4."""
+    return 2 * f.length + 2 if f.length <= 4 else 2 * f.length - 1
+
+
 def _cross_validate_one(p: _Pattern) -> dict:
     s_index, b_index = p.classify(p.f).index, p.index(p.f)
     record = {"pattern": p.text, "structural_index": s_index, "bruteforce_index": b_index}
@@ -233,8 +238,7 @@ def _critical_equivalence_one(p: _Pattern) -> dict:
     a violating pair exactly when there is a critical pair, and the first
     violating source is the least endpoint of the critical pairs, which is
     where is_isometric runs its one BFS."""
-    n = p.n
-    d_max = 2 * n - 1 if n > 4 else 2 * n + 2
+    d_max = _probe_depth(p.f)
     for d in range(2, d_max + 1):
         g = p.graph(p.f, d)
         violation = oracle._bfs_violation(g)
@@ -269,26 +273,31 @@ def _bad_patterns(records) -> int:
     return sum(1 for r in records if r["index"] is not None)
 
 
-# suite -> (report name, swept text for max_len, check, checked count of its records)
+# suite -> (report name, swept text for max_len, check, checked count of its
+# records, deepest graph (word, d) the check builds for a pattern f, or None)
 _SUITES = {
     "cross": ("oracle-structural-cross-validation", "all patterns of length 1..{}",
-              _cross_validate_one, len),
+              _cross_validate_one, len, lambda f: (f, _probe_depth(f))),
     "p-values": ("minimal-p-dichotomy",
                  "bad patterns of length 1..{}, critical pairs at the index",
-                 _min_p_one, _bad_patterns),
+                 _min_p_one, _bad_patterns, lambda f: (f, 2 * f.length - 1)),
     "index-bound": ("index-upper-bound",
                     "all patterns of length 1..{}; oracle probe to 2n+2 for n <= 4",
-                    _index_bound_one, len),
+                    _index_bound_one, len,
+                    lambda f: (f, 2 * f.length + 2) if f.length <= 4 else None),
     "doubling": ("doubling-preserves-good",
                  "all patterns of length 1..{}; oracle confirmation for n <= 3",
-                 _doubling_one, len),
+                 _doubling_one, len,
+                 lambda f: (f.concat(f), 4 * f.length - 1) if f.length <= 3 else None),
     "monotonicity": ("witness-lift-monotonicity",
                      "bad patterns of length 1..{}, dimensions index+1..index+3",
-                     _monotonicity_one, _bad_patterns),
+                     _monotonicity_one, _bad_patterns,
+                     lambda f: (f, 2 * f.length + 2)),  # index + 3 <= 2n + 2
     "lemma21": ("nonisometric-iff-critical-pair",
                 "all patterns of length 1..{}, dimensions 2..2n-1 (2n+2 for n <= 4)",
                 _critical_equivalence_one,
-                lambda records: sum(r.get("dimensions_checked", 0) for r in records)),
+                lambda records: sum(r.get("dimensions_checked", 0) for r in records),
+                lambda f: (f, _probe_depth(f))),
 }
 SUITES = tuple(_SUITES)
 
@@ -306,7 +315,7 @@ def _run(names, texts, workers, max_len=None) -> list[TheoremReport]:
     rows = _pmap(_check_one, [(t, names) for t in texts], workers)
     reports = []
     for i, name in enumerate(names):
-        title, swept, _, checked = _SUITES[name]
+        title, swept, _, checked, _ = _SUITES[name]
         records = [row[i] for row in rows]
         bad = next((r for r in records if "failure" in r), None)
         swept = f"{len(texts)} patterns" if max_len is None else swept.format(max_len)
@@ -363,26 +372,27 @@ def census(n: int, workers: int = 1, oracle_confirm: bool = False) -> CensusRow:
 
 def check_overlap_machinery(limit: int = 12) -> TheoremReport:
     """Cycle structure, residue walks, forced equalities, and concrete period
-    checks over all period pairs up to the limit."""
-    bad = None
+    checks over all period pairs up to the limit; stops at the first failure."""
+    swept = f"period pairs 1..{limit}, plus concrete words for three pairs"
+
+    def report(bad=None):
+        return TheoremReport("overlap-cycle-closure", swept, bad is None, limit * limit, bad)
+
     for r, s in product(range(1, limit + 1), repeat=2):
         g = build_overlap_graph(r, s)
         if not is_single_cycle(g) or len(g.edges) != 2 * (g.k1 + g.k2):
-            bad = bad or {"r": r, "s": s, "failure": "not-a-single-cycle"}
-            continue
+            return report({"r": r, "s": s, "failure": "not-a-single-cycle"})
         seq = residue_sequence(g.k1, g.k2)
         if sorted(seq) != list(range(g.k1 + g.k2)) or seq[-1] != g.k2:
-            bad = bad or {"r": r, "s": s, "failure": "residue-walk-broken"}
-            continue
+            return report({"r": r, "s": s, "failure": "residue-walk-broken"})
         sys_ = equation_system(r, s)
         ids = [(2, i) for i in sys_.type2] + [(3, j) for j in sys_.type3]
         for missing in ids:
             assumed = set(ids) - {missing}
             pair = (sys_.type2 if missing[0] == 2 else sys_.type3)[missing[1]]
             if not closure_implies(r, s, assumed, pair):
-                bad = bad or {"r": r, "s": s, "missing": list(missing),
-                              "failure": "dropped-equation-not-forced"}
-                break
+                return report({"r": r, "s": s, "missing": list(missing),
+                               "failure": "dropped-equation-not-forced"})
     # concrete words: the full-period check never fails, and the vacuousness
     # flag respects bit complementation
     for r, s in [(1, 2), (2, 2), (2, 4)]:
@@ -391,9 +401,8 @@ def check_overlap_machinery(limit: int = 12) -> TheoremReport:
             res = period_closure_check(f, r, s)
             res_c = period_closure_check(f.complement(), r, s)
             if not res.ok or not res_c.ok or res.vacuous != res_c.vacuous:
-                bad = bad or {"word": t, "r": r, "s": s, "failure": "period-check-broken"}
-    swept = f"period pairs 1..{limit}, plus concrete words for three pairs"
-    return TheoremReport("overlap-cycle-closure", swept, bad is None, limit * limit, bad)
+                return report({"word": t, "r": r, "s": s, "failure": "period-check-broken"})
+    return report()
 
 
 def run_suites(suite: str, max_len: int, workers: int = 1) -> list[TheoremReport]:
@@ -405,7 +414,14 @@ def run_suites(suite: str, max_len: int, workers: int = 1) -> list[TheoremReport
     unknown = set(selected) - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suite {sorted(unknown)}; choose from {('all',) + SUITES}")
-    reports = _run(selected, patterns_up_to(max_len), workers, max_len)
+    texts = patterns_up_to(max_len)
+    for text in texts:  # refuse an oversized graph before the first pattern runs
+        f = Word.parse(text)
+        for name in selected:
+            deepest = _SUITES[name][4](f)
+            if deepest is not None:
+                oracle._check_size(*deepest)
+    reports = _run(selected, texts, workers, max_len)
     if suite == "all":
         reports.append(check_overlap_machinery())
     return reports

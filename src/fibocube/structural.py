@@ -5,7 +5,7 @@ at Hamming distance p >= 2 such that every interval flip on one side contains
 f.  At the smallest such d only two rigid layouts of the flips and of the
 copies of f are possible (two flips over two overlapping copies, or three
 equally spaced flips over three copies, the latter also in mirror image).
-Each enumerator lists its layout over the full parameter range as (flip,
+Each enumerator lists its layouts, each unordered pair once, as (flip,
 copy offset) pairs; `_witnesses` alone places every copy window in the word,
 drops layouts whose windows disagree on an overlap and keeps those whose
 endpoints both avoid f, so emitted certificates are sound by construction and
@@ -88,13 +88,12 @@ def _witnesses(f: Pattern, layouts) -> list[CriticalWitness]:
     window (f.bits << s) ^ (1 << (d - i)) with s = d - (u + |f| - 1).  A
     layout whose windows disagree on an overlap is dropped; the windows of
     every layout must cover 1..d.  Beta is alpha with every flip complemented.
-    A layout survives when alpha and beta both avoid f; the first layout of
-    each unordered pair is kept.
+    A layout survives when alpha and beta both avoid f.  Duplicates are not
+    dropped here: no enumerator lists an unordered pair twice.
     """
     n = f.length
     fmask = (1 << n) - 1
     out: list[CriticalWitness] = []
-    seen: set[tuple[int, int, int]] = set()
     for d, shift, copies in layouts:
         alpha = known = flipped = 0
         for i, u in copies:
@@ -113,10 +112,6 @@ def _witnesses(f: Pattern, layouts) -> list[CriticalWitness]:
             beta = alpha ^ flipped
             if _contains_bits(alpha, d, f.bits, n) or _contains_bits(beta, d, f.bits, n):
                 continue
-            key = (d, min(alpha, beta), max(alpha, beta))
-            if key in seen:
-                continue
-            seen.add(key)
             offsets = tuple(sorted(copies))
             out.append(
                 CriticalWitness(
@@ -138,18 +133,21 @@ def two_flip_candidates(f: Pattern) -> list[CriticalWitness]:
     """All valid two-flip layouts: copies of f at offsets 1 and r+1 for
     r = 1..|f|-2, one flip inside each copy, both flips in [r+1, |f|].
 
-    Both flip-to-copy assignments are tried; candidates survive only if the
-    two constraint windows agree on their overlap and both alpha and beta
-    avoid f.  Duplicate unordered pairs are dropped, keeping enumeration
-    order (r, then flips ascending).
+    Each flip pair pa < pb is tried once, with pa's copy at offset 1 (layout
+    A); the swapped assignment B, pb's copy at 1 and pa's at r+1, gives the
+    same unordered pair.  Both windows of either layout reduce, on the
+    overlap [r+1, |f|], to f[k] ^ f[k-r] = [k = pa] ^ [k = pb], so B is
+    consistent exactly when A is; and B's alpha is A's alpha ^ e_pa ^ e_pb,
+    which is A's beta, so B survives exactly when A does and yields A's pair
+    read from its other end.  Candidates survive only if the two windows
+    agree on their overlap and both alpha and beta avoid f.
     """
     n = f.length
     layouts = (
         (n + r, r, ((pa, 1), (pb, r + 1)))
         for r in range(1, n - 1)
         for pa in range(r + 1, n + 1)
-        for pb in range(r + 1, n + 1)
-        if pb != pa
+        for pb in range(pa + 1, n + 1)
     )
     return _witnesses(f, layouts)
 
@@ -197,7 +195,7 @@ def classify(f: Pattern) -> Classification:
     layouts are exhaustive, so it cannot come out above either.
     """
     merged: list[CriticalWitness] = []
-    seen: set[tuple[int, int, int]] = set()
+    seen: set[tuple[int, int, int]] = set()  # direct and mirrored three-flip pairs can coincide
     for w in (
         two_flip_candidates(f)
         + three_flip_candidates(f)

@@ -210,6 +210,28 @@ class TestVerify:
         )
 
 
+    @pytest.mark.parametrize(
+        "max_len, suite, graph",
+        [
+            ("12", "cross", "Q_23(000000000000) has 8375296 vertices"),
+            ("12", "lemma21", "Q_23(000000000000) has 8375296 vertices"),
+            ("11", "monotonicity", "Q_24(00000000000) has 16715781 vertices"),
+        ],
+    )
+    def test_oversized_sweep_refused_before_its_first_pattern(
+        self, monkeypatch, max_len, suite, graph
+    ):
+        # These sweeps used to run every shorter pattern before the size check
+        # refused the first graph over the limit.
+        def check_one(args):
+            raise AssertionError(f"{args[0]} was checked")
+
+        monkeypatch.setattr(harness, "_check_one", check_one)
+        argv = ("verify", "--max-len", max_len, "--suite", suite, "--workers", "1")
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: {graph}; ")
+
 class TestGraphExport:
     def test_matches_stored_benchmark_export(self):
         # The oracle-big benchmark checks this export's size and sha256

@@ -335,6 +335,41 @@ class TestRunSuites:
         assert built and len(built) == len(set(built))
         assert sorted(classified) == sorted([(t, t) for t in texts] + [(t, t + t) for t in texts])
 
+    def test_deepest_graph_of_each_check(self, monkeypatch):
+        # Every graph a check builds is at most as deep as its suite's declared
+        # deepest graph, and that depth is reached by some pattern.
+        built = []
+        def build(w, d):
+            built.append((w, d))
+            return REAL_BUILD(w, d)
+
+        monkeypatch.setattr(oracle, "build_graph", build)
+        for name, (_, _, check, _, deepest) in harness._SUITES.items():
+            reached = False
+            for text in harness.patterns_up_to(5):
+                built.clear()
+                p = harness._Pattern(text)
+                check(p)
+                bound = deepest(p.f)
+                if bound is None:
+                    assert built == [], (name, text)
+                    continue
+                assert all(d <= bound[1] for _, d in built), (name, text)
+                reached = reached or bound in built
+            assert reached, name
+
+    @pytest.mark.parametrize("suite", ("all",) + harness.SUITES)
+    def test_oversized_sweep_refused_before_its_first_pattern(self, monkeypatch, suite):
+        # At a 500-byte limit every suite's deepest graph for 000 is over it,
+        # Q_5(000) with 24 vertices the smallest; no pattern may be checked.
+        def check_one(args):
+            raise AssertionError(f"{args[0]} was checked")
+
+        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 500)
+        monkeypatch.setattr(harness, "_check_one", check_one)
+        with pytest.raises(ValueError, match="neighbor table needs"):
+            run_suites(suite, 3)
+
     def test_reports_deterministic(self):
         a = [json.dumps(r.to_json_dict(), sort_keys=True) for r in run_suites("all", 2)]
         b = [json.dumps(r.to_json_dict(), sort_keys=True) for r in run_suites("all", 2, workers=2)]
@@ -463,6 +498,13 @@ class TestFailurePaths:
         assert r.counterexample["dimension"] == 4
         assert r.counterexample["pattern"] == "010"
         assert r.counterexample["violating_pair"] == ["0000", "0110", 4, 2]
+
+    def test_overlap_machinery_stops_at_its_first_failure(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "is_single_cycle", lambda g: calls.append(g) and False)
+        r = harness.check_overlap_machinery(limit=4)
+        assert r.counterexample == {"r": 1, "s": 1, "failure": "not-a-single-cycle"}
+        assert len(calls) == 1 and r.checked == 16
 
     @pytest.mark.parametrize(
         "name, broken, failure",

@@ -78,6 +78,57 @@ class TestTwoFlipCandidates:
                     assert 1 <= w.shift <= f.length - 2
 
 
+def pair_key(w):
+    return (w.dimension, min(w.alpha.bits, w.beta.bits), max(w.alpha.bits, w.beta.bits))
+
+
+class TestTwoFlipPairsOnce:
+    """Each flip pair is built once, with the smaller flip's copy at offset 1:
+    the swapped copy assignment gives the same pair read from its other end."""
+
+    def test_pair_read_from_its_other_end_verifies(self):
+        for n in range(1, 11):
+            for f in all_patterns(n):
+                for w in two_flip_candidates(f):
+                    (pa, ua), (pb, ub) = w.offsets
+                    assert (ua, ub) == (1, w.shift + 1)
+                    swapped = replace(
+                        w, offsets=((pa, ub), (pb, ua)), alpha=w.beta, beta=w.alpha
+                    )
+                    assert verify_witness(swapped).ok, str(f)
+
+    def test_equals_both_copy_assignments_deduplicated(self):
+        # Reference: every ordered flip pair, each layout through _witnesses
+        # in enumeration order, keeping the first layout of each unordered pair.
+        def reference(f):
+            n = f.length
+            kept, seen = [], set()
+            for r in range(1, n - 1):
+                for pa in range(r + 1, n + 1):
+                    for pb in range(r + 1, n + 1):
+                        if pb == pa:
+                            continue
+                        for w in _witnesses(f, [(n + r, r, ((pa, 1), (pb, r + 1)))]):
+                            if pair_key(w) not in seen:
+                                seen.add(pair_key(w))
+                                kept.append(w)
+            return sorted(kept, key=lambda w: (w.dimension, w.alpha.bits, w.beta.bits))
+
+        for n in range(1, 11):
+            for f in all_patterns(n):
+                assert two_flip_candidates(f) == reference(f), str(f)
+
+    @pytest.mark.parametrize(
+        "enumerate_",
+        [two_flip_candidates, three_flip_candidates, mirrored_three_flip_candidates],
+    )
+    def test_no_enumerator_lists_a_pair_twice(self, enumerate_):
+        for n in range(1, 11):
+            for f in all_patterns(n):
+                keys = [pair_key(w) for w in enumerate_(f)]
+                assert len(keys) == len(set(keys)), str(f)
+
+
 class TestThreeFlipCandidates:
     def test_101_empty(self):
         assert three_flip_candidates(W("101")) == []
