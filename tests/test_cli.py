@@ -504,3 +504,43 @@ class TestInternalError:
         assert code == 1
         assert out == ""
         assert err == "internal error: MemoryError\n"
+
+
+class TestParserBuiltOnce:
+    ARGVS = [
+        ("classify", "0011", "--format", "json"),
+        ("index", "101"),
+        ("witness", "101", "--format", "text"),
+        ("census", "4", "--workers", "1"),
+        ("overlap-graph", "2", "3"),
+        ("graph", "11", "--dim", "3"),
+        ("classify", "2"),
+    ]
+
+    def test_one_parser_serves_every_call(self, monkeypatch):
+        # Reference outputs: a fresh parser for each call.
+        fresh = []
+        for argv in self.ARGVS:
+            monkeypatch.setattr(cli, "_parser", None)
+            fresh.append(run_cli(*argv))
+        monkeypatch.setattr(cli, "_parser", None)
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        assert [run_cli(*argv) for argv in self.ARGVS] == fresh
+        assert len(built) == 1
+        assert fresh[-1][0] == EXIT_USAGE
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_0(self, monkeypatch):
+        from fibocube import structural
+
+        def closed(f):
+            raise BrokenPipeError()
+
+        monkeypatch.setattr(structural, "classify", closed)
+        assert run_cli("classify", "0011") == (EXIT_OK, "", "")

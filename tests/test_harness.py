@@ -79,6 +79,22 @@ class TestCrossValidate:
             expected += [(p, d) for d in range(2, last + 1)]
         assert built == expected
 
+    def test_past_bound_probe_reaches_length_4(self, monkeypatch):
+        # One critical pair, only in Q_9 of the length-4 patterns: past the
+        # index scan's 2n - 1 = 7, inside the probe's 2n + 2 = 10.
+        monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: (
+            ONE_PAIR if (g.pattern.length, g.dimension) == (4, 9) else REAL_SCAN(g)
+        ))
+        r = run_suites("cross", 4, workers=1)[0]
+        assert not r.passed and r.checked == 30
+        assert r.counterexample == {
+            "pattern": "0000",
+            "structural_index": None,
+            "bruteforce_index": None,
+            "failure": "violation-appears-past-bound",
+            "first_violation_to_2n_plus_2": 9,
+        }
+
 
 class TestTheoremChecks:
     def test_p_values(self):
@@ -96,6 +112,23 @@ class TestTheoremChecks:
     def test_doubling(self):
         r = run_suites("doubling", 3)[0]
         assert r.passed and r.checked == 14
+
+    def test_doubling_builds_q_d_ff_only_for_good_f(self, monkeypatch):
+        # A bad f's Q_d(ff) below B(f) <= 2|f| - 1 < |ff| is the whole cube,
+        # so the oracle confirms ff only for a good f, over its index scan.
+        built = []
+
+        def spy(f, d):
+            built.append((str(f), d))
+            return REAL_BUILD(f, d)
+
+        monkeypatch.setattr(harness.oracle, "build_graph", spy)
+        assert run_suites("doubling", 3, workers=1)[0].passed
+        expected = []
+        for p in harness.patterns_up_to(3):
+            if p not in ("010", "101"):
+                expected += [(p + p, d) for d in range(2, 4 * len(p))]
+        assert built == expected
 
     def test_doubled_index_is_past_twice_the_length(self):
         # Q_d(ff) is the whole cube for d < 2|f| and lacks only ff at d = 2|f|;
@@ -445,17 +478,6 @@ class TestFailurePaths:
              "doubling", 14,
              {"pattern": "0", "index": None, "doubled_index": 3,
               "failure": "doubling-lost-goodness"}),
-            (oracle, "build_graph", lambda f, d: (
-                AvoidanceGraph(f, d, np.zeros(1, dtype=np.int64))
-                if str(f) == "010010" else REAL_BUILD(f, d)
-            ), "doubling", 14,
-             {"pattern": "010", "index": 4, "doubled_index": 8, "dimension": 2,
-              "failure": "doubled-graph-not-full-cube"}),
-            (oracle, "critical_p_values", lambda g: (
-                ONE_PAIR if str(g.pattern) == "010010" else REAL_SCAN(g)
-            ), "doubling", 14,
-             {"pattern": "010", "index": 4, "doubled_index": 8, "dimension": 2,
-              "failure": "doubled-graph-not-isometric-below-index"}),
             (oracle, "critical_p_values", lambda g: NO_PAIRS, "monotonicity", 2,
              {"pattern": "010", "index": 4, "dimension": 5,
               "failure": "oracle-isometric-above-index"}),
@@ -465,8 +487,8 @@ class TestFailurePaths:
               "failure": "first-source-not-scan-endpoint",
               "violating_pair": ["0110", "0000", 4, 2], "scan_endpoint": "0000"}),
         ],
-        ids=["twice-length", "two-flip", "lost-goodness", "not-full-cube",
-             "doubled-not-isometric", "isometric-above-index", "source-not-scan-endpoint"],
+        ids=["twice-length", "two-flip", "lost-goodness", "isometric-above-index",
+             "source-not-scan-endpoint"],
     )
     def test_failure_kind(self, monkeypatch, module, name, broken, check, checked,
                           counterexample):

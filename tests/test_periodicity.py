@@ -107,6 +107,10 @@ class TestOverlapGraph:
             ]
             assert sorted(map(sorted, contracted)) == sorted(map(sorted, wanted))
 
+    def test_denoted_index_rejects_an_unknown_label(self):
+        with pytest.raises(ValueError, match="unknown vertex label 'x_1'"):
+            build_overlap_graph(2, 3).denoted_index("x_1")
+
     def test_dot_output(self):
         dot = build_overlap_graph(1, 1).to_dot()
         assert dot.startswith('graph "overlap_1_1"')
@@ -286,3 +290,12 @@ class TestPeriodClosureCheck:
             for bits in product("01", repeat=n):
                 res = period_closure_check(Word.parse("".join(bits)), r, s)
                 assert res.ok
+
+    def test_vacuous_exactly_when_a_period_fails(self):
+        # Reference: t has period p when t[p:] == t[:-p], read from the string.
+        for r, s in product(range(1, 7), repeat=2):
+            for bits in product("01", repeat=r + s):
+                t = "".join(bits)
+                res = period_closure_check(Word.parse(t), r, s)
+                assert res.ok, (t, r, s)
+                assert res.vacuous == (not (t[r:] == t[:-r] and t[s:] == t[:-s])), (t, r, s)
