@@ -32,6 +32,7 @@ from .periodicity import (
 from .words import Word
 
 MAX_SWEEP_LENGTH = 14  # longest pattern a census or verification sweep enumerates
+OVERLAP_PERIOD_LIMIT = 12  # check_overlap_machinery sweeps period pairs up to it
 
 
 @dataclass(frozen=True)
@@ -358,9 +359,10 @@ def census(n: int, workers: int = 1, oracle_confirm: bool = False) -> CensusRow:
     )
 
 
-def check_overlap_machinery(limit: int = 12) -> TheoremReport:
+def check_overlap_machinery() -> TheoremReport:
     """Cycle structure, residue walks, forced equalities, and concrete period
-    checks over all period pairs up to the limit; stops at the first failure."""
+    checks over period pairs up to OVERLAP_PERIOD_LIMIT; stops at the first failure."""
+    limit = OVERLAP_PERIOD_LIMIT
     swept = f"period pairs 1..{limit}, plus concrete words for three pairs"
 
     def report(bad=None):

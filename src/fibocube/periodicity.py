@@ -108,10 +108,10 @@ def residue_sequence(k1: int, k2: int) -> list[int]:
 
 @dataclass(frozen=True)
 class EquationSystem:
-    """Concrete position equalities of the (r, s) system based at position t.
+    """Concrete position equalities of the (r, s) system based at position 1.
 
-    type2[i] for i = 1..r/g is the pair (t+(i-1)g, t+(i-1)g+s);
-    type3[j] for j = 1..s/g is the pair (t+(j-1)g, t+(j-1)g+r).
+    type2[i] for i = 1..r/g is the pair (1+(i-1)g, 1+(i-1)g+s);
+    type3[j] for j = 1..s/g is the pair (1+(j-1)g, 1+(j-1)g+r).
     """
 
     r: int
@@ -119,23 +119,20 @@ class EquationSystem:
     g: int
     k1: int
     k2: int
-    base: int
     span: tuple[int, ...]
     type2: dict[int, tuple[int, int]]
     type3: dict[int, tuple[int, int]]
 
 
-def equation_system(r: int, s: int, base: int = 1) -> EquationSystem:
+def equation_system(r: int, s: int) -> EquationSystem:
     if r < 1 or s < 1:
         raise ValueError(f"periods must be positive, got r={r}, s={s}")
-    if base < 1:
-        raise ValueError(f"base position must be positive, got {base}")
     g = math.gcd(r, s)
     k1, k2 = r // g, s // g
-    span = tuple(base + j * g for j in range(k1 + k2))
-    type2 = {i: (base + (i - 1) * g, base + (i - 1) * g + s) for i in range(1, k1 + 1)}
-    type3 = {j: (base + (j - 1) * g, base + (j - 1) * g + r) for j in range(1, k2 + 1)}
-    return EquationSystem(r, s, g, k1, k2, base, span, type2, type3)
+    span = tuple(1 + j * g for j in range(k1 + k2))
+    type2 = {i: (1 + (i - 1) * g, 1 + (i - 1) * g + s) for i in range(1, k1 + 1)}
+    type3 = {j: (1 + (j - 1) * g, 1 + (j - 1) * g + r) for j in range(1, k2 + 1)}
+    return EquationSystem(r, s, g, k1, k2, span, type2, type3)
 
 
 class _DSU:

@@ -20,6 +20,7 @@ from .words import (
     Pattern,
     Word,
     _contains_bits,
+    _parse_any_length,
     contains_factor,
     differing_positions,
     factor_offsets,
@@ -35,32 +36,41 @@ class MalformedWitnessError(ValueError):
 class CriticalWitness:
     """Certificate that (alpha, beta) is a blocked pair at this dimension.
 
-    flips are the ascending positions where alpha and beta differ; offsets
-    maps each flip position to the start of the copy of the pattern that
-    appears when that single bit of alpha is complemented; shift is the
-    layout parameter (copy spacing) used by the constructor.
+    offsets pairs each flip, a position where alpha and beta differ, with the
+    start of the copy of f made by complementing that bit of alpha, in
+    ascending flip order.  p, flips and shift are read from it; shift, the
+    least gap between copy starts, is the layout's r or r' and lifting keeps it.
     """
 
     pattern: Word
     dimension: int
-    p: int
-    flips: tuple[int, ...]
     offsets: tuple[tuple[int, int], ...]
-    shift: int
     alpha: Word
     beta: Word
 
     @property
-    def offset_map(self) -> dict[int, int]:
-        return dict(self.offsets)
+    def p(self) -> int:
+        return len(self.offsets)
+
+    @property
+    def flips(self) -> tuple[int, ...]:
+        return tuple(i for i, _ in self.offsets)
+
+    @property
+    def shift(self) -> int:
+        starts = sorted(u for _, u in self.offsets)
+        return min(b - a for a, b in zip(starts, starts[1:]))
 
 
 @dataclass(frozen=True)
 class Classification:
     pattern: Word
-    good: bool
     index: int | None
     witnesses: tuple[CriticalWitness, ...]
+
+    @property
+    def good(self) -> bool:
+        return self.index is None
 
     @property
     def verdict(self) -> str:
@@ -83,7 +93,7 @@ def _witness_sort_key(w: CriticalWitness):
 def _witnesses(f: Pattern, layouts) -> list[CriticalWitness]:
     """Witnesses from copy layouts, sorted by (d, alpha, beta).
 
-    Each layout is (d, shift, ((flip i, copy offset u), ...)): complementing
+    Each layout is (d, ((flip i, copy offset u), ...)): complementing
     bit i of alpha must leave a copy of f at offset u, so alpha holds the
     window (f.bits << s) ^ (1 << (d - i)) with s = d - (u + |f| - 1).  A
     layout whose windows disagree on an overlap is dropped; the windows of
@@ -94,7 +104,7 @@ def _witnesses(f: Pattern, layouts) -> list[CriticalWitness]:
     n = f.length
     fmask = (1 << n) - 1
     out: list[CriticalWitness] = []
-    for d, shift, copies in layouts:
+    for d, copies in layouts:
         alpha = known = flipped = 0
         for i, u in copies:
             s = d - (u + n - 1)
@@ -112,19 +122,7 @@ def _witnesses(f: Pattern, layouts) -> list[CriticalWitness]:
             beta = alpha ^ flipped
             if _contains_bits(alpha, d, f.bits, n) or _contains_bits(beta, d, f.bits, n):
                 continue
-            offsets = tuple(sorted(copies))
-            out.append(
-                CriticalWitness(
-                    pattern=f,
-                    dimension=d,
-                    p=len(copies),
-                    flips=tuple(i for i, _ in offsets),
-                    offsets=offsets,
-                    shift=shift,
-                    alpha=Word(d, alpha),
-                    beta=Word(d, beta),
-                )
-            )
+            out.append(CriticalWitness(f, d, tuple(sorted(copies)), Word(d, alpha), Word(d, beta)))
     out.sort(key=_witness_sort_key)
     return out
 
@@ -144,7 +142,7 @@ def two_flip_candidates(f: Pattern) -> list[CriticalWitness]:
     """
     n = f.length
     layouts = (
-        (n + r, r, ((pa, 1), (pb, r + 1)))
+        (n + r, ((pa, 1), (pb, r + 1)))
         for r in range(1, n - 1)
         for pa in range(r + 1, n + 1)
         for pb in range(pa + 1, n + 1)
@@ -163,7 +161,7 @@ def three_flip_candidates(f: Pattern) -> list[CriticalWitness]:
     """
     n = f.length
     layouts = (
-        (n + 3 * rp, rp, ((i, 2 * rp + 1), (i + rp, 1), (i + 2 * rp, 3 * rp + 1)))
+        (n + 3 * rp, ((i, 2 * rp + 1), (i + rp, 1), (i + 2 * rp, 3 * rp + 1)))
         for rp in range(1, (n - 1) // 3 + 1)
         for i in range(2 * rp + 1, min(3 * rp, n - rp) + 1)
     )
@@ -180,7 +178,7 @@ def mirrored_three_flip_candidates(f: Pattern) -> list[CriticalWitness]:
     """
     n = f.length
     layouts = (
-        (n + 3 * rp, rp, ((i, 1), (i + rp, 3 * rp + 1), (i + 2 * rp, rp + 1)))
+        (n + 3 * rp, ((i, 1), (i + rp, 3 * rp + 1), (i + 2 * rp, rp + 1)))
         for rp in range(1, (n - 1) // 3 + 1)
         for i in range(max(2 * rp + 1, n - 2 * rp + 1), n - rp + 1)
     )
@@ -206,10 +204,10 @@ def classify(f: Pattern) -> Classification:
             seen.add(key)
             merged.append(w)
     if not merged:
-        return Classification(f, True, None, ())
+        return Classification(f, None, ())
     index = min(w.dimension for w in merged)
     winners = sorted((w for w in merged if w.dimension == index), key=_witness_sort_key)
-    return Classification(f, False, index, tuple(winners))
+    return Classification(f, index, tuple(winners))
 
 
 def verify_witness(w: CriticalWitness) -> WitnessCheck:
@@ -220,17 +218,14 @@ def verify_witness(w: CriticalWitness) -> WitnessCheck:
     """
     f = w.pattern
     d = w.dimension
-    if w.p < 2 or w.p > 3:
-        raise MalformedWitnessError(f"p must be 2 or 3, got {w.p}")
-    if len(w.flips) != w.p:
-        raise MalformedWitnessError(f"{len(w.flips)} flips declared for p={w.p}")
-    if any(w.flips[k] >= w.flips[k + 1] for k in range(len(w.flips) - 1)):
-        raise MalformedWitnessError(f"flips not strictly ascending: {w.flips}")
-    if w.flips[0] < 1 or w.flips[-1] > d:
-        raise MalformedWitnessError(f"flip outside 1..{d}: {w.flips}")
-    if set(w.offset_map) != set(w.flips):
-        raise MalformedWitnessError("offset keys do not match flips")
-    for u in w.offset_map.values():
+    flips = w.flips
+    if not 2 <= len(flips) <= 3:
+        raise MalformedWitnessError(f"p must be 2 or 3, got {len(flips)}")
+    if any(flips[k] >= flips[k + 1] for k in range(len(flips) - 1)):
+        raise MalformedWitnessError(f"flips not strictly ascending: {flips}")
+    if flips[0] < 1 or flips[-1] > d:
+        raise MalformedWitnessError(f"flip outside 1..{d}: {flips}")
+    for _, u in w.offsets:
         if u < 1 or u + f.length - 1 > d:
             raise MalformedWitnessError(f"copy window at offset {u} outside word")
 
@@ -242,11 +237,11 @@ def verify_witness(w: CriticalWitness) -> WitnessCheck:
         return WitnessCheck(False, "alpha-contains-factor")
     if contains_factor(w.beta, f):
         return WitnessCheck(False, "beta-contains-factor")
-    if hamming(w.alpha, w.beta) != w.p:
+    if hamming(w.alpha, w.beta) != len(flips):
         return WitnessCheck(False, "hamming-mismatch")
-    if tuple(differing_positions(w.alpha, w.beta)) != w.flips:
+    if tuple(differing_positions(w.alpha, w.beta)) != flips:
         return WitnessCheck(False, "flips-mismatch")
-    if not all(contains_factor(w.alpha.flip(i), f) for i in w.flips):
+    if not all(contains_factor(w.alpha.flip(i), f) for i in flips):
         return WitnessCheck(False, "interval-not-blocked")
     for i, u in w.offsets:
         if u not in factor_offsets(w.alpha.flip(i), f):
@@ -271,7 +266,6 @@ def lift_witness(w: CriticalWitness, d: int) -> CriticalWitness:
     return replace(
         w,
         dimension=d,
-        flips=tuple(i + k for i in w.flips),
         offsets=tuple((i + k, u + k) for i, u in w.offsets),
         alpha=prefix.concat(w.alpha),
         beta=prefix.concat(w.beta),
@@ -292,13 +286,23 @@ def witness_to_json_dict(w: CriticalWitness) -> dict:
 
 
 def witness_from_json_dict(data: dict) -> CriticalWitness:
-    return CriticalWitness(
-        pattern=Word.parse(data["pattern"]),
-        dimension=int(data["dimension"]),
-        p=int(data["p"]),
-        flips=tuple(int(i) for i in data["flips"]),
-        offsets=tuple(sorted((int(i), int(u)) for i, u in data["offsets"].items())),
-        shift=int(data["shift"]),
-        alpha=Word.parse(data["alpha"]),
-        beta=Word.parse(data["beta"]),
-    )
+    """Read a witness of any length; p, flips and shift are rebuilt from its
+    offsets.  JSON that cannot be read, states other p, flips or shift, or
+    has fewer than two offsets raises MalformedWitnessError."""
+    try:
+        w = CriticalWitness(
+            pattern=_parse_any_length(data["pattern"]),
+            dimension=int(data["dimension"]),
+            offsets=tuple(sorted((int(i), int(u)) for i, u in data["offsets"].items())),
+            alpha=_parse_any_length(data["alpha"]),
+            beta=_parse_any_length(data["beta"]),
+        )
+        stated = [(key, data[key]) for key in ("p", "flips", "shift")]
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        raise MalformedWitnessError(f"unreadable witness JSON: {exc!r}") from exc
+    if w.p < 2:
+        raise MalformedWitnessError(f"need at least 2 offsets, got {w.p}")
+    for (key, value), rebuilt in zip(stated, (w.p, list(w.flips), w.shift)):
+        if value != rebuilt:
+            raise MalformedWitnessError(f"{key} {value!r} does not match offsets: {rebuilt!r}")
+    return w

@@ -33,14 +33,9 @@ class Word:
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        if not text:
-            raise WordError("empty word")
         if len(text) > MAX_LENGTH:
             raise WordError(f"word longer than {MAX_LENGTH}: {len(text)} characters")
-        bad = set(text) - {"0", "1"}
-        if bad:
-            raise WordError(f"invalid characters {sorted(bad)} in word {text!r}")
-        return cls(len(text), int(text, 2))
+        return _parse_any_length(text)
 
     def render(self) -> str:
         return format(self.bits, f"0{self.length}b")
@@ -74,18 +69,19 @@ class Word:
     def concat(self, other: "Word") -> "Word":
         return Word(self.length + other.length, (self.bits << other.length) | other.bits)
 
-    def window(self, offset: int, width: int) -> "Word":
-        """The factor of width bits starting at 1-based position offset."""
-        if offset < 1 or offset + width - 1 > self.length:
-            raise WordError(
-                f"window [{offset}, {offset + width - 1}] outside word of length {self.length}"
-            )
-        shift = self.length - (offset + width - 1)
-        return Word(width, (self.bits >> shift) & ((1 << width) - 1))
-
 
 # A forbidden factor is just a nonempty word; no extra structure is needed.
 Pattern = Word
+
+
+def _parse_any_length(text: str) -> Word:
+    """Word.parse without the length limit, for words built from parsed ones."""
+    if not text:
+        raise WordError("empty word")
+    bad = set(text) - {"0", "1"}
+    if bad:
+        raise WordError(f"invalid characters {sorted(bad)} in word {text!r}")
+    return Word(len(text), int(text, 2))
 
 
 def _contains_bits(ubits: int, ulen: int, fbits: int, flen: int) -> bool:

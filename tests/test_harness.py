@@ -312,8 +312,8 @@ class TestWorkerPool:
 
 class TestOverlapMachinery:
     def test_passes(self):
-        r = harness.check_overlap_machinery(limit=8)
-        assert r.passed and r.checked == 64
+        r = harness.check_overlap_machinery()
+        assert r.passed and r.checked == 144
         assert r.name == "overlap-cycle-closure"
 
 
@@ -465,16 +465,16 @@ class TestFailurePaths:
     @pytest.mark.parametrize(
         "module, name, broken, check, checked, counterexample",
         [
-            (structural, "classify", lambda f: Classification(f, False, 2 * f.length, ()),
+            (structural, "classify", lambda f: Classification(f, 2 * f.length, ()),
              "index-bound", 14,
              {"pattern": "0", "index": 2, "failure": "index-at-least-twice-length"}),
             (structural, "classify",
-             lambda f: Classification(f, False, 2 * f.length - 1, (SimpleNamespace(p=2),)),
+             lambda f: Classification(f, 2 * f.length - 1, (SimpleNamespace(p=2),)),
              "index-bound", 14,
              {"pattern": "0", "index": 1, "failure": "two-flip-index-above-2n-2"}),
             # length-1 patterns are good, their squares bad
             (structural, "classify",
-             lambda f: Classification(f, f.length == 1, None if f.length == 1 else 3, ()),
+             lambda f: Classification(f, None if f.length == 1 else 3, ()),
              "doubling", 14,
              {"pattern": "0", "index": None, "doubled_index": 3,
               "failure": "doubling-lost-goodness"}),
@@ -524,9 +524,9 @@ class TestFailurePaths:
     def test_overlap_machinery_stops_at_its_first_failure(self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "is_single_cycle", lambda g: calls.append(g) and False)
-        r = harness.check_overlap_machinery(limit=4)
+        r = harness.check_overlap_machinery()
         assert r.counterexample == {"r": 1, "s": 1, "failure": "not-a-single-cycle"}
-        assert len(calls) == 1 and r.checked == 16
+        assert len(calls) == 1 and r.checked == 144
 
     @pytest.mark.parametrize(
         "name, broken, failure",
@@ -542,7 +542,7 @@ class TestFailurePaths:
     )
     def test_overlap_machinery(self, monkeypatch, name, broken, failure):
         monkeypatch.setattr(harness, name, broken)
-        r = harness.check_overlap_machinery(limit=4)
-        assert not r.passed and r.checked == 16
+        r = harness.check_overlap_machinery()
+        assert not r.passed and r.checked == 144
         assert r.counterexample["failure"] == failure
-        assert r.swept == "period pairs 1..4, plus concrete words for three pairs"
+        assert r.swept == "period pairs 1..12, plus concrete words for three pairs"

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -11,6 +12,7 @@ import fibocube
 from fibocube import structural
 
 SRC = str(Path(fibocube.__file__).resolve().parents[1])
+REPO = Path(SRC).parent
 
 
 def home_module(name):
@@ -60,3 +62,74 @@ class TestLazyNumpy:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert json.loads(run.stdout) == [False, True]
+
+
+# (function, parameter) pairs whose default no caller overrides, with the reason.
+UNSET_DEFAULTS_ALLOWED = {
+    # bench/expected/oracle.json stores minimal_critical_p: null from is_isometric(g)
+    ("oracle.is_isometric", "with_min_p"),
+}
+
+
+def defaulted_parameters(tree, module):
+    """(module.function, function, parameter, positional index or None) for
+    every parameter with a default; the index leaves out a method's self."""
+    found = []
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, True)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, in_class)
+                continue
+            a = child.args
+            positional = a.posonlyargs + a.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in child.decorator_list)
+            skip = 1 if in_class and not static else 0
+            first = len(positional) - len(a.defaults)
+            for k, arg in enumerate(positional[first:], first):
+                found.append((f"{module}.{child.name}", child.name, arg.arg, k - skip))
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    found.append((f"{module}.{child.name}", child.name, arg.arg, None))
+            visit(child, False)
+
+    visit(tree, False)
+    return found
+
+
+def passes(call, param, index):
+    if any(kw.arg in (None, param) for kw in call.keywords):  # None is **kwargs
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_default_parameter_is_set_by_some_caller():
+    """An option that only tests set is a second code path nothing uses."""
+    sources = sorted((REPO / "src" / "fibocube").glob("*.py"))
+    callers = sources + [p for p in sorted((REPO / "bench").glob("*.py"))
+                         if not p.name.startswith("test_")]
+    defaults = []
+    calls = []
+    for path in callers:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path in sources:
+            defaults += defaulted_parameters(tree, path.stem)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.append((name, node))
+    assert defaults  # the scan sees the package
+    unset = [
+        (qualified, param)
+        for qualified, name, param, index in defaults
+        if (qualified, param) not in UNSET_DEFAULTS_ALLOWED
+        and not any(n == name and passes(c, param, index) for n, c in calls)
+    ]
+    assert unset == []

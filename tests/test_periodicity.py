@@ -94,7 +94,7 @@ class TestOverlapGraph:
         # gap-r equations, as position pairs.
         for r, s in [(1, 1), (2, 3), (4, 6), (10, 3), (2, 4)]:
             g = build_overlap_graph(r, s)
-            sys_ = equation_system(r, s, base=1)
+            sys_ = equation_system(r, s)
             slot_pos = {i + 1: p for i, p in enumerate(sys_.span)}
             contracted = []
             for a, b in g.edges:
@@ -148,23 +148,19 @@ class TestResidueSequence:
 
 class TestEquationSystem:
     def test_counts(self):
-        sys_ = equation_system(6, 9, base=2)
+        sys_ = equation_system(6, 9)
         assert (sys_.g, sys_.k1, sys_.k2) == (3, 2, 3)
         assert len(sys_.type2) == 2
         assert len(sys_.type3) == 3
-        assert sys_.span == (2, 5, 8, 11, 14)
-        assert sys_.type2[1] == (2, 11)
-        assert sys_.type3[2] == (5, 11)
+        assert sys_.span == (1, 4, 7, 10, 13)
+        assert sys_.type2[1] == (1, 10)
+        assert sys_.type3[2] == (4, 10)
 
 
     @pytest.mark.parametrize("r, s", [(0, 3), (3, 0), (-1, 2)])
     def test_rejects_nonpositive_periods(self, r, s):
         with pytest.raises(ValueError, match=rf"periods must be positive, got r={r}, s={s}"):
             equation_system(r, s)
-
-    def test_rejects_nonpositive_base(self):
-        with pytest.raises(ValueError, match="base position must be positive, got 0"):
-            equation_system(2, 3, base=0)
 
 
 class TestClosure:

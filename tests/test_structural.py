@@ -53,7 +53,7 @@ class TestTwoFlipCandidates:
         assert w.p == 2
         assert w.shift == 1
         assert w.flips == (2, 3)
-        assert w.offset_map == {2: 1, 3: 2}
+        assert w.offsets == ((2, 1), (3, 2))
         assert str(w.alpha) == "1111"
         assert str(w.beta) == "1001"
         assert verify_witness(w).ok
@@ -108,7 +108,7 @@ class TestTwoFlipPairsOnce:
                     for pb in range(r + 1, n + 1):
                         if pb == pa:
                             continue
-                        for w in _witnesses(f, [(n + r, r, ((pa, 1), (pb, r + 1)))]):
+                        for w in _witnesses(f, [(n + r, ((pa, 1), (pb, r + 1)))]):
                             if pair_key(w) not in seen:
                                 seen.add(pair_key(w))
                                 kept.append(w)
@@ -145,7 +145,7 @@ class TestThreeFlipCandidates:
         assert w.p == 3
         assert w.shift == 1
         assert w.flips == (3, 4, 5)
-        assert w.offset_map == {3: 3, 4: 1, 5: 4}
+        assert w.offsets == ((3, 3), (4, 1), (5, 4))
         assert str(w.alpha) == "0010111"
         assert str(w.beta) == "0001011"
         assert verify_witness(w).ok
@@ -165,7 +165,6 @@ class TestThreeFlipCandidates:
             return replace(
                 w,
                 pattern=w.pattern.reverse(),
-                flips=tuple(sorted(d + 1 - i for i in w.flips)),
                 offsets=tuple(sorted((d + 1 - i, d + 2 - n - u) for i, u in w.offsets)),
                 alpha=w.alpha.reverse(),
                 beta=w.beta.reverse(),
@@ -198,13 +197,13 @@ class TestWindowMerge:
     def test_gap_between_windows_is_an_error(self):
         # Copies of 101 at offsets 1 and 5 of a length-7 word leave position 4 uncovered.
         with pytest.raises(RuntimeError, match="does not cover"):
-            _witnesses(W("101"), [(7, 1, ((2, 1), (6, 5)))])
+            _witnesses(W("101"), [(7, ((2, 1), (6, 5)))])
 
     def test_windows_disagreeing_on_an_overlap_give_no_witness(self):
         # Flipping bit 2 of a copy at 1 gives 0111 over bits 1..4, flipping
         # bit 4 of a copy at 2 gives 0001 over bits 2..5.  Their OR, 01111,
         # and its flip 00101 would both avoid 0011.
-        assert _witnesses(W("0011"), [(5, 1, ((2, 1), (4, 2)))]) == []
+        assert _witnesses(W("0011"), [(5, ((2, 1), (4, 2)))]) == []
 
 
 class TestClassify:
@@ -311,28 +310,33 @@ class TestVerifyWitness:
         assert not check.ok
         assert check.reason == "beta-contains-factor"
 
-    def test_wrong_p_is_malformed(self):
-        with pytest.raises(MalformedWitnessError, match=r"^2 flips declared for p=3$"):
-            verify_witness(replace(self.witness(), p=3))
-
     @pytest.mark.parametrize("p", [1, 4])
     def test_p_outside_2_3_is_malformed(self, p):
+        offsets = ((1, 1), (2, 1), (3, 2), (4, 2))[:p]
         with pytest.raises(MalformedWitnessError, match=rf"^p must be 2 or 3, got {p}$"):
-            verify_witness(replace(self.witness(), p=p))
+            verify_witness(replace(self.witness(), offsets=offsets))
 
     def test_flips_not_ascending_is_malformed(self):
-        w = replace(self.witness(), flips=(3, 2), offsets=((3, 2), (2, 1)))
+        # The (2, 1) copy is listed twice, so flip 2 is too.
+        w = replace(self.witness(), offsets=((2, 1), (3, 2), (2, 1)))
+        message = r"^flips not strictly ascending: \(2, 3, 2\)$"
+        with pytest.raises(MalformedWitnessError, match=message):
+            verify_witness(w)
+
+    def test_offsets_out_of_flip_order_are_malformed(self):
+        w = replace(self.witness(), offsets=((3, 2), (2, 1)))
         message = r"^flips not strictly ascending: \(3, 2\)$"
         with pytest.raises(MalformedWitnessError, match=message):
             verify_witness(w)
 
     def test_flip_out_of_range_is_malformed(self):
         with pytest.raises(MalformedWitnessError, match=r"^flip outside 1\.\.4: \(2, 9\)$"):
-            verify_witness(replace(self.witness(), flips=(2, 9), offsets=((2, 1), (9, 2))))
+            verify_witness(replace(self.witness(), offsets=((2, 1), (9, 2))))
 
-    def test_offset_keys_must_match_flips(self):
-        with pytest.raises(MalformedWitnessError, match=r"^offset keys do not match flips$"):
-            verify_witness(replace(self.witness(), offsets=((1, 1), (3, 2))))
+    @pytest.mark.parametrize("field", ["p", "flips", "shift"])
+    def test_derived_fields_cannot_be_set(self, field):
+        with pytest.raises(TypeError):
+            replace(self.witness(), **{field: 99})
 
     @pytest.mark.parametrize("offset", [0, 3])
     def test_copy_window_outside_word_is_malformed(self, offset):
@@ -393,7 +397,7 @@ class TestLiftWitness:
         assert str(lw.alpha) == "01111"
         assert str(lw.beta) == "01001"
         assert lw.flips == (3, 4)
-        assert lw.offset_map == {3: 2, 4: 3}
+        assert lw.offsets == ((3, 2), (4, 3))
         assert verify_witness(lw).ok
 
     def test_lift_identity(self):
@@ -440,6 +444,46 @@ class TestWitnessJson:
     def test_round_trip_three_flip(self):
         (w,) = three_flip_candidates(W("0011"))
         assert witness_from_json_dict(witness_to_json_dict(w)) == w
+
+    def test_round_trip_past_the_parser_limit(self):
+        # B = 75: alpha and beta are longer than Word.parse accepts.
+        cls = classify(W("0011001100111000100001011111101000101111"))
+        assert cls.index == 75 and cls.witnesses
+        for w in cls.witnesses:
+            for lifted in (w, lift_witness(w, 76), lift_witness(w, 80)):
+                data = json.loads(json.dumps(witness_to_json_dict(lifted)))
+                assert witness_from_json_dict(data) == lifted
+                assert verify_witness(witness_from_json_dict(data)).ok
+
+    @pytest.mark.parametrize(
+        "key, value", [("p", 3), ("flips", [2, 4]), ("flips", [3, 2]), ("shift", 99)]
+    )
+    def test_derived_field_disagreeing_with_offsets_is_refused(self, key, value):
+        (w,) = two_flip_candidates(W("101"))
+        data = {**witness_to_json_dict(w), key: value}
+        message = rf"^{key} .* does not match offsets: "
+        with pytest.raises(MalformedWitnessError, match=message):
+            witness_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dimension", "x"), ("shift", None), ("offsets", [[2, 1], [3, 2]]),
+         ("offsets", {"2": 1, "3": "two"}), ("alpha", "1121"), ("beta", ""), ("pattern", 101)],
+    )
+    def test_unreadable_json_is_refused(self, key, value):
+        (w,) = two_flip_candidates(W("101"))
+        data = {**witness_to_json_dict(w), key: value}
+        if value is None:  # the key is missing
+            del data[key]
+        with pytest.raises(MalformedWitnessError, match="^unreadable witness JSON: "):
+            witness_from_json_dict(data)
+
+    @pytest.mark.parametrize("offsets", [{"2": 1}, {}])
+    def test_fewer_than_two_offsets_are_refused(self, offsets):
+        (w,) = two_flip_candidates(W("101"))
+        data = {**witness_to_json_dict(w), "offsets": offsets, "p": len(offsets)}
+        with pytest.raises(MalformedWitnessError, match="need at least 2 offsets"):
+            witness_from_json_dict(data)
 
 
 def assert_classify_total(text):

@@ -165,18 +165,6 @@ class TestDifferingPositions:
 
 
 class TestWindowsAndConcat:
-    def test_window(self):
-        w = W("0110100")
-        assert w.window(2, 3) == W("110")
-        assert w.window(1, 7) == w
-        assert w.window(7, 1) == W("0")
-
-    def test_window_out_of_range(self):
-        with pytest.raises(WordError):
-            W("0110").window(0, 2)
-        with pytest.raises(WordError):
-            W("0110").window(3, 3)
-
     def test_concat(self):
         assert W("01").concat(W("10")) == W("0110")
         assert W("1").concat(W("0")) == W("10")
