@@ -30,12 +30,11 @@ _EXPORTS = {
         "is_isometric",
     ),
     "periodicity": (
-        "EquationSystem",
         "OverlapGraph",
         "PeriodCheck",
         "build_overlap_graph",
         "closure_implies",
-        "equation_system",
+        "equations",
         "is_single_cycle",
         "period_closure_check",
         "residue_sequence",

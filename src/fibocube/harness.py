@@ -24,7 +24,7 @@ from . import oracle, structural
 from .periodicity import (
     build_overlap_graph,
     closure_implies,
-    equation_system,
+    equations,
     is_single_cycle,
     period_closure_check,
     residue_sequence,
@@ -174,13 +174,8 @@ def _min_p_one(p: _Pattern) -> dict:
 def _index_bound_one(p: _Pattern) -> dict:
     n, cls = p.n, p.classify(p.f)
     record = {"pattern": p.text, "index": cls.index}
-    if not cls.good:
-        if cls.index > 2 * n - 1:
-            record["failure"] = "index-at-least-twice-length"
-            return record
-        if any(w.p == 2 for w in cls.witnesses) and cls.index > 2 * n - 2:
-            record["failure"] = "two-flip-index-above-2n-2"
-            return record
+    # classify places layouts only at d <= 2n - 1 (two-flip ones at d <= 2n - 2),
+    # so it cannot report an index past the bound; only the oracle can test it.
     if n <= 4:
         past = p.first_violation(p.f, 2 * n + 2)
         record["first_violation_to_2n_plus_2"] = past
@@ -370,17 +365,14 @@ def check_overlap_machinery() -> TheoremReport:
 
     for r, s in product(range(1, limit + 1), repeat=2):
         g = build_overlap_graph(r, s)
-        if not is_single_cycle(g) or len(g.edges) != 2 * (g.k1 + g.k2):
+        if not is_single_cycle(g):
             return report({"r": r, "s": s, "failure": "not-a-single-cycle"})
         seq = residue_sequence(g.k1, g.k2)
         if sorted(seq) != list(range(g.k1 + g.k2)) or seq[-1] != g.k2:
             return report({"r": r, "s": s, "failure": "residue-walk-broken"})
-        sys_ = equation_system(r, s)
-        ids = [(2, i) for i in sys_.type2] + [(3, j) for j in sys_.type3]
-        for missing in ids:
-            assumed = set(ids) - {missing}
-            pair = (sys_.type2 if missing[0] == 2 else sys_.type3)[missing[1]]
-            if not closure_implies(r, s, assumed, pair):
+        eqs = equations(r, s)
+        for missing, pair in eqs.items():
+            if not closure_implies(r, s, eqs.keys() - {missing}, pair):
                 return report({"r": r, "s": s, "missing": list(missing),
                                "failure": "dropped-equation-not-forced"})
     # concrete words: periods r and s force period gcd(r, s), and the

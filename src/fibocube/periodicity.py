@@ -23,27 +23,11 @@ MAX_OVERLAP_VERTICES = 1 << 20  # its DOT export needs about half a KiB per vert
 class OverlapGraph:
     r: int
     s: int
-    g: int
     k1: int
     k2: int
     x_vertices: tuple[str, ...]
     y_vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
-
-    def denoted_index(self, label: str) -> int:
-        """1-based slot in the position progression t, t+g, ... that a vertex denotes.
-
-        v1_i and v2_i denote slot i; v3_k denotes slot k + k1 (its position is
-        t + (k-1)g + r).  Edges between same-slot vertices are tautologies; the
-        remaining edges are the gap-s and gap-r equations.
-        """
-        kind, num = label.split("_")
-        i = int(num)
-        if kind == "v1" or kind == "v2":
-            return i
-        if kind == "v3":
-            return i + self.k1
-        raise ValueError(f"unknown vertex label {label!r}")
 
     def to_dot(self) -> str:
         lines = [f'graph "overlap_{self.r}_{self.s}" {{']
@@ -55,9 +39,28 @@ class OverlapGraph:
         return "\n".join(lines) + "\n"
 
 
+def equations(r: int, s: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """The (r, s) system based at position 1, as equation id -> position pair.
+
+    With g = gcd(r, s), the gap-s equation (2, i) for i = 1..r/g is the pair
+    (1+(i-1)g, 1+(i-1)g+s), and the gap-r equation (3, j) for j = 1..s/g is
+    (1+(j-1)g, 1+(j-1)g+r).  Together they cover the span 1, 1+g, ..., r+s+1-g.
+    """
+    if r < 1 or s < 1:
+        raise ValueError(f"periods must be positive, got r={r}, s={s}")
+    g = math.gcd(r, s)
+    return {
+        (kind, i): (1 + (i - 1) * g, 1 + (i - 1) * g + gap)
+        for kind, count, gap in ((2, r // g, s), (3, s // g, r))
+        for i in range(1, count + 1)
+    }
+
+
 def build_overlap_graph(r: int, s: int) -> OverlapGraph:
-    """The 2-regular bipartite incidence graph of the (r, s) equation system:
-    2(k1 + k2) vertices, refused over MAX_OVERLAP_VERTICES."""
+    """The incidence graph of equations(r, s): equation (2, i) is v1_i, (3, j)
+    is v3_j, position 1 + (j-1)g is v2_j, and each equation is joined to its
+    two positions.  2(k1 + k2) vertices, refused over MAX_OVERLAP_VERTICES
+    before the equations are listed."""
     if r < 1 or s < 1:
         raise ValueError(f"periods must be positive, got r={r}, s={s}")
     g = math.gcd(r, s)
@@ -67,18 +70,13 @@ def build_overlap_graph(r: int, s: int) -> OverlapGraph:
             f"overlap graph of r={r}, s={s} has {2 * (k1 + k2)} vertices, "
             f"over the limit of {MAX_OVERLAP_VERTICES}"
         )
-    xs = tuple(f"v1_{i}" for i in range(1, k1 + 1)) + tuple(
-        f"v3_{k}" for k in range(1, k2 + 1)
-    )
+    eqs = equations(r, s)
+    xs = tuple(f"v{1 if kind == 2 else 3}_{i}" for kind, i in eqs)
     ys = tuple(f"v2_{j}" for j in range(1, k1 + k2 + 1))
-    edges = []
-    for i in range(1, k1 + 1):
-        edges.append((f"v1_{i}", f"v2_{i}"))          # tautology: same position
-        edges.append((f"v1_{i}", f"v2_{i + k2}"))     # gap-s equation i
-    for k in range(1, k2 + 1):
-        edges.append((f"v3_{k}", f"v2_{k}"))          # gap-r equation k
-        edges.append((f"v3_{k}", f"v2_{k + k1}"))     # tautology: same position
-    return OverlapGraph(r, s, g, k1, k2, xs, ys, tuple(edges))
+    edges = tuple(
+        (x, f"v2_{(p - 1) // g + 1}") for x, pair in zip(xs, eqs.values()) for p in pair
+    )
+    return OverlapGraph(r, s, k1, k2, xs, ys, edges)
 
 
 def is_single_cycle(graph: OverlapGraph) -> bool:
@@ -106,35 +104,6 @@ def residue_sequence(k1: int, k2: int) -> list[int]:
     return [((j - 1) * k1) % n for j in range(1, n + 1)]
 
 
-@dataclass(frozen=True)
-class EquationSystem:
-    """Concrete position equalities of the (r, s) system based at position 1.
-
-    type2[i] for i = 1..r/g is the pair (1+(i-1)g, 1+(i-1)g+s);
-    type3[j] for j = 1..s/g is the pair (1+(j-1)g, 1+(j-1)g+r).
-    """
-
-    r: int
-    s: int
-    g: int
-    k1: int
-    k2: int
-    span: tuple[int, ...]
-    type2: dict[int, tuple[int, int]]
-    type3: dict[int, tuple[int, int]]
-
-
-def equation_system(r: int, s: int) -> EquationSystem:
-    if r < 1 or s < 1:
-        raise ValueError(f"periods must be positive, got r={r}, s={s}")
-    g = math.gcd(r, s)
-    k1, k2 = r // g, s // g
-    span = tuple(1 + j * g for j in range(k1 + k2))
-    type2 = {i: (1 + (i - 1) * g, 1 + (i - 1) * g + s) for i in range(1, k1 + 1)}
-    type3 = {j: (1 + (j - 1) * g, 1 + (j - 1) * g + r) for j in range(1, k2 + 1)}
-    return EquationSystem(r, s, g, k1, k2, span, type2, type3)
-
-
 class _DSU:
     def __init__(self, items):
         self.parent = {x: x for x in items}
@@ -160,26 +129,18 @@ def closure_implies(
 ) -> bool:
     """True iff the assumed equations force equality of the queried positions.
 
-    Equation ids are (2, i) with i in 1..r/g or (3, j) with j in 1..s/g;
-    tautological identifications are always in force and need not be listed.
-    Both queried positions must lie in the system's span.
+    Equation ids are the keys of equations(r, s).  Both queried positions must
+    lie in the system's span.
     """
-    system = equation_system(r, s)
-    dsu = _DSU(system.span)
+    eqs = equations(r, s)
+    dsu = _DSU(p for pair in eqs.values() for p in pair)
     for eq in assumed:
-        if not (isinstance(eq, tuple) and len(eq) == 2):
-            raise ValueError(f"malformed equation id {eq!r}")
-        kind, idx = eq
-        if kind == 2 and idx in system.type2:
-            a, b = system.type2[idx]
-        elif kind == 3 and idx in system.type3:
-            a, b = system.type3[idx]
-        else:
+        if not (isinstance(eq, tuple) and len(eq) == 2 and eq in eqs):
             raise ValueError(f"malformed equation id {eq!r} for r={r}, s={s}")
-        dsu.union(a, b)
+        dsu.union(*eqs[eq])
     qa, qb = queried
     if qa not in dsu.parent or qb not in dsu.parent:
-        raise ValueError(f"queried positions {queried} outside span {system.span}")
+        raise ValueError(f"queried positions {queried} outside span {tuple(sorted(dsu.parent))}")
     return dsu.find(qa) == dsu.find(qb)
 
 

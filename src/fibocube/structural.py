@@ -285,6 +285,13 @@ def witness_to_json_dict(w: CriticalWitness) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """A JSON integer as it stands; int() would read 4.9 as 4 and true as 1."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def witness_from_json_dict(data: dict) -> CriticalWitness:
     """Read a witness of any length; p, flips and shift are rebuilt from its
     offsets.  JSON that cannot be read, states other p, flips or shift, or
@@ -292,8 +299,8 @@ def witness_from_json_dict(data: dict) -> CriticalWitness:
     try:
         w = CriticalWitness(
             pattern=_parse_any_length(data["pattern"]),
-            dimension=int(data["dimension"]),
-            offsets=tuple(sorted((int(i), int(u)) for i, u in data["offsets"].items())),
+            dimension=_json_int(data["dimension"]),
+            offsets=tuple(sorted((int(i), _json_int(u)) for i, u in data["offsets"].items())),
             alpha=_parse_any_length(data["alpha"]),
             beta=_parse_any_length(data["beta"]),
         )

@@ -465,13 +465,6 @@ class TestFailurePaths:
     @pytest.mark.parametrize(
         "module, name, broken, check, checked, counterexample",
         [
-            (structural, "classify", lambda f: Classification(f, 2 * f.length, ()),
-             "index-bound", 14,
-             {"pattern": "0", "index": 2, "failure": "index-at-least-twice-length"}),
-            (structural, "classify",
-             lambda f: Classification(f, 2 * f.length - 1, (SimpleNamespace(p=2),)),
-             "index-bound", 14,
-             {"pattern": "0", "index": 1, "failure": "two-flip-index-above-2n-2"}),
             # length-1 patterns are good, their squares bad
             (structural, "classify",
              lambda f: Classification(f, None if f.length == 1 else 3, ()),
@@ -487,7 +480,7 @@ class TestFailurePaths:
               "failure": "first-source-not-scan-endpoint",
               "violating_pair": ["0110", "0000", 4, 2], "scan_endpoint": "0000"}),
         ],
-        ids=["twice-length", "two-flip", "lost-goodness", "isometric-above-index",
+        ids=["lost-goodness", "isometric-above-index",
              "source-not-scan-endpoint"],
     )
     def test_failure_kind(self, monkeypatch, module, name, broken, check, checked,

@@ -133,3 +133,43 @@ def test_every_default_parameter_is_set_by_some_caller():
         and not any(n == name and passes(c, param, index) for n, c in calls)
     ]
     assert unset == []
+
+
+def failure_kinds(tree):
+    """The strings a module stores as a failure kind: under a ["failure"]
+    subscript, in a variable named failure, or under a "failure" dict key.
+    A stored value that is neither a string nor the variable failure is
+    returned as None, since its kinds cannot be read."""
+    kinds = set()
+
+    def stored(value):
+        if isinstance(value, ast.Constant) and isinstance(value.value, str):
+            kinds.add(value.value)
+        elif not (isinstance(value, ast.Name) and value.id == "failure"):
+            kinds.add(None)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if (isinstance(target, ast.Name) and target.id == "failure") or (
+                    isinstance(target, ast.Subscript)
+                    and isinstance(target.slice, ast.Constant)
+                    and target.slice.value == "failure"
+                ):
+                    stored(node.value)
+        elif isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and key.value == "failure":
+                    stored(value)
+    return kinds
+
+
+def test_every_harness_failure_kind_is_named_in_its_tests():
+    """A failure kind no test names is a check no test shows can fail."""
+    harness = ast.parse((REPO / "src" / "fibocube" / "harness.py").read_text(encoding="utf-8"))
+    tests = ast.parse((REPO / "tests" / "test_harness.py").read_text(encoding="utf-8"))
+    kinds = failure_kinds(harness)
+    named = {node.value for node in ast.walk(tests)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert kinds and None not in kinds
+    assert sorted(kinds - named) == []

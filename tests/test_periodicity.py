@@ -8,7 +8,7 @@ from fibocube.periodicity import (
     OverlapGraph,
     build_overlap_graph,
     closure_implies,
-    equation_system,
+    equations,
     is_single_cycle,
     period_closure_check,
     residue_sequence,
@@ -35,7 +35,7 @@ class TestOverlapGraph:
 
     def test_scaled_parameters_give_same_shape(self):
         g = build_overlap_graph(20, 6)
-        assert (g.g, g.k1, g.k2) == (2, 10, 3)
+        assert (g.k1, g.k2) == (10, 3)
         assert len(g.edges) == 26
 
     def test_1_1_is_4_cycle(self):
@@ -46,7 +46,7 @@ class TestOverlapGraph:
 
     def test_2_4_is_6_cycle(self):
         g = build_overlap_graph(2, 4)
-        assert (g.g, g.k1, g.k2) == (2, 1, 2)
+        assert (g.k1, g.k2) == (1, 2)
         assert len(g.edges) == 6
         assert is_single_cycle(g)
 
@@ -79,7 +79,7 @@ class TestOverlapGraph:
     def test_single_cycle_rejects_two_cycles_and_a_path(self):
         def graph(edges):
             xs, ys = ("a", "c", "e", "g"), ("b", "d", "f", "h")
-            return OverlapGraph(1, 1, 1, 1, 1, xs, ys, tuple(edges))
+            return OverlapGraph(1, 1, 1, 1, xs, ys, tuple(edges))
 
         cycle = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
         other = [("e", "f"), ("f", "g"), ("g", "h"), ("h", "e")]
@@ -89,27 +89,17 @@ class TestOverlapGraph:
         assert not is_single_cycle(graph(cycle + other))
         assert not is_single_cycle(graph(path))
 
-    def test_edges_match_equation_positions(self):
-        # Contracting the tautology edges must leave exactly the gap-s and
-        # gap-r equations, as position pairs.
-        for r, s in [(1, 1), (2, 3), (4, 6), (10, 3), (2, 4)]:
-            g = build_overlap_graph(r, s)
-            sys_ = equation_system(r, s)
-            slot_pos = {i + 1: p for i, p in enumerate(sys_.span)}
-            contracted = []
-            for a, b in g.edges:
-                sa, sb = g.denoted_index(a), g.denoted_index(b)
-                if sa != sb:
-                    contracted.append(frozenset((slot_pos[sa], slot_pos[sb])))
-            wanted = [
-                frozenset(pair)
-                for pair in list(sys_.type2.values()) + list(sys_.type3.values())
-            ]
-            assert sorted(map(sorted, contracted)) == sorted(map(sorted, wanted))
-
-    def test_denoted_index_rejects_an_unknown_label(self):
-        with pytest.raises(ValueError, match="unknown vertex label 'x_1'"):
-            build_overlap_graph(2, 3).denoted_index("x_1")
+    def test_4_6_edges(self):
+        # g = 2: equation (2, i) joins v1_i to positions 1+(i-1)2 and 7+(i-1)2,
+        # (3, j) joins v3_j to 1+(j-1)2 and 5+(j-1)2; position 1+(j-1)2 is v2_j.
+        g = build_overlap_graph(4, 6)
+        assert g.x_vertices == ("v1_1", "v1_2", "v3_1", "v3_2", "v3_3")
+        assert g.y_vertices == ("v2_1", "v2_2", "v2_3", "v2_4", "v2_5")
+        assert g.edges == (
+            ("v1_1", "v2_1"), ("v1_1", "v2_4"), ("v1_2", "v2_2"), ("v1_2", "v2_5"),
+            ("v3_1", "v2_1"), ("v3_1", "v2_3"), ("v3_2", "v2_2"), ("v3_2", "v2_4"),
+            ("v3_3", "v2_3"), ("v3_3", "v2_5"),
+        )
 
     def test_dot_output(self):
         dot = build_overlap_graph(1, 1).to_dot()
@@ -148,19 +138,16 @@ class TestResidueSequence:
 
 class TestEquationSystem:
     def test_counts(self):
-        sys_ = equation_system(6, 9)
-        assert (sys_.g, sys_.k1, sys_.k2) == (3, 2, 3)
-        assert len(sys_.type2) == 2
-        assert len(sys_.type3) == 3
-        assert sys_.span == (1, 4, 7, 10, 13)
-        assert sys_.type2[1] == (1, 10)
-        assert sys_.type3[2] == (4, 10)
-
+        # g = 3: two gap-9 equations and three gap-6 ones over 1, 4, 7, 10, 13.
+        assert equations(6, 9) == {
+            (2, 1): (1, 10), (2, 2): (4, 13),
+            (3, 1): (1, 7), (3, 2): (4, 10), (3, 3): (7, 13),
+        }
 
     @pytest.mark.parametrize("r, s", [(0, 3), (3, 0), (-1, 2)])
     def test_rejects_nonpositive_periods(self, r, s):
         with pytest.raises(ValueError, match=rf"periods must be positive, got r={r}, s={s}"):
-            equation_system(r, s)
+            equations(r, s)
 
 
 class TestClosure:
@@ -171,20 +158,18 @@ class TestClosure:
 
     def test_all_but_one_forces_the_missing_one(self):
         r, s = 6, 9
-        sys_ = equation_system(r, s)
-        for missing_kind, missing_idx in [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]:
-            assumed = {(2, i) for i in sys_.type2} | {(3, j) for j in sys_.type3}
-            assumed.discard((missing_kind, missing_idx))
-            pair = (sys_.type2 if missing_kind == 2 else sys_.type3)[missing_idx]
-            assert closure_implies(r, s, assumed, pair)
+        eqs = equations(r, s)
+        assert len(eqs) == 5
+        for missing, pair in eqs.items():
+            assert closure_implies(r, s, set(eqs) - {missing}, pair)
 
     def test_two_gap_s_deletions_cross_tie(self):
         # Dropping gap-s equations i1, i2 still ties each left end to the
         # other's right end, but no longer to its own.
         r, s = 2, 3
-        sys_ = equation_system(r, s)
-        assumed = {(3, j) for j in sys_.type3}
-        p1, p2 = sys_.type2[1], sys_.type2[2]
+        eqs = equations(r, s)
+        assumed = {(3, 1), (3, 2), (3, 3)}
+        p1, p2 = eqs[2, 1], eqs[2, 2]
         assert closure_implies(r, s, assumed, (p1[0], p2[1]))
         assert closure_implies(r, s, assumed, (p2[0], p1[1]))
         assert not closure_implies(r, s, assumed, p1)
@@ -192,13 +177,9 @@ class TestClosure:
 
     def test_one_deletion_of_each_kind_cross_tie(self):
         r, s = 4, 6
-        sys_ = equation_system(r, s)
-        i1, j1 = 2, 1
-        assumed = ({(2, i) for i in sys_.type2} | {(3, j) for j in sys_.type3}) - {
-            (2, i1),
-            (3, j1),
-        }
-        pi, pj = sys_.type2[i1], sys_.type3[j1]
+        eqs = equations(r, s)
+        assumed = set(eqs) - {(2, 2), (3, 1)}
+        pi, pj = eqs[2, 2], eqs[3, 1]
         assert closure_implies(r, s, assumed, (pi[0], pj[0]))
         assert closure_implies(r, s, assumed, (pi[1], pj[1]))
         assert not closure_implies(r, s, assumed, pi)
@@ -206,17 +187,15 @@ class TestClosure:
 
     def test_full_assumption_connects_congruent_positions(self):
         for r, s in [(2, 3), (4, 6), (3, 5)]:
-            sys_ = equation_system(r, s)
-            assumed = {(2, i) for i in sys_.type2} | {(3, j) for j in sys_.type3}
-            for a in sys_.span:
-                for b in sys_.span:
-                    assert closure_implies(r, s, assumed, (a, b))
+            span = range(1, r + s + 1, math.gcd(r, s))
+            for a in span:
+                for b in span:
+                    assert closure_implies(r, s, set(equations(r, s)), (a, b))
 
     def test_monotone_in_assumptions_exhaustive(self):
         r, s = 2, 3
-        sys_ = equation_system(r, s)
-        ids = [(2, i) for i in sys_.type2] + [(3, j) for j in sys_.type3]
-        queries = list(combinations(sys_.span, 2))
+        ids = list(equations(r, s))
+        queries = list(combinations(range(1, r + s + 1), 2))
         for k in range(len(ids)):
             for subset in combinations(ids, k):
                 base = {q: closure_implies(r, s, set(subset), q) for q in queries}
@@ -232,16 +211,12 @@ class TestClosure:
         # Whenever every assumed equation holds bitwise on a word, every
         # forced equality must hold bitwise too.
         for r, s in [(1, 2), (2, 3), (2, 4)]:
-            sys_ = equation_system(r, s)
-            n = max(max(p) for p in list(sys_.type2.values()) + list(sys_.type3.values()))
-            ids = [(2, i) for i in sys_.type2] + [(3, j) for j in sys_.type3]
-            pairs = {eq: (sys_.type2 if eq[0] == 2 else sys_.type3)[eq[1]] for eq in ids}
-            for bits in product("01", repeat=n):
+            eqs = equations(r, s)
+            span = range(1, r + s + 1, math.gcd(r, s))
+            for bits in product("01", repeat=span[-1]):
                 f = Word.parse("".join(bits))
-                assumed = {
-                    eq for eq, (a, b) in pairs.items() if f.bit(a) == f.bit(b)
-                }
-                for qa, qb in combinations(sys_.span, 2):
+                assumed = {eq for eq, (a, b) in eqs.items() if f.bit(a) == f.bit(b)}
+                for qa, qb in combinations(span, 2):
                     if closure_implies(r, s, assumed, (qa, qb)):
                         assert f.bit(qa) == f.bit(qb)
 

@@ -468,7 +468,10 @@ class TestWitnessJson:
     @pytest.mark.parametrize(
         "key, value",
         [("dimension", "x"), ("shift", None), ("offsets", [[2, 1], [3, 2]]),
-         ("offsets", {"2": 1, "3": "two"}), ("alpha", "1121"), ("beta", ""), ("pattern", 101)],
+         ("offsets", {"2": 1, "3": "two"}), ("alpha", "1121"), ("beta", ""), ("pattern", 101),
+         # int() would truncate these to a valid witness
+         ("dimension", 4.9), ("dimension", True), ("dimension", "4"),
+         ("offsets", {"2": 1, "3": 2.0}), ("offsets", {"2": 1, "3": True})],
     )
     def test_unreadable_json_is_refused(self, key, value):
         (w,) = two_flip_candidates(W("101"))
