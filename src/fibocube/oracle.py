@@ -52,12 +52,12 @@ each level gathers the neighbors of the vertices it reached last, so the whole
 BFS reads each neighbor-table entry once.
 
 The lemma21 sweep checks the scan against an independent, scan-free BFS
-route on every graph it covers.  That route compares BFS distance sums with
-Hamming sums per batch of 64 sources; only the first batch whose sums differ
-is re-run for its distance matrix.  Batches keep the bit-parallel engine
-(_bfs_levels): each source is one bit of a uint64 per vertex, so one gather
-of the whole table per level advances all 64 BFS at once.  A batch reads the
-table once per level; 64 frontier BFS would read it once per source.
+route on every graph it covers: one pass of the bit-parallel _bfs_levels per
+batch of 64 sources.  Each source is one bit of a uint64 per vertex, so one
+gather of the whole table per level advances all 64 BFS (64 frontier BFS would
+read it once per source).  A pass sums level times the count first reached
+there, for the batch's Hamming sum, and stops once every source has reached
+every vertex; the first failing batch reads its distance matrix from its levels.
 """
 
 from __future__ import annotations
@@ -290,42 +290,53 @@ def build_graph(f: Pattern, d: int) -> AvoidanceGraph:
 
 
 def _bfs_levels(g: AvoidanceGraph, sources: np.ndarray):
-    """BFS from up to 64 distinct source indices at once; yields, before each
-    level, the V bitsets (uint64, bit s for source s) of vertices reached.
+    """BFS from up to 64 distinct source indices at once; yields, for each
+    level k = 0, 1, ..., the V bitsets (uint64, bit s for source s) of the
+    vertices first reached at level k, and how many bits they hold.
 
-    Each level gathers the frontier through the neighbor table, one bit at a
-    time, and ORs the gathers.  The frontier has one extra last slot that
-    stays zero, so the table's -1 entries read nothing.  The generator ends
-    when a level reaches nothing.
+    Each level gathers the last one through the neighbor table, one bit at a
+    time, ORs the gathers and keeps the bits not reached before.  Every level
+    is a new array with one extra last slot, held at zero, so the table's -1
+    entries read nothing.  The generator ends, with no further gather, once
+    every source has reached every vertex, or when a level reaches nothing.
     """
-    n = g.vertex_count
+    n, m = g.vertex_count, len(sources)
     by_bit = g.neighbor_table.T
-    frontier = np.zeros(n + 1, dtype=np.uint64)
-    frontier[sources] = np.uint64(1) << np.arange(len(sources), dtype=np.uint64)
-    seen = frontier[:n].copy()
+    level = np.zeros(n + 1, dtype=np.uint64)
+    level[sources] = np.uint64(1) << np.arange(m, dtype=np.uint64)
+    unseen = ~level[:n] & np.uint64((1 << m) - 1)
+    count, left = m, n * m - m
     while True:
-        yield seen
-        reach = np.bitwise_or.reduce(frontier[by_bit], axis=0) & ~seen
-        if not reach.any():
+        yield level[:n], count
+        if not left:
             return
-        seen |= reach
-        frontier[:n] = reach
+        reach = np.zeros(n + 1, dtype=np.uint64)
+        np.bitwise_and(np.bitwise_or.reduce(level[by_bit], axis=0), unseen, out=reach[:n])
+        count = int(np.bitwise_count(reach).sum())
+        if not count:
+            return
+        unseen ^= reach[:n]
+        left -= count
+        level = reach
 
 
-def _distances(g: AvoidanceGraph, sources: np.ndarray) -> np.ndarray:
-    """BFS distances (len(sources) x V, int64) from up to 64 distinct source
-    indices to every vertex index; -1 where a vertex is unreachable.
+def _distances(levels: list[tuple[np.ndarray, int]]) -> np.ndarray:
+    """BFS distances (m x V, int64) from the m sources of one _bfs_levels
+    pass to every vertex index, read from the levels it yielded; -1 where a
+    vertex is unreachable.
     """
-    n = g.vertex_count
+    m, n = levels[0][1], levels[0][0].size
     # steps[v, s] counts the levels after which source s has not reached v:
-    # the distance when s reaches v, one more than the last level otherwise.
+    # the distance when s reaches v, the number of levels otherwise.
     steps = np.zeros((n, 64), dtype=np.int32)
-    for level, seen in enumerate(_bfs_levels(g, sources)):
+    seen = np.zeros(n, dtype=np.uint64)
+    for reach, _ in levels:
+        seen |= reach
         # Little-endian bytes unpacked little-bit-first put source s in column s.
         unseen = (~seen).astype("<u8", copy=False).view(np.uint8)
         steps += np.unpackbits(unseen, bitorder="little").reshape(n, 64)
-    dist = steps[:, : len(sources)].T.astype(np.int64)
-    dist[dist > level] = -1
+    dist = steps[:, :m].T.astype(np.int64)
+    dist[dist == len(levels)] = -1
     return dist
 
 
@@ -350,20 +361,6 @@ def _distance_row(g: AvoidanceGraph, source: int) -> np.ndarray:
         dist[reach[dist[reach] < 0]] = level
         frontier = np.flatnonzero(dist == level)
     return dist[:n]
-
-
-def _distance_sum(g: AvoidanceGraph, sources: np.ndarray) -> tuple[int, bool]:
-    """(sum of BFS distances from the sources to every vertex they reach,
-    whether every source reaches every vertex), without a distance matrix.
-
-    Each level adds the (source, vertex) pairs not reached yet, so a pair at
-    distance k is counted at levels 0..k-1.
-    """
-    mask = np.uint64((1 << len(sources)) - 1)
-    total = 0
-    for seen in _bfs_levels(g, sources):
-        total += int(_popcount(~seen & mask).sum())
-    return total, bool(((seen & mask) == mask).all())
 
 
 def graph_distance(g: AvoidanceGraph, a: Word, b: Word) -> int | float:
@@ -405,10 +402,10 @@ def _first_violation(
     there is none.  Unreachable pairs (-1) violate."""
     verts = g.vertices
     ham = _popcount(verts[sources, None] ^ verts[None, :])
-    bad = np.argwhere(dist != ham)
-    if not bad.size:
+    bad = dist != ham
+    if not bad.any():
         return None
-    i, j = bad[0]
+    i, j = np.unravel_index(bad.argmax(), bad.shape)
     alpha = Word(g.dimension, int(verts[sources[i]]))
     beta = Word(g.dimension, int(verts[j]))
     dg = UNREACHABLE if dist[i, j] < 0 else int(dist[i, j])
@@ -421,25 +418,28 @@ def _bfs_violation(g: AvoidanceGraph) -> tuple[Word, Word, int | float, int] | N
     Unreachable pairs violate.  This route does not read the critical-pair
     scan, so the lemma21 sweep can check one against the other.
 
-    Sources run in batches of 64 in lexicographic order.  A batch passes when
-    every pair is reachable and its BFS distance sum equals its Hamming sum,
-    which is exact because graph distance is never below Hamming distance.
-    The first batch that fails is re-run for its full distance matrix.
+    Sources run in batches of 64 in lexicographic order, one _bfs_levels pass
+    each.  A batch passes when every pair is reachable and its BFS distance
+    sum, level times count over the levels, equals its Hamming sum, which is
+    exact because graph distance is never below Hamming distance.  The first
+    batch that fails reads its distance matrix from the levels of its one pass.
     """
     d = g.dimension
     verts = g.vertices
     n = verts.size
-    # Bit k adds s_k (n - c_k) + (b - s_k) c_k to the Hamming sum of b
-    # sources, s_k of which have bit k set, against the c_k vertices that do.
+    # A source's Hamming sum adds, for each bit k, the c_k vertices with bit k
+    # set when its own bit k is 0 and the n - c_k others when it is 1.
     bits = (verts[:, None] >> np.arange(d)) & 1
     ones = bits.sum(axis=0)
-    for lo in range(0, n, _SOURCE_CHUNK):
+    starts = np.arange(0, n, _SOURCE_CHUNK)
+    ham_sums = np.add.reduceat(bits @ (n - 2 * ones) + ones.sum(), starts)
+    for lo, ham_sum in zip(starts.tolist(), ham_sums.tolist()):
         idx = np.arange(lo, min(lo + _SOURCE_CHUNK, n))
-        s = bits[idx].sum(axis=0)
-        ham_sum = int((s * (n - ones) + (idx.size - s) * ones).sum())
-        if _distance_sum(g, idx) == (ham_sum, True):
-            continue
-        return _first_violation(g, idx, _distances(g, idx))
+        levels = list(_bfs_levels(g, idx))
+        reached = sum(count for _, count in levels)
+        total = sum(k * count for k, (_, count) in enumerate(levels))
+        if (reached, total) != (n * idx.size, ham_sum):
+            return _first_violation(g, idx, _distances(levels))
     return None
 
 

@@ -84,7 +84,7 @@ def is_single_cycle(graph: OverlapGraph) -> bool:
     vertices = graph.x_vertices + graph.y_vertices
     if Counter(v for edge in graph.edges for v in edge) != dict.fromkeys(vertices, 2):
         return False
-    dsu = _DSU(vertices)
+    dsu = _DSU({v: v for v in vertices})
     for a, b in graph.edges:
         dsu.union(a, b)
     return len({dsu.find(v) for v in vertices}) == 1
@@ -105,8 +105,11 @@ def residue_sequence(k1: int, k2: int) -> list[int]:
 
 
 class _DSU:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+    """Union-find over a mutable map from each item to itself: a dict, or a
+    list when the items are 0..k-1."""
+
+    def __init__(self, parent):
+        self.parent = parent
 
     def find(self, x):
         p = self.parent
@@ -130,18 +133,22 @@ def closure_implies(
     """True iff the assumed equations force equality of the queried positions.
 
     Equation ids are the keys of equations(r, s).  Both queried positions must
-    lie in the system's span.
+    lie in the system's span 1, 1+g, ..., which has as many positions as the
+    system has equations; position p is slot (p-1)/g of the union-find list.
     """
     eqs = equations(r, s)
-    dsu = _DSU(p for pair in eqs.values() for p in pair)
+    g = math.gcd(r, s)
+    dsu = _DSU(list(range(len(eqs))))
     for eq in assumed:
         if not (isinstance(eq, tuple) and len(eq) == 2 and eq in eqs):
             raise ValueError(f"malformed equation id {eq!r} for r={r}, s={s}")
-        dsu.union(*eqs[eq])
+        a, b = eqs[eq]
+        dsu.union((a - 1) // g, (b - 1) // g)
+    span = range(1, 1 + len(eqs) * g, g)
     qa, qb = queried
-    if qa not in dsu.parent or qb not in dsu.parent:
-        raise ValueError(f"queried positions {queried} outside span {tuple(sorted(dsu.parent))}")
-    return dsu.find(qa) == dsu.find(qb)
+    if qa not in span or qb not in span:
+        raise ValueError(f"queried positions {queried} outside span {tuple(span)}")
+    return dsu.find(span.index(qa)) == dsu.find(span.index(qb))
 
 
 @dataclass(frozen=True)

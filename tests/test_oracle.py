@@ -14,6 +14,7 @@ from fibocube.harness import all_patterns, patterns_up_to
 from fibocube.oracle import (
     UNREACHABLE,
     AvoidanceGraph,
+    _bfs_levels,
     _bfs_violation,
     _distances,
     build_graph,
@@ -57,7 +58,7 @@ def reference_verdict(g):
         return (True, None)
     for lo in range(0, g.vertex_count, 64):
         idx = np.arange(lo, min(lo + 64, g.vertex_count))
-        dist = _distances(g, idx)
+        dist = reference_distances(verts, d, idx)
         ham = popcount(verts[idx, None] ^ verts[None, :], d)
         viol = np.argwhere(dist != ham)
         if viol.size:
@@ -66,6 +67,36 @@ def reference_verdict(g):
             return (False, (str(Word(d, int(verts[idx[i]]))), str(Word(d, int(verts[j]))),
                             dg, int(ham[i, j])))
     return (True, None)
+
+
+def reference_distances(vertices, d, sources):
+    """BFS distances (len(sources) x V) from the given source indices, -1
+    where unreachable, over the words of the whole cube: a word's neighbours
+    are its d one-bit flips, and only vertex words are entered.  It reads no
+    table of the graph.  Each word holds one bit per source; flipping bit k
+    of every word exchanges the halves of each block of 2^(k+1) words."""
+    entered = np.zeros(1 << d, dtype=np.uint64)
+    entered[vertices] = ~np.uint64(0)
+    reach = np.zeros(1 << d, dtype=np.uint64)
+    reach[vertices[sources]] = np.uint64(1) << np.arange(len(sources), dtype=np.uint64)
+    seen = reach.copy()
+    lanes = np.arange(len(sources), dtype=np.uint64)[:, None]
+    dist = np.full((len(sources), len(vertices)), -1, dtype=np.int64)
+    level = 0
+    while reach.any():
+        dist[((reach[vertices] >> lanes) & np.uint64(1)).astype(bool)] = level
+        step = np.zeros_like(reach)
+        for k in range(d):
+            step |= reach.reshape(-1, 2, 1 << k)[:, ::-1].reshape(-1)
+        reach = step & entered & ~seen
+        seen |= reach
+        level += 1
+    return dist
+
+
+def pair_text(pair):
+    """A violating pair with its words as text, or None."""
+    return pair and (str(pair[0]), str(pair[1]), pair[2], pair[3])
 
 
 def reference_vertices(f, d):
@@ -295,7 +326,7 @@ def assert_rows_match_batch_engine(g, sources, lanes=1):
     sources = np.asarray(sources, dtype=np.int64)
     for lo in range(0, sources.size, lanes):
         batch = sources[lo : lo + lanes]
-        for s, expected in zip(batch.tolist(), _distances(g, batch)):
+        for s, expected in zip(batch.tolist(), _distances(list(_bfs_levels(g, batch)))):
             row = oracle._distance_row(g, s)
             assert row.dtype == np.int64 and np.array_equal(row, expected), s
 
@@ -305,11 +336,20 @@ def assert_rows_match_batch_engine(g, sources, lanes=1):
 DISCONNECTED_SUBGRAPHS = [
     # 00 and 11 without 01 or 10 between them: no edges at all.
     pytest.param("01", ["00", "11"], ("00", "11", UNREACHABLE, 2), id="no-edges"),
-    # The path 0001-0000-1000 runs three levels, which is what each pair with
-    # the isolated 0111 counts, against Hamming distances 2, 3 and 4: the sums
-    # agree, and only the reach test catches it.
+    # The path 0001-0000-1000 and the isolated 0111.
     pytest.param(
         "1111", ["0000", "0001", "0111", "1000"], ("0000", "0111", UNREACHABLE, 3),
+        id="path-and-isolated",
+    ),
+    # The induced path 11101-10101-00101-00111-01111-01110-11110-10110 and the
+    # isolated 10011: the path's detours exceed Hamming distance by 44 in all,
+    # as much as the Hamming distances of the 16 pairs with 10011 add up to.
+    # So the batch's distance sum over its reached pairs equals its Hamming
+    # sum, and only the reach test catches it.
+    pytest.param(
+        "11111",
+        ["00101", "00111", "01110", "01111", "10011", "10101", "10110", "11101", "11110"],
+        ("00101", "10011", UNREACHABLE, 3),
         id="sums-agree",
     ),
 ]
@@ -472,7 +512,6 @@ class TestIsIsometric:
             return run
 
         monkeypatch.setattr(oracle, "_distance_row", row)
-        monkeypatch.setattr(oracle, "_distance_sum", refuse("_distance_sum"))
         monkeypatch.setattr(oracle, "_bfs_levels", refuse("_bfs_levels"))
         v = is_isometric(g)
         assert not v.isometric and sources == [least]
@@ -527,6 +566,7 @@ class TestIsIsometric:
         alpha, beta, dg, h = v.violating_pair
         assert (str(alpha), str(beta), dg, h) == expected
         assert reference_verdict(g) == (False, expected)
+        assert pair_text(_bfs_violation(g)) == expected
 
     def test_verdict_matches_pair_presence(self):
         # The two routes on separate graph objects, so neither reads the
@@ -542,18 +582,50 @@ class TestIsIsometric:
     def test_hand_built_subgraphs_match_reference(self, data):
         """Random induced subgraphs of Q_d, disconnected ones included: the
         scan's verdict and the BFS-named pair equal the full distance matrices'.
-        The label, up to two bits longer than d, plays no part."""
+        The label, up to two bits longer than d, plays no part.  The scan-free
+        route names the same pair."""
         d = data.draw(st.integers(1, 6), label="d")
         pattern = data.draw(st.text("01", min_size=1, max_size=d + 2), label="pattern")
         words = data.draw(st.sets(st.integers(0, (1 << d) - 1)), label="vertices")
         g = AvoidanceGraph(W(pattern), d, np.array(sorted(words), dtype=np.int64))
         v = is_isometric(g)
-        vp = v.violating_pair
-        if vp is not None:
-            vp = (str(vp[0]), str(vp[1]), vp[2], vp[3])
-        assert (v.isometric, vp) == reference_verdict(g)
+        reference = reference_verdict(g)
+        assert (v.isometric, pair_text(v.violating_pair)) == reference
+        assert pair_text(_bfs_violation(g)) == reference[1]
         pairs = [(str(c.alpha), str(c.beta), c.p, c.blocked_side) for c in find_critical_pairs(g)]
         assert pairs == reference_critical_pairs(g)
+
+    # Both graphs are connected and not isometric; the first violating
+    # source of Q_8(0011) is in its first batch, that of Q_8(10101) in its third.
+    @pytest.mark.parametrize("pattern", ["0011", "10101"])
+    def test_route_runs_one_pass_per_batch(self, monkeypatch, pattern):
+        # The scan-free route runs one _bfs_levels pass for each batch of 64
+        # sources up to the first that fails, and a pass stops once every
+        # source has reached every vertex: from then on the table it gathers
+        # through holds an out-of-range index, so one more gather would raise
+        # IndexError.
+        g = build_graph(W(pattern), 8)
+        n, table = g.vertex_count, g.neighbor_table
+        real_levels = oracle._bfs_levels
+        passes = []
+
+        def levels(g, sources):
+            reached, saved = 0, table.copy()
+            for level, count in real_levels(g, sources):
+                assert count > 0
+                reached += count
+                if reached == n * len(sources):
+                    table[:] = n + 1
+                yield level, count
+            table[:] = saved
+            passes.append((sources.tolist(), reached))
+
+        monkeypatch.setattr(oracle, "_bfs_levels", levels)
+        pair = _bfs_violation(g)
+        assert pair == is_isometric(build_graph(W(pattern), 8)).violating_pair
+        first = int(np.searchsorted(g.vertices, pair[0].bits))
+        batches = [list(range(lo, min(lo + 64, n))) for lo in range(0, first + 1, 64)]
+        assert passes == [(batch, n * len(batch)) for batch in batches]
 
     def test_scan_runs_once_per_graph(self, monkeypatch):
         g = build_graph(W("00011"), 8)
