@@ -48,49 +48,23 @@ def _dumps(obj) -> str:
 
 
 def _cmd_classify(args) -> int:
+    """classify, index and witness: each shows its part of one Classification."""
     f = _parse_pattern(args.pattern)
     cls = structural.classify(f)
     witnesses = [structural.witness_to_json_dict(w) for w in cls.witnesses]
-    if args.format == "json":
-        print(_dumps({
-            "pattern": str(f),
-            "verdict": cls.verdict,
-            "index": cls.index,
-            "witnesses": witnesses,
-        }))
+    row = {"pattern": str(f), "verdict": cls.verdict, "index": cls.index}
+    if args.command == "witness":
+        for line in [witnesses] if args.format == "json" else witnesses:
+            print(_dumps(line))
+    elif args.format == "json":
+        print(_dumps((row | {"witnesses": witnesses}) if args.command == "classify" else row))
     elif args.format == "csv":
         print("pattern,verdict,index")
         print(f"{f},{cls.verdict},{'' if cls.index is None else cls.index}")
-    else:
-        if cls.good:
-            print("good")
-        else:
-            print(f"bad B={cls.index}")
-            for w in witnesses:
-                print(_dumps(w))
-    return EXIT_OK if cls.good else EXIT_BAD
-
-
-def _cmd_index(args) -> int:
-    f = _parse_pattern(args.pattern)
-    cls = structural.classify(f)
-    if args.format == "json":
-        print(_dumps({"pattern": str(f), "verdict": cls.verdict, "index": cls.index}))
-    elif args.format == "csv":
-        print("pattern,verdict,index")
-        print(f"{f},{cls.verdict},{'' if cls.index is None else cls.index}")
-    else:
+    elif cls.good or args.command == "index":
         print("good" if cls.good else cls.index)
-    return EXIT_OK if cls.good else EXIT_BAD
-
-
-def _cmd_witness(args) -> int:
-    f = _parse_pattern(args.pattern)
-    cls = structural.classify(f)
-    witnesses = [structural.witness_to_json_dict(w) for w in cls.witnesses]
-    if args.format == "json":
-        print(_dumps(witnesses))
     else:
+        print(f"bad B={cls.index}")
         for w in witnesses:
             print(_dumps(w))
     return EXIT_OK if cls.good else EXIT_BAD
@@ -173,12 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="print the index, or 'good'")
     p.add_argument("pattern")
     add_common(p)
-    p.set_defaults(handler=_cmd_index)
+    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("witness", help="minimal-dimension witnesses as JSON")
     p.add_argument("pattern")
     add_common(p, formats=("text", "json"))
-    p.set_defaults(handler=_cmd_witness, format="json")
+    p.set_defaults(handler=_cmd_classify, format="json")
 
     p = sub.add_parser("census", help="classify every pattern of one length")
     p.add_argument("length", type=int)

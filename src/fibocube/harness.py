@@ -15,8 +15,9 @@ import csv
 import io
 import json
 import os
+from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 
@@ -39,24 +40,36 @@ OVERLAP_PERIOD_LIMIT = 12  # check_overlap_machinery sweeps period pairs up to i
 class TheoremReport:
     name: str
     swept: str
-    passed: bool
     checked: int
-    counterexample: dict | None = None
-    notes: str = ""
+    counterexample: dict | None = None  # the first failing record; None when all pass
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {"name": self.name, "swept": self.swept, "passed": self.passed,
+                "checked": self.checked, "counterexample": self.counterexample, "notes": ""}
 
 
 @dataclass(frozen=True)
 class CensusRow:
     length: int
-    total: int
-    good_count: int
-    bad_count: int
     index_histogram: dict[int, int] = field(default_factory=dict)
     p_histogram: dict[int, int] = field(default_factory=dict)
     oracle_confirmed: bool = False
+
+    @property
+    def total(self) -> int:
+        return 2**self.length
+
+    @property
+    def bad_count(self) -> int:
+        return sum(self.index_histogram.values())
+
+    @property
+    def good_count(self) -> int:
+        return self.total - self.bad_count
 
     def to_json_dict(self) -> dict:
         return {
@@ -71,23 +84,12 @@ class CensusRow:
         }
 
 
-CENSUS_CSV_HEADER = [
-    "length",
-    "total",
-    "good",
-    "bad",
-    "good_fraction",
-    "index_histogram",
-    "p_histogram",
-    "oracle_confirmed",
-]
-
-
 def census_csv(rows: list[CensusRow]) -> str:
-    """One CSV line per row: to_json_dict's values in order, dicts as JSON."""
+    """One CSV line per row: to_json_dict's values in order, dicts as JSON,
+    under its keys with the suffix _count dropped."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CENSUS_CSV_HEADER)
+    w.writerow(key.removesuffix("_count") for key in CensusRow(1).to_json_dict())
     for r in rows:
         w.writerow(
             json.dumps(v) if isinstance(v, dict) else v for v in r.to_json_dict().values()
@@ -140,9 +142,19 @@ class _Pattern:
         return oracle.index_bruteforce(w, self.graph)
 
 
-def _probe_depth(f: Word) -> int:
-    """The deepest Q_d(f) of the cross and lemma21 checks: 2n-1, or 2n+2 for n <= 4."""
-    return 2 * f.length + 2 if f.length <= 4 else 2 * f.length - 1
+def _past_bound_probe(f: Word) -> tuple[Word, int] | None:
+    """The oracle's probe past the index bound 2n-1: Q_{2n+2}(f), for n <= 4."""
+    return (f, 2 * f.length + 2) if f.length <= 4 else None
+
+
+def _probe_graph(f: Word) -> tuple[Word, int]:
+    """The deepest graph of the cross and lemma21 checks."""
+    return _past_bound_probe(f) or (f, 2 * f.length - 1)
+
+
+def _doubling_probe(f: Word) -> tuple[Word, int] | None:
+    """The oracle's doubling confirmation: Q_d(ff) to ff's index bound, for n <= 3."""
+    return (f.concat(f), 4 * f.length - 1) if f.length <= 3 else None
 
 
 def _cross_validate_one(p: _Pattern) -> dict:
@@ -150,9 +162,9 @@ def _cross_validate_one(p: _Pattern) -> dict:
     record = {"pattern": p.text, "structural_index": s_index, "bruteforce_index": b_index}
     if s_index != b_index:
         record["failure"] = "index-mismatch"
-    elif b_index is None and p.n <= 4:
+    elif b_index is None and (probe := _past_bound_probe(p.f)):
         # A bad f's first violation is its index, so only a good f is probed.
-        past = p.first_violation(p.f, 2 * p.n + 2)
+        past = p.first_violation(*probe)
         if past is not None:
             record["failure"] = "violation-appears-past-bound"
             record["first_violation_to_2n_plus_2"] = past
@@ -172,12 +184,12 @@ def _min_p_one(p: _Pattern) -> dict:
 
 
 def _index_bound_one(p: _Pattern) -> dict:
-    n, cls = p.n, p.classify(p.f)
+    cls, probe = p.classify(p.f), _past_bound_probe(p.f)
     record = {"pattern": p.text, "index": cls.index}
     # classify places layouts only at d <= 2n - 1 (two-flip ones at d <= 2n - 2),
     # so it cannot report an index past the bound; only the oracle can test it.
-    if n <= 4:
-        past = p.first_violation(p.f, 2 * n + 2)
+    if probe:
+        past = p.first_violation(*probe)
         record["first_violation_to_2n_plus_2"] = past
         if past != cls.index:
             record["failure"] = "oracle-disagrees-past-bound"
@@ -192,7 +204,7 @@ def _doubling_one(p: _Pattern) -> dict:
     if cls.good:
         if not cls_ff.good:
             record["failure"] = "doubling-lost-goodness"
-        elif p.n <= 3 and p.index(p.ff) is not None:
+        elif (probe := _doubling_probe(p.f)) and p.first_violation(*probe) is not None:
             record["failure"] = "oracle-says-doubled-is-bad"
     return record
 
@@ -222,7 +234,7 @@ def _critical_equivalence_one(p: _Pattern) -> dict:
     a violating pair exactly when there is a critical pair, and the first
     violating source is the least endpoint of the critical pairs, which is
     where is_isometric runs its one BFS."""
-    d_max = _probe_depth(p.f)
+    _, d_max = _probe_graph(p.f)
     for d in range(2, d_max + 1):
         g = p.graph(p.f, d)
         violation = oracle._bfs_violation(g)
@@ -261,18 +273,16 @@ def _bad_patterns(records) -> int:
 # records, deepest graph (word, d) the check builds for a pattern f, or None)
 _SUITES = {
     "cross": ("oracle-structural-cross-validation", "all patterns of length 1..{}",
-              _cross_validate_one, len, lambda f: (f, _probe_depth(f))),
+              _cross_validate_one, len, _probe_graph),
     "p-values": ("minimal-p-dichotomy",
                  "bad patterns of length 1..{}, critical pairs at the index",
                  _min_p_one, _bad_patterns, lambda f: (f, 2 * f.length - 1)),
     "index-bound": ("index-upper-bound",
                     "all patterns of length 1..{}; oracle probe to 2n+2 for n <= 4",
-                    _index_bound_one, len,
-                    lambda f: (f, 2 * f.length + 2) if f.length <= 4 else None),
+                    _index_bound_one, len, _past_bound_probe),
     "doubling": ("doubling-preserves-good",
                  "all patterns of length 1..{}; oracle confirmation for n <= 3",
-                 _doubling_one, len,
-                 lambda f: (f.concat(f), 4 * f.length - 1) if f.length <= 3 else None),
+                 _doubling_one, len, _doubling_probe),
     "monotonicity": ("witness-lift-monotonicity",
                      "bad patterns of length 1..{}, dimensions index+1..index+3",
                      _monotonicity_one, _bad_patterns,
@@ -281,7 +291,7 @@ _SUITES = {
                 "all patterns of length 1..{}, dimensions 2..2n-1 (2n+2 for n <= 4)",
                 _critical_equivalence_one,
                 lambda records: sum(r.get("dimensions_checked", 0) for r in records),
-                lambda f: (f, _probe_depth(f))),
+                _probe_graph),
 }
 SUITES = tuple(_SUITES)
 
@@ -303,7 +313,7 @@ def _run(names, texts, workers, max_len=None) -> list[TheoremReport]:
         records = [row[i] for row in rows]
         bad = next((r for r in records if "failure" in r), None)
         swept = f"{len(texts)} patterns" if max_len is None else swept.format(max_len)
-        reports.append(TheoremReport(title, swept, bad is None, checked(records), bad))
+        reports.append(TheoremReport(title, swept, checked(records), bad))
     return reports
 
 
@@ -334,24 +344,30 @@ def census(n: int, workers: int = 1, oracle_confirm: bool = False) -> CensusRow:
                   if bad["failure"] == "index-mismatch"
                   else f"{bad['failure']} at d = {bad['first_violation_to_2n_plus_2']}")
         raise RuntimeError(f"classifier disagrees with oracle on {bad['pattern']}: {detail}")
-    good = 0
-    index_hist: dict[int, int] = {}
-    p_hist: dict[int, int] = {}
-    for index, min_p in _pmap(_census_one, texts, workers):
-        if index is None:
-            good += 1
-        else:
-            index_hist[index] = index_hist.get(index, 0) + 1
-            p_hist[min_p] = p_hist.get(min_p, 0) + 1
+    bad = [(index, min_p) for index, min_p in _pmap(_census_one, texts, workers)
+           if index is not None]
     return CensusRow(
         length=n,
-        total=len(texts),
-        good_count=good,
-        bad_count=len(texts) - good,
-        index_histogram=dict(sorted(index_hist.items())),
-        p_histogram=dict(sorted(p_hist.items())),
+        index_histogram=dict(sorted(Counter(index for index, _ in bad).items())),
+        p_histogram=dict(sorted(Counter(min_p for _, min_p in bad).items())),
         oracle_confirmed=oracle_confirm,
     )
+
+
+def _residue_walk(g) -> list[int]:
+    """j - 1 for each v2_j in the order a walk round g's single cycle visits
+    them, from v2_1 through its gap-r equation (a v3_* vertex)."""
+    ends = defaultdict(list)
+    for a, b in g.edges:
+        ends[a].append(b)
+        ends[b].append(a)
+    walk, y = [], "v2_1"
+    x = min(ends[y], key=lambda v: v.startswith("v3_"))  # enter by v1_*, leave by v3_*
+    for _ in g.y_vertices:
+        walk.append(int(y.removeprefix("v2_")) - 1)
+        x = next(v for v in ends[y] if v != x)
+        y = next(v for v in ends[x] if v != y)
+    return walk
 
 
 def check_overlap_machinery() -> TheoremReport:
@@ -361,14 +377,13 @@ def check_overlap_machinery() -> TheoremReport:
     swept = f"period pairs 1..{limit}, plus concrete words for three pairs"
 
     def report(bad=None):
-        return TheoremReport("overlap-cycle-closure", swept, bad is None, limit * limit, bad)
+        return TheoremReport("overlap-cycle-closure", swept, limit * limit, bad)
 
     for r, s in product(range(1, limit + 1), repeat=2):
         g = build_overlap_graph(r, s)
         if not is_single_cycle(g):
             return report({"r": r, "s": s, "failure": "not-a-single-cycle"})
-        seq = residue_sequence(g.k1, g.k2)
-        if sorted(seq) != list(range(g.k1 + g.k2)) or seq[-1] != g.k2:
+        if _residue_walk(g) != residue_sequence(g.k1, g.k2):
             return report({"r": r, "s": s, "failure": "residue-walk-broken"})
         eqs = equations(r, s)
         for missing, pair in eqs.items():

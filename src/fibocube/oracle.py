@@ -118,10 +118,6 @@ class AvoidanceGraph:
     def vertex_count(self) -> int:
         return int(self.vertices.size)
 
-    def words(self):
-        d = self.dimension
-        return (Word(d, int(v)) for v in self.vertices)
-
     @cached_property
     def _dense_index(self) -> np.ndarray | None:
         """index[w] is the dense index of vertex w and -1 for a non-vertex
@@ -381,17 +377,23 @@ def graph_distance(g: AvoidanceGraph, a: Word, b: Word) -> int | float:
 
 @dataclass(frozen=True)
 class Verdict:
-    isometric: bool
-    violating_pair: tuple[Word, Word, int | float, int] | None = None
+    violating_pair: tuple[Word, Word, int | float, int] | None = None  # None: isometric
     minimal_critical_p: int | None = None
+
+    @property
+    def isometric(self) -> bool:
+        return self.violating_pair is None
 
 
 @dataclass(frozen=True)
 class CriticalPair:
     alpha: Word
     beta: Word
-    p: int
     blocked_side: str  # "alpha", "beta", or "both"
+
+    @property
+    def p(self) -> int:
+        return (self.alpha.bits ^ self.beta.bits).bit_count()
 
 
 def _first_violation(
@@ -470,14 +472,14 @@ def is_isometric(g: AvoidanceGraph, with_min_p: bool = False) -> Verdict:
     d = g.dimension
     ps = critical_p_values(g)
     if not ps.size:
-        return Verdict(True)
+        return Verdict()
     source = int(g._critical_pairs[0][0])
     pair = _first_violation(g, np.array([source]), _distance_row(g, source)[None, :])
     if pair is None:
         raise RuntimeError(
             f"Q_{d}({g.pattern}) has {ps.size} critical pairs but BFS finds no violation"
         )
-    return Verdict(False, pair, int(ps.min()) if with_min_p else None)
+    return Verdict(pair, int(ps.min()) if with_min_p else None)
 
 
 def find_critical_pairs(g: AvoidanceGraph) -> list[CriticalPair]:
@@ -493,12 +495,8 @@ def find_critical_pairs(g: AvoidanceGraph) -> list[CriticalPair]:
     block_a = ((x & ~forb[i]) == 0).tolist()
     block_b = ((x & ~forb[j]) == 0).tolist()
     return [
-        CriticalPair(
-            Word(d, a), Word(d, b), p, "both" if ba and bb else ("alpha" if ba else "beta")
-        )
-        for a, b, p, ba, bb in zip(
-            verts[i].tolist(), verts[j].tolist(), _popcount(x).tolist(), block_a, block_b
-        )
+        CriticalPair(Word(d, a), Word(d, b), "both" if ba and bb else ("alpha" if ba else "beta"))
+        for a, b, ba, bb in zip(verts[i].tolist(), verts[j].tolist(), block_a, block_b)
     ]
 
 

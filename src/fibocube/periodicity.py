@@ -23,11 +23,17 @@ MAX_OVERLAP_VERTICES = 1 << 20  # its DOT export needs about half a KiB per vert
 class OverlapGraph:
     r: int
     s: int
-    k1: int
-    k2: int
     x_vertices: tuple[str, ...]
     y_vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
+
+    @property
+    def k1(self) -> int:
+        return self.r // math.gcd(self.r, self.s)
+
+    @property
+    def k2(self) -> int:
+        return self.s // math.gcd(self.r, self.s)
 
     def to_dot(self) -> str:
         lines = [f'graph "overlap_{self.r}_{self.s}" {{']
@@ -64,19 +70,19 @@ def build_overlap_graph(r: int, s: int) -> OverlapGraph:
     if r < 1 or s < 1:
         raise ValueError(f"periods must be positive, got r={r}, s={s}")
     g = math.gcd(r, s)
-    k1, k2 = r // g, s // g
-    if 2 * (k1 + k2) > MAX_OVERLAP_VERTICES:
+    k = (r + s) // g  # k1 + k2 equations, and as many positions
+    if 2 * k > MAX_OVERLAP_VERTICES:
         raise ValueError(
-            f"overlap graph of r={r}, s={s} has {2 * (k1 + k2)} vertices, "
+            f"overlap graph of r={r}, s={s} has {2 * k} vertices, "
             f"over the limit of {MAX_OVERLAP_VERTICES}"
         )
     eqs = equations(r, s)
     xs = tuple(f"v{1 if kind == 2 else 3}_{i}" for kind, i in eqs)
-    ys = tuple(f"v2_{j}" for j in range(1, k1 + k2 + 1))
+    ys = tuple(f"v2_{j}" for j in range(1, k + 1))
     edges = tuple(
         (x, f"v2_{(p - 1) // g + 1}") for x, pair in zip(xs, eqs.values()) for p in pair
     )
-    return OverlapGraph(r, s, k1, k2, xs, ys, edges)
+    return OverlapGraph(r, s, xs, ys, edges)
 
 
 def is_single_cycle(graph: OverlapGraph) -> bool:
@@ -93,7 +99,8 @@ def is_single_cycle(graph: OverlapGraph) -> bool:
 def residue_sequence(k1: int, k2: int) -> list[int]:
     """h_j = (j-1)*k1 mod (k1+k2) for j = 1..k1+k2; needs coprime k1, k2.
 
-    Walking the overlap cycle visits the Y side in exactly this order, so the
+    Walking the overlap cycle from v2_1 through its gap-r equation v3_1 visits
+    v2_{h_j+1} in this order (through v1_1, in reverse after v2_1), so the
     sequence is a permutation of 0..k1+k2-1 whose last entry is k2.
     """
     if k1 < 1 or k2 < 1:

@@ -65,8 +65,11 @@ class CriticalWitness:
 @dataclass(frozen=True)
 class Classification:
     pattern: Word
-    index: int | None
-    witnesses: tuple[CriticalWitness, ...]
+    witnesses: tuple[CriticalWitness, ...]  # all at the index B(f); none when f is good
+
+    @property
+    def index(self) -> int | None:
+        return self.witnesses[0].dimension if self.witnesses else None
 
     @property
     def good(self) -> bool:
@@ -79,8 +82,11 @@ class Classification:
 
 @dataclass(frozen=True)
 class WitnessCheck:
-    ok: bool
-    reason: str | None = None
+    reason: str | None = None  # why the witness was rejected; None when it verifies
+
+    @property
+    def ok(self) -> bool:
+        return self.reason is None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -203,11 +209,9 @@ def classify(f: Pattern) -> Classification:
         if key not in seen:
             seen.add(key)
             merged.append(w)
-    if not merged:
-        return Classification(f, None, ())
-    index = min(w.dimension for w in merged)
+    index = min((w.dimension for w in merged), default=None)
     winners = sorted((w for w in merged if w.dimension == index), key=_witness_sort_key)
-    return Classification(f, index, tuple(winners))
+    return Classification(f, tuple(winners))
 
 
 def verify_witness(w: CriticalWitness) -> WitnessCheck:
@@ -230,23 +234,23 @@ def verify_witness(w: CriticalWitness) -> WitnessCheck:
             raise MalformedWitnessError(f"copy window at offset {u} outside word")
 
     if w.alpha.length != d:
-        return WitnessCheck(False, "alpha-length")
+        return WitnessCheck("alpha-length")
     if w.beta.length != d:
-        return WitnessCheck(False, "beta-length")
+        return WitnessCheck("beta-length")
     if contains_factor(w.alpha, f):
-        return WitnessCheck(False, "alpha-contains-factor")
+        return WitnessCheck("alpha-contains-factor")
     if contains_factor(w.beta, f):
-        return WitnessCheck(False, "beta-contains-factor")
+        return WitnessCheck("beta-contains-factor")
     if hamming(w.alpha, w.beta) != len(flips):
-        return WitnessCheck(False, "hamming-mismatch")
+        return WitnessCheck("hamming-mismatch")
     if tuple(differing_positions(w.alpha, w.beta)) != flips:
-        return WitnessCheck(False, "flips-mismatch")
+        return WitnessCheck("flips-mismatch")
     if not all(contains_factor(w.alpha.flip(i), f) for i in flips):
-        return WitnessCheck(False, "interval-not-blocked")
+        return WitnessCheck("interval-not-blocked")
     for i, u in w.offsets:
         if u not in factor_offsets(w.alpha.flip(i), f):
-            return WitnessCheck(False, "copy-offset")
-    return WitnessCheck(True)
+            return WitnessCheck("copy-offset")
+    return WitnessCheck()
 
 
 def lift_witness(w: CriticalWitness, d: int) -> CriticalWitness:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,18 +14,35 @@ from fibocube.harness import (
     run_suites,
 )
 from fibocube.oracle import AvoidanceGraph
-from fibocube.structural import Classification, WitnessCheck
+from fibocube.structural import Classification, CriticalWitness, WitnessCheck
 from fibocube.words import Word
 
 REAL_BUILD = oracle.build_graph
 REAL_SCAN = oracle.critical_p_values
 REAL_BFS = oracle._bfs_violation
+REAL_OVERLAP = harness.build_overlap_graph
 
 
 def bfs_from_target_end(g):
     """The scan-free BFS route with its named pair turned round."""
     v = REAL_BFS(g)
     return v and (v[1], v[0], v[2], v[3])
+
+
+def bad_at_3(f):
+    """f classified bad by one hand-built witness at d = 3, so of index 3."""
+    w = CriticalWitness(f, 3, ((1, 1), (3, 2)), Word(3, 0b010), Word(3, 0b111))
+    return Classification(f, (w,))
+
+
+def rotated_y_slots(r, s):
+    """build_overlap_graph(r, s) with each v2_j renamed v2_{j+1}, the last v2_1:
+    still one cycle, but its walk from v2_1 leaves the residue order once
+    there are three Y slots."""
+    g = REAL_OVERLAP(r, s)
+    k = len(g.y_vertices)
+    name = {f"v2_{j}": f"v2_{j % k + 1}" for j in range(1, k + 1)}
+    return replace(g, edges=tuple((x, name[y]) for x, y in g.edges))
 
 
 # Scan results that make a graph read as isometric, or as not isometric.
@@ -467,7 +485,7 @@ class TestFailurePaths:
         [
             # length-1 patterns are good, their squares bad
             (structural, "classify",
-             lambda f: Classification(f, None if f.length == 1 else 3, ()),
+             lambda f: Classification(f, ()) if f.length == 1 else bad_at_3(f),
              "doubling", 14,
              {"pattern": "0", "index": None, "doubled_index": 3,
               "failure": "doubling-lost-goodness"}),
@@ -492,7 +510,7 @@ class TestFailurePaths:
 
     def test_monotonicity(self, monkeypatch):
         monkeypatch.setattr(
-            harness.structural, "verify_witness", lambda w: WitnessCheck(False, "broken")
+            harness.structural, "verify_witness", lambda w: WitnessCheck("broken")
         )
         r = run_suites("monotonicity", 4, workers=1)[0]
         assert not r.passed and r.checked == 10
@@ -526,12 +544,13 @@ class TestFailurePaths:
         [
             ("is_single_cycle", lambda g: False, "not-a-single-cycle"),
             ("residue_sequence", lambda k1, k2: [], "residue-walk-broken"),
+            ("build_overlap_graph", rotated_y_slots, "residue-walk-broken"),
             ("closure_implies", lambda r, s, assumed, pair: False,
              "dropped-equation-not-forced"),
             ("period_closure_check", lambda f, r, s: SimpleNamespace(ok=False, vacuous=False),
              "period-check-broken"),
         ],
-        ids=["single-cycle", "residue-walk", "closure", "period-check"],
+        ids=["single-cycle", "residue-walk", "relabeled-y-slots", "closure", "period-check"],
     )
     def test_overlap_machinery(self, monkeypatch, name, broken, failure):
         monkeypatch.setattr(harness, name, broken)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -10,6 +11,7 @@ import pytest
 
 import fibocube
 from fibocube import structural
+from fibocube.words import Word
 
 SRC = str(Path(fibocube.__file__).resolve().parents[1])
 REPO = Path(SRC).parent
@@ -101,6 +103,28 @@ def defaulted_parameters(tree, module):
     return found
 
 
+def defaulted_fields(tree, module):
+    """(module.Class, Class, field, positional index) for every dataclass
+    field with a default, field(default=...) and field(default_factory=...)
+    included."""
+    def name(node):
+        return getattr(node.func if isinstance(node, ast.Call) else node, "id", None)
+
+    def has_default(value):
+        if isinstance(value, ast.Call) and name(value) == "field":
+            return any(kw.arg in ("default", "default_factory") for kw in value.keywords)
+        return value is not None
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and "dataclass" in map(name, node.decorator_list):
+            fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+            for k, f in enumerate(fields):
+                if has_default(f.value):
+                    found.append((f"{module}.{node.name}", node.name, f.target.id, k))
+    return found
+
+
 def passes(call, param, index):
     if any(kw.arg in (None, param) for kw in call.keywords):  # None is **kwargs
         return True
@@ -119,7 +143,7 @@ def test_every_default_parameter_is_set_by_some_caller():
     for path in callers:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path in sources:
-            defaults += defaulted_parameters(tree, path.stem)
+            defaults += defaulted_parameters(tree, path.stem) + defaulted_fields(tree, path.stem)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 f = node.func
@@ -173,3 +197,47 @@ def test_every_harness_failure_kind_is_named_in_its_tests():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert kinds and None not in kinds
     assert sorted(kinds - named) == []
+
+
+# Each field a record used to store beside the fields that determine it: its
+# class, keyword arguments that the record took before and that agree with
+# each other, the tested field first.
+DERIVED_FIELDS = {
+    "Classification.index": ("structural.Classification",
+                             {"index": None, "pattern": Word.parse("11"), "witnesses": ()}),
+    "WitnessCheck.ok": ("structural.WitnessCheck", {"ok": True, "reason": None}),
+    "Verdict.isometric": ("oracle.Verdict", {"isometric": True}),
+    "CriticalPair.p": ("oracle.CriticalPair", {"p": 2, "alpha": Word.parse("010"),
+                                               "beta": Word.parse("111"),
+                                               "blocked_side": "both"}),
+    **{f"TheoremReport.{name}": ("harness.TheoremReport",
+                                 {name: value, "passed": True, "notes": "", "name": "n",
+                                  "swept": "s", "checked": 1, "counterexample": None})
+       for name, value in (("passed", True), ("notes", ""))},
+    **{f"CensusRow.{name}": ("harness.CensusRow",
+                             {name: value, "length": 2, "total": 4, "good_count": 3,
+                              "bad_count": 1, "index_histogram": {3: 1}})
+       for name, value in (("total", 4), ("good_count", 3), ("bad_count", 1))},
+    **{f"OverlapGraph.{name}": ("periodicity.OverlapGraph",
+                                {name: value, "r": 4, "s": 6, "k1": 2, "k2": 3,
+                                 "x_vertices": (), "y_vertices": (), "edges": ()})
+       for name, value in (("k1", 2), ("k2", 3))},
+}
+
+
+@pytest.mark.parametrize("case", DERIVED_FIELDS)
+def test_derived_fields_cannot_be_set(case):
+    """A derived field is read from the others, so no record can contradict
+    itself; it still reads under its old name (notes as a JSON key)."""
+    path, kwargs = DERIVED_FIELDS[case]
+    module, name = path.split(".")
+    cls = getattr(importlib.import_module(f"fibocube.{module}"), name)
+    field = case.split(".")[1]
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+        cls(**kwargs)
+    kept = {f.name for f in dataclasses.fields(cls)}
+    record = cls(**{k: v for k, v in kwargs.items() if k in kept})
+    if field == "notes":
+        assert record.to_json_dict()["notes"] == kwargs["notes"]
+    else:
+        assert getattr(record, field) == kwargs[field]

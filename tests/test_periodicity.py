@@ -79,7 +79,7 @@ class TestOverlapGraph:
     def test_single_cycle_rejects_two_cycles_and_a_path(self):
         def graph(edges):
             xs, ys = ("a", "c", "e", "g"), ("b", "d", "f", "h")
-            return OverlapGraph(1, 1, 1, 1, xs, ys, tuple(edges))
+            return OverlapGraph(1, 1, xs, ys, tuple(edges))
 
         cycle = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]
         other = [("e", "f"), ("f", "g"), ("g", "h"), ("h", "e")]
