@@ -69,19 +69,20 @@ class TestCrossValidate:
         assert r.passed and r.checked == 30
 
     def test_pattern_index_is_the_oracle_index(self):
-        # The sweeps' cached index and the library's run the same scan.
+        # The index scan over the sweeps' cached graphs and over fresh ones agree.
         for t in harness.patterns_up_to(5):
             f = Word.parse(t)
-            assert harness._Pattern(t).index(f) == oracle.index_bruteforce(f)
+            assert oracle.index_bruteforce(f, harness._Pattern(t).graph) == \
+                oracle.index_bruteforce(f)
 
     def test_explicit_pattern_list(self):
         r = cross_validate_patterns(["101", "0011", "11"])
         assert r.passed and r.checked == 3
 
     def test_past_bound_probe_scans_only_good_patterns_past_2n_minus_1(self, monkeypatch):
-        # The index scan covers d = 2..2|f|-1 and stops at a bad pattern's
-        # index, its first violation, so only good patterns are probed
-        # further, and no graph is built twice.
+        # The oracle's scan to 2|f|+2 stops at a bad pattern's index, its
+        # first violation, so only good patterns are probed past 2|f|-1,
+        # and no graph is built twice.
         built = []
 
         def spy(f, d):
@@ -99,7 +100,8 @@ class TestCrossValidate:
 
     def test_past_bound_probe_reaches_length_4(self, monkeypatch):
         # One critical pair, only in Q_9 of the length-4 patterns: past the
-        # index scan's 2n - 1 = 7, inside the probe's 2n + 2 = 10.
+        # index bound 2n - 1 = 7, inside the probe's 2n + 2 = 10, so the
+        # oracle's index is one classify cannot report.
         monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: (
             ONE_PAIR if (g.pattern.length, g.dimension) == (4, 9) else REAL_SCAN(g)
         ))
@@ -108,9 +110,8 @@ class TestCrossValidate:
         assert r.counterexample == {
             "pattern": "0000",
             "structural_index": None,
-            "bruteforce_index": None,
-            "failure": "violation-appears-past-bound",
-            "first_violation_to_2n_plus_2": 9,
+            "bruteforce_index": 9,
+            "failure": "index-mismatch",
         }
 
 
@@ -126,6 +127,23 @@ class TestTheoremChecks:
     def test_index_bound(self):
         r = run_suites("index-bound", 5)[0]
         assert r.passed and r.checked == 62
+
+    def test_index_bound_is_a_view_of_cross(self, monkeypatch):
+        # For n <= 4 its record is the cross check's; past the probe's reach
+        # it has nothing to test, so it classifies nothing and builds nothing.
+        check = harness._SUITES["index-bound"][2]
+        for t in harness.patterns_up_to(4):
+            assert check(harness._Pattern(t)) == harness._cross_validate_one(harness._Pattern(t))
+        calls = []
+
+        def spy(name):
+            return lambda *args: calls.append(name)
+
+        monkeypatch.setattr(harness.structural, "classify", spy("classify"))
+        monkeypatch.setattr(harness.oracle, "build_graph", spy("build_graph"))
+        for t in harness.all_patterns(5):
+            assert check(harness._Pattern(t)) == {"pattern": t}
+        assert calls == []
 
     def test_doubling(self):
         r = run_suites("doubling", 3)[0]
@@ -235,7 +253,7 @@ class TestCensus:
 
     def test_oracle_confirmation_names_a_disagreeing_pattern(self, monkeypatch):
         # The oracle side reports index 99 for every pattern; 00 comes first.
-        monkeypatch.setattr(oracle, "index_bruteforce", lambda f, graph=None: 99)
+        monkeypatch.setattr(oracle, "first_violation_dimension", lambda *args: 99)
         message = r"^classifier disagrees with oracle on 00: None vs 99$"
         with pytest.raises(RuntimeError, match=message):
             census(2, workers=1, oracle_confirm=True)
@@ -246,8 +264,7 @@ class TestCensus:
         monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: (
             ONE_PAIR if g.dimension == 2 * g.pattern.length + 2 else REAL_SCAN(g)
         ))
-        message = (r"^classifier disagrees with oracle on 000: "
-                   r"violation-appears-past-bound at d = 8$")
+        message = r"^classifier disagrees with oracle on 000: None vs 8$"
         with pytest.raises(RuntimeError, match=message):
             census(3, workers=1, oracle_confirm=True)
 
@@ -448,9 +465,8 @@ class TestFailurePaths:
         assert r.counterexample == {
             "pattern": "0",
             "structural_index": None,
-            "bruteforce_index": None,
-            "failure": "violation-appears-past-bound",
-            "first_violation_to_2n_plus_2": 3,
+            "bruteforce_index": 3,
+            "failure": "index-mismatch",
         }
 
     def test_p_values_counts_every_bad_pattern(self, monkeypatch):
@@ -470,8 +486,9 @@ class TestFailurePaths:
         ))
         r = run_suites("index-bound", 3, workers=1)[0]
         assert not r.passed and r.checked == 14
-        assert r.counterexample["failure"] == "oracle-disagrees-past-bound"
-        assert r.counterexample["first_violation_to_2n_plus_2"] == 4
+        assert r.counterexample["failure"] == "index-mismatch"
+        assert r.counterexample["pattern"] == "0"
+        assert r.counterexample["bruteforce_index"] == 4
 
     def test_doubling(self, monkeypatch):
         monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: ONE_PAIR)
