@@ -57,7 +57,8 @@ batch of 64 sources.  Each source is one bit of a uint64 per vertex, so one
 gather of the whole table per level advances all 64 BFS (64 frontier BFS would
 read it once per source).  A pass sums level times the count first reached
 there, for the batch's Hamming sum, and stops once every source has reached
-every vertex; the first failing batch reads its distance matrix from its levels.
+every vertex.  In the first failing batch each source runs that test on its own
+bit of the levels; the first that fails names the pair as is_isometric does.
 """
 
 from __future__ import annotations
@@ -316,26 +317,6 @@ def _bfs_levels(g: AvoidanceGraph, sources: np.ndarray):
         level = reach
 
 
-def _distances(levels: list[tuple[np.ndarray, int]]) -> np.ndarray:
-    """BFS distances (m x V, int64) from the m sources of one _bfs_levels
-    pass to every vertex index, read from the levels it yielded; -1 where a
-    vertex is unreachable.
-    """
-    m, n = levels[0][1], levels[0][0].size
-    # steps[v, s] counts the levels after which source s has not reached v:
-    # the distance when s reaches v, the number of levels otherwise.
-    steps = np.zeros((n, 64), dtype=np.int32)
-    seen = np.zeros(n, dtype=np.uint64)
-    for reach, _ in levels:
-        seen |= reach
-        # Little-endian bytes unpacked little-bit-first put source s in column s.
-        unseen = (~seen).astype("<u8", copy=False).view(np.uint8)
-        steps += np.unpackbits(unseen, bitorder="little").reshape(n, 64)
-    dist = steps[:, :m].T.astype(np.int64)
-    dist[dist == len(levels)] = -1
-    return dist
-
-
 def _distance_row(g: AvoidanceGraph, source: int) -> np.ndarray:
     """BFS distances (V, int64) from one source index to every vertex index;
     -1 where a vertex is unreachable.
@@ -396,22 +377,19 @@ class CriticalPair:
         return (self.alpha.bits ^ self.beta.bits).bit_count()
 
 
-def _first_violation(
-    g: AvoidanceGraph, sources: np.ndarray, dist: np.ndarray
-) -> tuple[Word, Word, int | float, int] | None:
-    """The first (source, target) pair in index order whose BFS distance, a
-    row of dist per source, differs from its Hamming distance; None when
-    there is none.  Unreachable pairs (-1) violate."""
-    verts = g.vertices
-    ham = _popcount(verts[sources, None] ^ verts[None, :])
-    bad = dist != ham
-    if not bad.any():
+def _first_violation(g: AvoidanceGraph, source: int) -> tuple[Word, Word, int | float, int] | None:
+    """The pair from the source index to its first target, in index order,
+    whose BFS distance (one _distance_row) differs from its Hamming distance;
+    None when there is none.  Unreachable targets (-1) violate."""
+    verts, d = g.vertices, g.dimension
+    dist = _distance_row(g, source)
+    ham = _popcount(verts[source] ^ verts)
+    bad = np.flatnonzero(dist != ham)
+    if not bad.size:
         return None
-    i, j = np.unravel_index(bad.argmax(), bad.shape)
-    alpha = Word(g.dimension, int(verts[sources[i]]))
-    beta = Word(g.dimension, int(verts[j]))
-    dg = UNREACHABLE if dist[i, j] < 0 else int(dist[i, j])
-    return alpha, beta, dg, int(ham[i, j])
+    j = int(bad[0])
+    dg = UNREACHABLE if dist[j] < 0 else int(dist[j])
+    return Word(d, int(verts[source])), Word(d, int(verts[j])), dg, int(ham[j])
 
 
 def _bfs_violation(g: AvoidanceGraph) -> tuple[Word, Word, int | float, int] | None:
@@ -423,8 +401,9 @@ def _bfs_violation(g: AvoidanceGraph) -> tuple[Word, Word, int | float, int] | N
     Sources run in batches of 64 in lexicographic order, one _bfs_levels pass
     each.  A batch passes when every pair is reachable and its BFS distance
     sum, level times count over the levels, equals its Hamming sum, which is
-    exact because graph distance is never below Hamming distance.  The first
-    batch that fails reads its distance matrix from the levels of its one pass.
+    exact because graph distance is never below Hamming distance.  In the
+    first batch that fails, each source runs the same test on its own bit of
+    the levels; the first that fails names the pair through _first_violation.
     """
     d = g.dimension
     verts = g.vertices
@@ -433,15 +412,22 @@ def _bfs_violation(g: AvoidanceGraph) -> tuple[Word, Word, int | float, int] | N
     # set when its own bit k is 0 and the n - c_k others when it is 1.
     bits = (verts[:, None] >> np.arange(d)) & 1
     ones = bits.sum(axis=0)
+    ham = bits @ (n - 2 * ones) + ones.sum()
     starts = np.arange(0, n, _SOURCE_CHUNK)
-    ham_sums = np.add.reduceat(bits @ (n - 2 * ones) + ones.sum(), starts)
-    for lo, ham_sum in zip(starts.tolist(), ham_sums.tolist()):
+    for lo, ham_sum in zip(starts.tolist(), np.add.reduceat(ham, starts).tolist()):
         idx = np.arange(lo, min(lo + _SOURCE_CHUNK, n))
         levels = list(_bfs_levels(g, idx))
         reached = sum(count for _, count in levels)
         total = sum(k * count for k, (_, count) in enumerate(levels))
         if (reached, total) != (n * idx.size, ham_sum):
-            return _first_violation(g, idx, _distances(levels))
+            # Each source's count per level: little-endian bytes unpacked
+            # little-bit-first put source s in column s.
+            counts = np.array([
+                np.unpackbits(level.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+                .reshape(n, 64).sum(axis=0) for level, _ in levels
+            ])[:, : idx.size]
+            fails = (counts.sum(axis=0) != n) | (np.arange(len(levels)) @ counts != ham[idx])
+            return _first_violation(g, lo + int(np.argmax(fails)))
     return None
 
 
@@ -473,8 +459,7 @@ def is_isometric(g: AvoidanceGraph, with_min_p: bool = False) -> Verdict:
     ps = critical_p_values(g)
     if not ps.size:
         return Verdict()
-    source = int(g._critical_pairs[0][0])
-    pair = _first_violation(g, np.array([source]), _distance_row(g, source)[None, :])
+    pair = _first_violation(g, int(g._critical_pairs[0][0]))
     if pair is None:
         raise RuntimeError(
             f"Q_{d}({g.pattern}) has {ps.size} critical pairs but BFS finds no violation"

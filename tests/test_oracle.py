@@ -16,7 +16,6 @@ from fibocube.oracle import (
     AvoidanceGraph,
     _bfs_levels,
     _bfs_violation,
-    _distances,
     build_graph,
     critical_p_values,
     find_critical_pairs,
@@ -320,15 +319,21 @@ class TestWordLookup:
 
 
 def assert_rows_match_batch_engine(g, sources, lanes=1):
-    """The frontier BFS from each source equals its row of the 64-lane
-    engine, run on `lanes` of the sources at a time (its lanes do not
-    interact, so a batch gives each source's single-lane row)."""
+    """The frontier BFS row from each source equals reference_distances, and
+    its level histogram equals the source's lane counts in the levels of the
+    64-lane engine, run on `lanes` of the sources at a time (its lanes do not
+    interact, so a batch gives each source's single-lane levels)."""
     sources = np.asarray(sources, dtype=np.int64)
     for lo in range(0, sources.size, lanes):
         batch = sources[lo : lo + lanes]
-        for s, expected in zip(batch.tolist(), _distances(list(_bfs_levels(g, batch)))):
+        lane = np.arange(batch.size, dtype=np.uint64)
+        counts = np.array([((level[:, None] >> lane) & np.uint64(1)).sum(axis=0)
+                           for level, _ in _bfs_levels(g, batch)])
+        want = reference_distances(g.vertices, g.dimension, batch)
+        for s, per_level, expected in zip(batch.tolist(), counts.T, want):
             row = oracle._distance_row(g, s)
             assert row.dtype == np.int64 and np.array_equal(row, expected), s
+            assert np.array_equal(np.bincount(row[row >= 0], minlength=len(counts)), per_level), s
 
 
 # Hand-built vertex sets: no enumerated graph of length <= 6 at d <= 12 is
@@ -360,8 +365,8 @@ def hand_built_graph(pattern, words):
 
 
 class TestDistanceRow:
-    """The single-source frontier BFS against the bit-parallel batch engine,
-    through both word lookups."""
+    """The single-source frontier BFS against the bit-parallel batch engine's
+    levels and the whole-cube reference BFS, through both word lookups."""
 
     @pytest.fixture(autouse=True, params=["as-built", "binary-search"])
     def lookup(self, request, monkeypatch):
@@ -774,6 +779,24 @@ class TestIndexBruteforce:
                 b = index_bruteforce(f)
                 assert index_bruteforce(f.reverse()) == b
                 assert index_bruteforce(f.complement()) == b
+
+    def test_orbit_graphs_are_reversed_and_complemented(self):
+        # Reversal and complement are automorphisms of Q_d: Q_d(rev f) is
+        # Q_d(f) with every word reversed, Q_d(comp f) with every word
+        # complemented, and the three have the same critical-pair distances.
+        for text in patterns_up_to(6):
+            f = W(text)
+            for d in range(1, 2 * f.length + 2):
+                graphs = [build_graph(f, d), build_graph(f.reverse(), d),
+                          build_graph(f.complement(), d)]
+                verts = graphs[0].vertices
+                rev = np.zeros_like(verts)
+                for k in range(d):
+                    rev |= ((verts >> k) & 1) << (d - 1 - k)
+                assert np.array_equal(graphs[1].vertices, np.sort(rev)), (text, d)
+                assert np.array_equal(graphs[2].vertices, verts[::-1] ^ ((1 << d) - 1)), (text, d)
+                ps = [sorted(critical_p_values(g).tolist()) for g in graphs]
+                assert ps[0] == ps[1] == ps[2], (text, d)
 
     def test_nonisometry_persists_upward(self):
         for d in range(4, 8):

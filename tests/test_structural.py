@@ -296,6 +296,21 @@ def test_classify_matches_stored_table():
         assert got == [verdict, index, count, digest], text
 
 
+def test_two_error_overlap_verdict_matches_stored_table():
+    # Wei, Yang and Zhu (A characterization of non-isometric binary words,
+    # European J. Combin. 78 (2019)): f is bad exactly when some shift r in
+    # 1..n-1 makes f[r+1..n] XOR f[1..n-r] have exactly two set bits.  This
+    # route reads only the stored verdicts; it calls no classifier.
+    table = Path(__file__).resolve().parents[1] / "bench" / "expected" / "classify.tsv"
+    rows = [line.split("\t")[:2] for line in table.read_text().splitlines()]
+    assert len(rows) == 4096 + 2048
+    for text, verdict in rows:
+        f = W(text)
+        masks = [(f.bits & ((1 << (f.length - r)) - 1)) ^ f.bits >> r for r in range(1, f.length)]
+        bad = any(mask.bit_count() == 2 for mask in masks)
+        assert verdict == ("bad" if bad else "good"), text
+
+
 class TestVerifyWitness:
     def witness(self):
         (w,) = two_flip_candidates(W("101"))
