@@ -25,7 +25,6 @@ _EXPORTS = {
         "build_graph",
         "find_critical_pairs",
         "first_violation_dimension",
-        "graph_distance",
         "index_bruteforce",
         "is_isometric",
     ),

@@ -134,9 +134,6 @@ class _Pattern:
         self.classify = cache(lambda w: structural.classify(w))
         self.graph = cache(lambda w, d: oracle.build_graph(w, d))
 
-    def first_violation(self, w: Word, d_max: int) -> int | None:
-        return oracle.first_violation_dimension(w, d_max, self.graph)
-
 
 def _past_bound_probe(f: Word) -> tuple[Word, int] | None:
     """The oracle's probe past the index bound 2n-1: Q_{2n+2}(f), for n <= 4."""
@@ -156,7 +153,8 @@ def _doubling_probe(f: Word) -> tuple[Word, int] | None:
 def _cross_validate_one(p: _Pattern) -> dict:
     # The oracle scans to the probe depth, past the index bound 2n - 1 for
     # n <= 4, so a violation there is an index classify did not report.
-    s_index, b_index = p.classify(p.f).index, p.first_violation(*_probe_graph(p.f))
+    s_index = p.classify(p.f).index
+    b_index = oracle.first_violation_dimension(*_probe_graph(p.f), p.graph)
     record = {"pattern": p.text, "structural_index": s_index, "bruteforce_index": b_index}
     if s_index != b_index:
         record["failure"] = "index-mismatch"
@@ -188,9 +186,10 @@ def _doubling_one(p: _Pattern) -> dict:
     # For a bad f, Q_d(ff) below B(f) <= 2|f| - 1 < |ff| is the whole cube:
     # only a good f's doubling is a claim the oracle can test.
     if cls.good:
+        probe = _doubling_probe(p.f)
         if not cls_ff.good:
             record["failure"] = "doubling-lost-goodness"
-        elif (probe := _doubling_probe(p.f)) and p.first_violation(*probe) is not None:
+        elif probe and oracle.first_violation_dimension(*probe, p.graph) is not None:
             record["failure"] = "oracle-says-doubled-is-bad"
     return record
 

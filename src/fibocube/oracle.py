@@ -2,11 +2,11 @@
 
 Builds the vertex set of every length-d word avoiding a factor, finds
 critical word pairs straight from the definition (all interval neighbors of
-one endpoint are non-vertices), and computes graph distances by BFS.  Every
-answer is read from the sorted vertex array; f only builds, size-checks and
-labels Q_d(f), so a hand-built vertex set is answered exactly too.  All of it
-is exhaustive and independent of the structural classifier, so the two can
-check each other.
+one endpoint are non-vertices), and names by BFS the first pair whose graph
+distance differs from its Hamming distance.  Every answer is read from the
+sorted vertex array; f only builds, size-checks and labels Q_d(f), so a
+hand-built vertex set is answered exactly too.  All of it is exhaustive and
+independent of the structural classifier, so the two can check each other.
 
 Q_d(f) is grown one bit at a time from the f-avoiding words one bit shorter,
 so enumeration costs the sum of the vertex counts up to d, not 2^d window
@@ -16,12 +16,12 @@ MAX_TABLE_BYTES; V is counted exactly from f's autocorrelation.  An export
 is refused, once its edges are counted and before they are listed, when its
 DOT text would exceed the same limit.
 
-The flip tables, the critical-pair scan, graph_distance and the export find
-a word's vertex index, or -1 for a non-vertex, through one lookup.  When
-2^d <= d * V it is a gather through a dense index of all 2^d words, which
-then has no more entries than the d x V neighbor table; sparser graphs, such
-as Q_25(11) or Q_63(01), binary-search the sorted vertices instead.  The
-vertices must be sorted, distinct d-bit words, so the constructor checks them.
+The flip tables, the critical-pair scan and the export find a word's vertex
+index, or -1 for a non-vertex, through one lookup.  When 2^d <= d * V it is a
+gather through a dense index of all 2^d words, which then has no more entries
+than the d x V neighbor table; sparser graphs, such as Q_25(11) or Q_63(01),
+binary-search the sorted vertices instead.  The vertices must be sorted,
+distinct d-bit words, so the constructor checks them.
 
 The export takes each edge from its lower end i and the bit k it sets (one
 lookup per bit into a V x d bool matrix), never from the flip tables.  DOT is
@@ -47,9 +47,9 @@ endpoint of the critical pairs, which is the first violating source.
   edges never violate).
 - So the first violating source is the least endpoint, and the first
   violating target in its BFS row completes the pair.
-That BFS, like graph_distance's, is level-synchronous over the frontier only:
-each level gathers the neighbors of the vertices it reached last, so the whole
-BFS reads each neighbor-table entry once.
+That BFS is level-synchronous over the frontier only: each level gathers the
+neighbors of the vertices it reached last, so the whole BFS reads each
+neighbor-table entry once.
 
 The lemma21 sweep checks the scan against an independent, scan-free BFS
 route on every graph it covers: one pass of the bit-parallel _bfs_levels per
@@ -230,12 +230,6 @@ class AvoidanceGraph:
         i = flat // d
         return i, flat - i * d
 
-    def edge_list(self) -> list[tuple[Word, Word]]:
-        """All edges with the smaller endpoint first, sorted."""
-        i, k = self._up_edges()
-        lo, d = self.vertices[i], self.dimension
-        return [(Word(d, a), Word(d, b)) for a, b in zip(lo.tolist(), (lo | 1 << k).tolist())]
-
 
 def _vertex_count(f: Pattern, d: int) -> int:
     """The exact number of length-d words avoiding f, from f's autocorrelation
@@ -338,22 +332,6 @@ def _distance_row(g: AvoidanceGraph, source: int) -> np.ndarray:
         dist[reach[dist[reach] < 0]] = level
         frontier = np.flatnonzero(dist == level)
     return dist[:n]
-
-
-def graph_distance(g: AvoidanceGraph, a: Word, b: Word) -> int | float:
-    """BFS distance inside the graph; UNREACHABLE when no path exists.
-
-    One single-source BFS from a that expands only the frontier.  A word of
-    another length is no vertex; a longer one would index past the dense table."""
-    d = g.dimension
-    ends = []
-    for w in (a, b):
-        i = int(g._lookup(np.array([w.bits]))[0]) if w.length == d and g.vertex_count else -1
-        if i < 0:
-            raise ValueError(f"{w} is not a vertex of Q_{d}({g.pattern})")
-        ends.append(i)
-    dg = int(_distance_row(g, ends[0])[ends[1]])
-    return UNREACHABLE if dg < 0 else dg
 
 
 @dataclass(frozen=True)
@@ -520,8 +498,9 @@ def _dot_header(g: AvoidanceGraph) -> bytes:
 
 
 def graph_to_dot(g: AvoidanceGraph) -> str:
-    """DOT text: one line per vertex, then one per edge in edge_list order,
-    written into one byte buffer as the module docstring describes."""
+    """DOT text: one line per vertex, then one per edge in (lower end, upper
+    end) word order, written into one byte buffer as the module docstring
+    describes."""
     d, n = g.dimension, g.vertex_count
     i, k = g._up_edges()
     head, width = _dot_header(g), 2 * d + 12

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .words import Word
 
@@ -51,15 +54,23 @@ def equations(r: int, s: int) -> dict[tuple[int, int], tuple[int, int]]:
     With g = gcd(r, s), the gap-s equation (2, i) for i = 1..r/g is the pair
     (1+(i-1)g, 1+(i-1)g+s), and the gap-r equation (3, j) for j = 1..s/g is
     (1+(j-1)g, 1+(j-1)g+r).  Together they cover the span 1, 1+g, ..., r+s+1-g.
+    Each call returns a fresh dict.
     """
+    return dict(_equations(r, s))
+
+
+@lru_cache(maxsize=1)
+def _equations(r: int, s: int) -> Mapping[tuple[int, int], tuple[int, int]]:
+    """equations(r, s), read-only and built once for a run of calls on one
+    system, such as the overlap check's closure queries."""
     if r < 1 or s < 1:
         raise ValueError(f"periods must be positive, got r={r}, s={s}")
     g = math.gcd(r, s)
-    return {
+    return MappingProxyType({
         (kind, i): (1 + (i - 1) * g, 1 + (i - 1) * g + gap)
         for kind, count, gap in ((2, r // g, s), (3, s // g, r))
         for i in range(1, count + 1)
-    }
+    })
 
 
 def build_overlap_graph(r: int, s: int) -> OverlapGraph:
@@ -76,7 +87,7 @@ def build_overlap_graph(r: int, s: int) -> OverlapGraph:
             f"overlap graph of r={r}, s={s} has {2 * k} vertices, "
             f"over the limit of {MAX_OVERLAP_VERTICES}"
         )
-    eqs = equations(r, s)
+    eqs = _equations(r, s)
     xs = tuple(f"v{1 if kind == 2 else 3}_{i}" for kind, i in eqs)
     ys = tuple(f"v2_{j}" for j in range(1, k + 1))
     edges = tuple(
@@ -143,11 +154,11 @@ def closure_implies(
     lie in the system's span 1, 1+g, ..., which has as many positions as the
     system has equations; position p is slot (p-1)/g of the union-find list.
     """
-    eqs = equations(r, s)
+    eqs = _equations(r, s)
     g = math.gcd(r, s)
     dsu = _DSU(list(range(len(eqs))))
     for eq in assumed:
-        if not (isinstance(eq, tuple) and len(eq) == 2 and eq in eqs):
+        if not isinstance(eq, tuple) or eq not in eqs:
             raise ValueError(f"malformed equation id {eq!r} for r={r}, s={s}")
         a, b = eqs[eq]
         dsu.union((a - 1) // g, (b - 1) // g)

@@ -15,8 +15,7 @@ from fibocube import (
     build_graph,
     build_overlap_graph,
     classify,
-    graph_distance,
-    hamming,
+    is_isometric,
     is_single_cycle,
     residue_sequence,
 )
@@ -155,14 +154,15 @@ def test_criterion_7_overlap_cycles_and_residues():
 def test_criterion_8_worked_fixed_points():
     cls = classify(Word.parse("101"))
     pair = {str(cls.witnesses[0].alpha), str(cls.witnesses[0].beta)}
-    g = build_graph(Word.parse("101"), 4)
-    dist = graph_distance(g, Word.parse("1111"), Word.parse("1001"))
-    ham = hamming(Word.parse("1111"), Word.parse("1001"))
+    # The detour is Q_4(101)'s first violating pair, with its graph and
+    # Hamming distances.
+    a, b, dist, ham = is_isometric(build_graph(Word.parse("101"), 4)).violating_pair
     fib = [build_graph(Word.parse("11"), d).vertex_count for d in range(1, 7)]
     ok = (
         not cls.good
         and cls.index == 4
         and pair == {"1111", "1001"}
+        and {str(a), str(b)} == pair
         and dist == 4
         and ham == 2
         and fib == [2, 3, 5, 8, 13, 21]
@@ -172,7 +172,7 @@ def test_criterion_8_worked_fixed_points():
         "101 is bad with index 4 and witness pair {1111, 1001}; detour "
         "distance 4 vs Hamming 2; Fibonacci counts 2,3,5,8,13,21",
         ok,
-        (cls.index, pair, dist, ham, fib),
+        (cls.index, pair, (str(a), str(b)), dist, ham, fib),
     )
 
 

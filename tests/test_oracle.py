@@ -20,13 +20,12 @@ from fibocube.oracle import (
     critical_p_values,
     find_critical_pairs,
     first_violation_dimension,
-    graph_distance,
     graph_to_dot,
     graph_to_json_dict,
     index_bruteforce,
     is_isometric,
 )
-from fibocube.words import Word, hamming
+from fibocube.words import Word
 
 
 def W(text):
@@ -141,19 +140,6 @@ def reference_critical_pairs(g):
     return found
 
 
-def reference_bfs(vertices, source):
-    """Queue BFS over word strings: distance to every vertex reachable from source."""
-    dist = {source: 0}
-    queue = [source]
-    for u in queue:
-        for i in range(len(u)):
-            v = u[:i] + ("1" if u[i] == "0" else "0") + u[i + 1:]
-            if v in vertices and v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 class TestVertexArrayCheck:
     """The lookups, the scan and the edge order all assume a strictly
     increasing int64 array of d-bit words, so the constructor insists."""
@@ -163,7 +149,7 @@ class TestVertexArrayCheck:
         [
             [3, 0],  # unsorted: was answered isometric, though [0, 3] is not
             [0, 9],  # 9 is not a 3-bit word: was answered isometric
-            [7, 3, 1, 0],  # descending: edge_list put the larger word first
+            [7, 3, 1, 0],  # descending: the edge export put the larger word first
             [1, 1],
             [-1, 2],
         ],
@@ -397,81 +383,6 @@ class TestDistanceRow:
         assert_rows_match_batch_engine(g, range(g.vertex_count))
         source, target = (words.index(w) for w in expected[:2])
         assert oracle._distance_row(g, source)[target] == -1
-
-
-def assert_distances_match_reference_bfs(g):
-    ws = [str(Word(g.dimension, int(v))) for v in g.vertices]
-    for a in ws:
-        dist = reference_bfs(set(ws), a)
-        for b in ws:
-            assert graph_distance(g, W(a), W(b)) == dist.get(b, UNREACHABLE)
-
-
-class TestGraphDistance:
-    def test_detour_distance(self):
-        g = build_graph(W("101"), 4)
-        assert graph_distance(g, W("1111"), W("1001")) == 4
-        assert hamming(W("1111"), W("1001")) == 2
-
-    def test_self_distance(self):
-        g = build_graph(W("101"), 4)
-        assert graph_distance(g, W("0110"), W("0110")) == 0
-
-    def test_short_detour(self):
-        g = build_graph(W("101"), 3)
-        assert graph_distance(g, W("010"), W("111")) == 2
-
-    def test_non_vertex_rejected(self):
-        g = build_graph(W("101"), 4)
-        with pytest.raises(ValueError):
-            graph_distance(g, W("1010"), W("0000"))
-
-    # The path 000 - 001 - 011, labelled 11 although 011 contains 11: the
-    # vertex array decides membership, not the label.
-    def test_hand_built_vertex_despite_its_label(self):
-        g = hand_built_graph("11", ["000", "001", "011"])
-        assert graph_distance(g, W("000"), W("011")) == 2
-        assert graph_distance(g, W("011"), W("000")) == 2
-
-    def test_hand_built_non_vertex_rejected(self):
-        # 010 avoids the label 11 but is not in the vertex array.
-        g = hand_built_graph("11", ["000", "001", "011"])
-        with pytest.raises(ValueError, match=r"^010 is not a vertex of Q_3\(11\)$"):
-            graph_distance(g, W("000"), W("010"))
-
-    @pytest.mark.parametrize("other", ["01", "0011", "0000"])
-    def test_wrong_length_endpoint_named(self, other):
-        g = hand_built_graph("11", ["000", "001", "011"])
-        with pytest.raises(ValueError, match=rf"^{other} is not a vertex of Q_3\(11\)$"):
-            graph_distance(g, W("000"), W(other))
-        with pytest.raises(ValueError, match=rf"^{other} is not a vertex of Q_3\(11\)$"):
-            graph_distance(g, W(other), W("001"))
-
-    def test_empty_graph_has_no_vertex(self):
-        g = AvoidanceGraph(W("11"), 3, np.zeros(0, dtype=np.int64))
-        with pytest.raises(ValueError, match=r"^000 is not a vertex of Q_3\(11\)$"):
-            graph_distance(g, W("000"), W("000"))
-
-    def test_distance_at_least_hamming(self):
-        g = build_graph(W("101"), 4)
-        ws = [Word(4, int(v)) for v in g.vertices]
-        strict = 0
-        for a in ws:
-            for b in ws:
-                d = graph_distance(g, a, b)
-                assert d >= hamming(a, b)
-                if d > hamming(a, b):
-                    strict += 1
-        assert strict > 0
-
-    @pytest.mark.parametrize("pattern, d", [("101", 4), ("0011", 6), ("11", 7)])
-    def test_matches_reference_bfs(self, pattern, d):
-        assert_distances_match_reference_bfs(build_graph(W(pattern), d))
-
-    @pytest.mark.parametrize("pattern, d", [("101", 4), ("0011", 6), ("11", 7)])
-    def test_matches_reference_bfs_by_binary_search(self, monkeypatch, pattern, d):
-        without_dense_index(monkeypatch)
-        assert_distances_match_reference_bfs(build_graph(W(pattern), d))
 
 
 class TestIsIsometric:
@@ -860,7 +771,7 @@ def assert_exports_match_reference(g):
     data, want = graph_to_json_dict(g), reference_graph_to_json_dict(g)
     assert data == want
     assert json.dumps(data, sort_keys=True) == json.dumps(want, sort_keys=True)
-    assert g.edge_list() == reference_edge_list(g)
+    assert data["edges"] == [[str(a), str(b)] for a, b in reference_edge_list(g)]
     assert "_flip_tables" not in vars(g)
 
 
@@ -908,9 +819,9 @@ class TestExports:
     def test_words_up_to_the_int64_limit(self):
         g = AvoidanceGraph(W("01"), 63, np.array([0, 1, 1 << 62, (1 << 63) - 2, (1 << 63) - 1]))
         assert_exports_match_reference(g)
-        assert len(g.edge_list()) == 3
+        assert len(graph_to_json_dict(g)["edges"]) == 3
 
-    @pytest.mark.parametrize("export", [graph_to_dot, graph_to_json_dict, AvoidanceGraph.edge_list])
+    @pytest.mark.parametrize("export", [graph_to_dot, graph_to_json_dict])
     def test_refused_by_its_dot_size(self, monkeypatch, export):
         # The path 0000-0001-0011 and the isolated 1111: its DOT text is the
         # header, 10 bytes per vertex and 20 per edge, and the closing line.

@@ -144,6 +144,17 @@ class TestEquationSystem:
             (3, 1): (1, 7), (3, 2): (4, 10), (3, 3): (7, 13),
         }
 
+    def test_each_call_returns_a_fresh_dict(self):
+        # The map is built once per system; a caller's edits must not reach
+        # the next caller or the closure queries.
+        eqs = equations(2, 3)
+        eqs[2, 1] = (1, 2)
+        del eqs[3, 1]
+        assert equations(2, 3) == {
+            (2, 1): (1, 4), (2, 2): (2, 5), (3, 1): (1, 3), (3, 2): (2, 4), (3, 3): (3, 5),
+        }
+        assert not closure_implies(2, 3, {(2, 1)}, (1, 2))
+
     @pytest.mark.parametrize("r, s", [(0, 3), (3, 0), (-1, 2)])
     def test_rejects_nonpositive_periods(self, r, s):
         with pytest.raises(ValueError, match=rf"periods must be positive, got r={r}, s={s}"):

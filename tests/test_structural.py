@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fibocube.oracle import index_bruteforce
 from fibocube.structural import (
+    CriticalWitness,
     MalformedWitnessError,
     _witnesses,
     classify,
@@ -22,7 +23,7 @@ from fibocube.structural import (
     witness_from_json_dict,
     witness_to_json_dict,
 )
-from fibocube.words import Word
+from fibocube.words import Word, contains_factor
 
 
 def W(text):
@@ -98,8 +99,9 @@ class TestTwoFlipPairsOnce:
                     assert verify_witness(swapped).ok, str(f)
 
     def test_equals_both_copy_assignments_deduplicated(self):
-        # Reference: every ordered flip pair, each layout through _witnesses
-        # in enumeration order, keeping the first layout of each unordered pair.
+        # Reference: every ordered flip pair, pa's copy at 1 and pb's at r + 1,
+        # placed as text and tested for avoidance with contains_factor, not
+        # through _witnesses; the first layout of each unordered pair is kept.
         def reference(f):
             n = f.length
             kept, seen = [], set()
@@ -108,10 +110,20 @@ class TestTwoFlipPairsOnce:
                     for pb in range(r + 1, n + 1):
                         if pb == pa:
                             continue
-                        for w in _witnesses(f, [(n + r, ((pa, 1), (pb, r + 1)))]):
-                            if pair_key(w) not in seen:
-                                seen.add(pair_key(w))
-                                kept.append(w)
+                        # alpha[1..n] is f with bit pa complemented, and
+                        # alpha[r+1..r+n] is f with its bit pb - r complemented.
+                        head, tail = str(f.flip(pa)), str(f.flip(pb - r))
+                        if head[r:] != tail[: n - r]:
+                            continue
+                        alpha = W(head + tail[n - r :])
+                        beta = alpha.flip(pa).flip(pb)
+                        if contains_factor(alpha, f) or contains_factor(beta, f):
+                            continue
+                        offsets = tuple(sorted(((pa, 1), (pb, r + 1))))
+                        w = CriticalWitness(f, n + r, offsets, alpha, beta)
+                        if pair_key(w) not in seen:
+                            seen.add(pair_key(w))
+                            kept.append(w)
             return sorted(kept, key=lambda w: (w.dimension, w.alpha.bits, w.beta.bits))
 
         for n in range(1, 11):
@@ -296,19 +308,29 @@ def test_classify_matches_stored_table():
         assert got == [verdict, index, count, digest], text
 
 
+def two_error_bad(f):
+    """The 2-error verdict of Wei, Yang and Zhu (A characterization of
+    non-isometric binary words, European J. Combin. 78 (2019)): f is bad
+    exactly when some shift r in 1..n-1 makes f[r+1..n] XOR f[1..n-r] have
+    exactly two set bits.  It calls no classifier."""
+    n = f.length
+    masks = [(f.bits & ((1 << (n - r)) - 1)) ^ f.bits >> r for r in range(1, n)]
+    return any(mask.bit_count() == 2 for mask in masks)
+
+
 def test_two_error_overlap_verdict_matches_stored_table():
-    # Wei, Yang and Zhu (A characterization of non-isometric binary words,
-    # European J. Combin. 78 (2019)): f is bad exactly when some shift r in
-    # 1..n-1 makes f[r+1..n] XOR f[1..n-r] have exactly two set bits.  This
-    # route reads only the stored verdicts; it calls no classifier.
+    # This route reads only the stored verdicts.
     table = Path(__file__).resolve().parents[1] / "bench" / "expected" / "classify.tsv"
     rows = [line.split("\t")[:2] for line in table.read_text().splitlines()]
     assert len(rows) == 4096 + 2048
     for text, verdict in rows:
-        f = W(text)
-        masks = [(f.bits & ((1 << (f.length - r)) - 1)) ^ f.bits >> r for r in range(1, f.length)]
-        bad = any(mask.bit_count() == 2 for mask in masks)
-        assert verdict == ("bad" if bad else "good"), text
+        assert verdict == ("bad" if two_error_bad(W(text)) else "good"), text
+
+
+def test_two_error_overlap_verdict_matches_classify_up_to_length_11():
+    for n in range(1, 12):
+        for f in all_patterns(n):
+            assert two_error_bad(f) == (not classify(f).good), str(f)
 
 
 class TestVerifyWitness:
@@ -505,8 +527,10 @@ class TestWitnessJson:
 
 
 def assert_classify_total(text):
-    """classify returns on f, and every witness verifies, also lifted by 3."""
+    """classify returns on f, every witness verifies, also lifted by 3, and
+    the verdict is the 2-error verdict."""
     cls = classify(W(text))
+    assert two_error_bad(W(text)) == (not cls.good), text
     for w in cls.witnesses:
         assert verify_witness(w).ok
         assert verify_witness(lift_witness(w, w.dimension + 3)).ok
