@@ -32,7 +32,6 @@ _EXPORTS = {
         "OverlapGraph",
         "PeriodCheck",
         "build_overlap_graph",
-        "closure_implies",
         "equations",
         "is_single_cycle",
         "period_closure_check",

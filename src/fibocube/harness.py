@@ -24,8 +24,6 @@ from itertools import product
 from . import oracle, structural
 from .periodicity import (
     build_overlap_graph,
-    closure_implies,
-    equations,
     is_single_cycle,
     period_closure_check,
     residue_sequence,
@@ -354,8 +352,8 @@ def _residue_walk(g) -> list[int]:
 
 
 def check_overlap_machinery() -> TheoremReport:
-    """Cycle structure, residue walks, forced equalities, and concrete period
-    checks over period pairs up to OVERLAP_PERIOD_LIMIT; stops at the first failure."""
+    """Cycle structure, residue walks and concrete period checks over period
+    pairs up to OVERLAP_PERIOD_LIMIT; stops at the first failure."""
     limit = OVERLAP_PERIOD_LIMIT
     swept = f"period pairs 1..{limit}, plus concrete words for three pairs"
 
@@ -368,11 +366,6 @@ def check_overlap_machinery() -> TheoremReport:
             return report({"r": r, "s": s, "failure": "not-a-single-cycle"})
         if _residue_walk(g) != residue_sequence(g.k1, g.k2):
             return report({"r": r, "s": s, "failure": "residue-walk-broken"})
-        eqs = equations(r, s)
-        for missing, pair in eqs.items():
-            if not closure_implies(r, s, eqs.keys() - {missing}, pair):
-                return report({"r": r, "s": s, "missing": list(missing),
-                               "failure": "dropped-equation-not-forced"})
     # concrete words: periods r and s force period gcd(r, s), and the
     # vacuousness flag respects bit complementation
     for r, s in [(1, 2), (2, 2), (2, 4)]:

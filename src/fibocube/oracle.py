@@ -192,8 +192,11 @@ class AvoidanceGraph:
         size = np.where(m < 2, 0, np.where(subsets, 1 << m, n))
         rows = np.flatnonzero(size)
         chunk = (np.cumsum(size[rows]) - 1) // _CANDIDATE_CHUNK
+        parts = [rows]  # every candidate fits in one part, or there is none
+        if rows.size and chunk[-1] > 0:
+            parts = np.split(rows, np.flatnonzero(np.diff(chunk)) + 1)
         keys = []
-        for part in np.split(rows, np.flatnonzero(np.diff(chunk)) + 1):
+        for part in parts:
             r = np.repeat(part, size[part])
             # t numbers the candidates of each row from 0.
             t = np.arange(r.size) - np.repeat(np.cumsum(size[part]) - size[part], size[part])

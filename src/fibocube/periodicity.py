@@ -1,21 +1,19 @@
-"""Equality propagation for two-period overlap systems.
+"""Two-period overlap systems and their incidence graphs.
 
 For periods r and s with g = gcd(r, s), the positions t, t+g, ..., t+r+s-g
 carry r/g equations of gap s (type 2) and s/g equations of gap r (type 3).
 Their incidence structure is a 2-regular bipartite graph that is always a
-single cycle, so dropping any one equation still forces it, and dropping two
-still ties the loose ends pairwise.  The closure engine answers such forcing
-queries by connected components over the assumed equations.
+single cycle.  Removing one equation vertex therefore leaves a path through
+every position, so the dropped equation is still forced; removing two leaves
+two paths whose loose ends tie crosswise.  is_single_cycle, run on a system's
+overlap graph, thus also decides that the others force each equation.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
-from types import MappingProxyType
 
 from .words import Word
 
@@ -56,21 +54,14 @@ def equations(r: int, s: int) -> dict[tuple[int, int], tuple[int, int]]:
     (1+(j-1)g, 1+(j-1)g+r).  Together they cover the span 1, 1+g, ..., r+s+1-g.
     Each call returns a fresh dict.
     """
-    return dict(_equations(r, s))
-
-
-@lru_cache(maxsize=1)
-def _equations(r: int, s: int) -> Mapping[tuple[int, int], tuple[int, int]]:
-    """equations(r, s), read-only and built once for a run of calls on one
-    system, such as the overlap check's closure queries."""
     if r < 1 or s < 1:
         raise ValueError(f"periods must be positive, got r={r}, s={s}")
     g = math.gcd(r, s)
-    return MappingProxyType({
+    return {
         (kind, i): (1 + (i - 1) * g, 1 + (i - 1) * g + gap)
         for kind, count, gap in ((2, r // g, s), (3, s // g, r))
         for i in range(1, count + 1)
-    })
+    }
 
 
 def build_overlap_graph(r: int, s: int) -> OverlapGraph:
@@ -87,7 +78,7 @@ def build_overlap_graph(r: int, s: int) -> OverlapGraph:
             f"overlap graph of r={r}, s={s} has {2 * k} vertices, "
             f"over the limit of {MAX_OVERLAP_VERTICES}"
         )
-    eqs = _equations(r, s)
+    eqs = equations(r, s)
     xs = tuple(f"v{1 if kind == 2 else 3}_{i}" for kind, i in eqs)
     ys = tuple(f"v2_{j}" for j in range(1, k + 1))
     edges = tuple(
@@ -97,14 +88,22 @@ def build_overlap_graph(r: int, s: int) -> OverlapGraph:
 
 
 def is_single_cycle(graph: OverlapGraph) -> bool:
-    """True iff every vertex has degree 2 and the graph is connected."""
+    """True iff the graph has a vertex, every vertex has degree 2 and the graph
+    is connected."""
     vertices = graph.x_vertices + graph.y_vertices
-    if Counter(v for edge in graph.edges for v in edge) != dict.fromkeys(vertices, 2):
+    if not vertices or Counter(v for e in graph.edges for v in e) != dict.fromkeys(vertices, 2):
         return False
-    dsu = _DSU({v: v for v in vertices})
+    adj = {v: [] for v in vertices}
     for a, b in graph.edges:
-        dsu.union(a, b)
-    return len({dsu.find(v) for v in vertices}) == 1
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, stack = {vertices[0]}, [vertices[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
 
 
 def residue_sequence(k1: int, k2: int) -> list[int]:
@@ -120,53 +119,6 @@ def residue_sequence(k1: int, k2: int) -> list[int]:
         raise ValueError(f"k1={k1} and k2={k2} must be coprime")
     n = k1 + k2
     return [((j - 1) * k1) % n for j in range(1, n + 1)]
-
-
-class _DSU:
-    """Union-find over a mutable map from each item to itself: a dict, or a
-    list when the items are 0..k-1."""
-
-    def __init__(self, parent):
-        self.parent = parent
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def closure_implies(
-    r: int,
-    s: int,
-    assumed: set[tuple[int, int]] | frozenset[tuple[int, int]] | list[tuple[int, int]],
-    queried: tuple[int, int],
-) -> bool:
-    """True iff the assumed equations force equality of the queried positions.
-
-    Equation ids are the keys of equations(r, s).  Both queried positions must
-    lie in the system's span 1, 1+g, ..., which has as many positions as the
-    system has equations; position p is slot (p-1)/g of the union-find list.
-    """
-    eqs = _equations(r, s)
-    g = math.gcd(r, s)
-    dsu = _DSU(list(range(len(eqs))))
-    for eq in assumed:
-        if not isinstance(eq, tuple) or eq not in eqs:
-            raise ValueError(f"malformed equation id {eq!r} for r={r}, s={s}")
-        a, b = eqs[eq]
-        dsu.union((a - 1) // g, (b - 1) // g)
-    span = range(1, 1 + len(eqs) * g, g)
-    qa, qb = queried
-    if qa not in span or qb not in span:
-        raise ValueError(f"queried positions {queried} outside span {tuple(span)}")
-    return dsu.find(span.index(qa)) == dsu.find(span.index(qb))
 
 
 @dataclass(frozen=True)

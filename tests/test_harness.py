@@ -562,12 +562,10 @@ class TestFailurePaths:
             ("is_single_cycle", lambda g: False, "not-a-single-cycle"),
             ("residue_sequence", lambda k1, k2: [], "residue-walk-broken"),
             ("build_overlap_graph", rotated_y_slots, "residue-walk-broken"),
-            ("closure_implies", lambda r, s, assumed, pair: False,
-             "dropped-equation-not-forced"),
             ("period_closure_check", lambda f, r, s: SimpleNamespace(ok=False, vacuous=False),
              "period-check-broken"),
         ],
-        ids=["single-cycle", "residue-walk", "relabeled-y-slots", "closure", "period-check"],
+        ids=["single-cycle", "residue-walk", "relabeled-y-slots", "period-check"],
     )
     def test_overlap_machinery(self, monkeypatch, name, broken, failure):
         monkeypatch.setattr(harness, name, broken)

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -7,7 +7,6 @@ from fibocube import periodicity
 from fibocube.periodicity import (
     OverlapGraph,
     build_overlap_graph,
-    closure_implies,
     equations,
     is_single_cycle,
     period_closure_check,
@@ -89,6 +88,31 @@ class TestOverlapGraph:
         assert not is_single_cycle(graph(cycle + other))
         assert not is_single_cycle(graph(path))
 
+    def test_single_cycle_edge_cases(self):
+        # No vertex is no cycle; a doubled edge and a self-loop each give
+        # their vertices degree 2 and close a cycle; an edge to a vertex the
+        # graph does not list is refused.
+        assert not is_single_cycle(OverlapGraph(1, 1, (), (), ()))
+        assert is_single_cycle(OverlapGraph(1, 1, ("a",), ("b",), (("a", "b"), ("a", "b"))))
+        assert is_single_cycle(OverlapGraph(1, 1, ("a",), (), (("a", "a"),)))
+        assert not is_single_cycle(
+            OverlapGraph(1, 1, ("a",), ("b",), (("a", "b"), ("b", "a"), ("a", "c")))
+        )
+        assert not is_single_cycle(OverlapGraph(1, 1, ("a",), ("b",), (("a", "c"), ("c", "a"))))
+
+    def test_dropping_one_equation_still_joins_its_positions(self):
+        # The single-cycle argument: without one equation vertex, the rest of
+        # the cycle is a path from one of its positions to the other.
+        for r, s in product(range(1, 9), repeat=2):
+            g = build_overlap_graph(r, s)
+            for x in g.x_vertices:
+                edges = [set(e) for e in g.edges if x not in e]
+                a, b = (p for y, p in g.edges if y == x)
+                reached = {a}
+                while grown := {v for e in edges if e & reached for v in e} - reached:
+                    reached |= grown
+                assert b in reached, (r, s, x)
+
     def test_4_6_edges(self):
         # g = 2: equation (2, i) joins v1_i to positions 1+(i-1)2 and 7+(i-1)2,
         # (3, j) joins v3_j to 1+(j-1)2 and 5+(j-1)2; position 1+(j-1)2 is v2_j.
@@ -145,101 +169,18 @@ class TestEquationSystem:
         }
 
     def test_each_call_returns_a_fresh_dict(self):
-        # The map is built once per system; a caller's edits must not reach
-        # the next caller or the closure queries.
+        # A caller's edits must not reach the next caller.
         eqs = equations(2, 3)
         eqs[2, 1] = (1, 2)
         del eqs[3, 1]
         assert equations(2, 3) == {
             (2, 1): (1, 4), (2, 2): (2, 5), (3, 1): (1, 3), (3, 2): (2, 4), (3, 3): (3, 5),
         }
-        assert not closure_implies(2, 3, {(2, 1)}, (1, 2))
 
     @pytest.mark.parametrize("r, s", [(0, 3), (3, 0), (-1, 2)])
     def test_rejects_nonpositive_periods(self, r, s):
         with pytest.raises(ValueError, match=rf"periods must be positive, got r={r}, s={s}"):
             equations(r, s)
-
-
-class TestClosure:
-    def test_two_unit_gaps_force_the_double_gap(self):
-        # Positions t, t+1, t+2 with both unit-gap equalities assumed.
-        assert closure_implies(2, 1, {(2, 1), (2, 2)}, (1, 3))
-        assert not closure_implies(2, 1, {(2, 1)}, (1, 3))
-
-    def test_all_but_one_forces_the_missing_one(self):
-        r, s = 6, 9
-        eqs = equations(r, s)
-        assert len(eqs) == 5
-        for missing, pair in eqs.items():
-            assert closure_implies(r, s, set(eqs) - {missing}, pair)
-
-    def test_two_gap_s_deletions_cross_tie(self):
-        # Dropping gap-s equations i1, i2 still ties each left end to the
-        # other's right end, but no longer to its own.
-        r, s = 2, 3
-        eqs = equations(r, s)
-        assumed = {(3, 1), (3, 2), (3, 3)}
-        p1, p2 = eqs[2, 1], eqs[2, 2]
-        assert closure_implies(r, s, assumed, (p1[0], p2[1]))
-        assert closure_implies(r, s, assumed, (p2[0], p1[1]))
-        assert not closure_implies(r, s, assumed, p1)
-        assert not closure_implies(r, s, assumed, p2)
-
-    def test_one_deletion_of_each_kind_cross_tie(self):
-        r, s = 4, 6
-        eqs = equations(r, s)
-        assumed = set(eqs) - {(2, 2), (3, 1)}
-        pi, pj = eqs[2, 2], eqs[3, 1]
-        assert closure_implies(r, s, assumed, (pi[0], pj[0]))
-        assert closure_implies(r, s, assumed, (pi[1], pj[1]))
-        assert not closure_implies(r, s, assumed, pi)
-        assert not closure_implies(r, s, assumed, pj)
-
-    def test_full_assumption_connects_congruent_positions(self):
-        for r, s in [(2, 3), (4, 6), (3, 5)]:
-            span = range(1, r + s + 1, math.gcd(r, s))
-            for a in span:
-                for b in span:
-                    assert closure_implies(r, s, set(equations(r, s)), (a, b))
-
-    def test_monotone_in_assumptions_exhaustive(self):
-        r, s = 2, 3
-        ids = list(equations(r, s))
-        queries = list(combinations(range(1, r + s + 1), 2))
-        for k in range(len(ids)):
-            for subset in combinations(ids, k):
-                base = {q: closure_implies(r, s, set(subset), q) for q in queries}
-                for extra in ids:
-                    if extra in subset:
-                        continue
-                    grown = set(subset) | {extra}
-                    for q in queries:
-                        if base[q]:
-                            assert closure_implies(r, s, grown, q)
-
-    def test_sound_against_concrete_words(self):
-        # Whenever every assumed equation holds bitwise on a word, every
-        # forced equality must hold bitwise too.
-        for r, s in [(1, 2), (2, 3), (2, 4)]:
-            eqs = equations(r, s)
-            span = range(1, r + s + 1, math.gcd(r, s))
-            for bits in product("01", repeat=span[-1]):
-                f = Word.parse("".join(bits))
-                assumed = {eq for eq, (a, b) in eqs.items() if f.bit(a) == f.bit(b)}
-                for qa, qb in combinations(span, 2):
-                    if closure_implies(r, s, assumed, (qa, qb)):
-                        assert f.bit(qa) == f.bit(qb)
-
-    def test_malformed_ids_and_bad_queries(self):
-        with pytest.raises(ValueError):
-            closure_implies(2, 3, {(4, 1)}, (1, 2))
-        with pytest.raises(ValueError):
-            closure_implies(2, 3, {(2, 99)}, (1, 2))
-        with pytest.raises(ValueError):
-            closure_implies(2, 3, {"nope"}, (1, 2))
-        with pytest.raises(ValueError):
-            closure_implies(2, 3, set(), (1, 99))
 
 
 class TestPeriodClosureCheck:
