@@ -30,7 +30,6 @@ _EXPORTS = {
     ),
     "periodicity": (
         "OverlapGraph",
-        "PeriodCheck",
         "build_overlap_graph",
         "equations",
         "is_single_cycle",

@@ -121,14 +121,13 @@ def _pmap(fn, items, workers: int | None):
 # per-pattern checks (module level so the pass pickles for process pools)
 
 class _Pattern:
-    """One swept pattern f.  Its caches live on the instance, so f and ff are
-    each classified once and each graph Q_d(w) is built and tested at most
-    once, whichever checks ask; all of it is freed with the pattern."""
+    """One swept pattern f.  Its caches live on the instance, so each word is
+    classified once and each graph Q_d(w) is built and tested at most once,
+    whichever checks ask; all of it is freed with the pattern."""
 
     def __init__(self, text: str):
         self.text = text
         self.f = Word.parse(text)
-        self.ff = self.f.concat(self.f)
         self.classify = cache(lambda w: structural.classify(w))
         self.graph = cache(lambda w, d: oracle.build_graph(w, d))
 
@@ -179,11 +178,13 @@ def _index_bound_one(p: _Pattern) -> dict:
 
 
 def _doubling_one(p: _Pattern) -> dict:
-    cls, cls_ff = p.classify(p.f), p.classify(p.ff)
-    record = {"pattern": p.text, "index": cls.index, "doubled_index": cls_ff.index}
+    cls = p.classify(p.f)
+    record = {"pattern": p.text, "index": cls.index}
     # For a bad f, Q_d(ff) below B(f) <= 2|f| - 1 < |ff| is the whole cube:
-    # only a good f's doubling is a claim the oracle can test.
+    # only a good f's doubling is a claim, so only then is ff classified.
     if cls.good:
+        cls_ff = p.classify(p.f.concat(p.f))
+        record["doubled_index"] = cls_ff.index
         probe = _doubling_probe(p.f)
         if not cls_ff.good:
             record["failure"] = "doubling-lost-goodness"
@@ -214,36 +215,37 @@ def _monotonicity_one(p: _Pattern) -> dict:
 
 def _critical_equivalence_one(p: _Pattern) -> dict:
     """The scan-free BFS route against the critical-pair scan on every graph:
-    a violating pair exactly when there is a critical pair, and the first
+    a violating source exactly when there is a critical pair, and the first
     violating source is the least endpoint of the critical pairs, which is
-    where is_isometric runs its one BFS."""
+    where is_isometric runs its one BFS.  A pair is named only for a failure."""
     _, d_max = _probe_graph(p.f)
     for d in range(2, d_max + 1):
         g = p.graph(p.f, d)
-        violation = oracle._bfs_violation(g)
+        source = oracle._bfs_violation(g)
         # The scan's index pairs are sorted with i < j, so the least alpha of
         # find_critical_pairs(g) is vertices[i[0]].
         i, _ = g._critical_pairs
-        endpoint = Word(d, int(g.vertices[i[0]])) if i.size else None
-        if (violation is None) == (endpoint is not None):
+        endpoint = int(i[0]) if i.size else None
+        if (source is None) == (endpoint is not None):
             failure = "equivalence-broken"
-        elif endpoint is not None and violation[0] != endpoint:
+        elif endpoint is not None and source != endpoint:
             failure = "first-source-not-scan-endpoint"
         else:
             continue
         record = {
             "pattern": p.text,
             "dimension": d,
-            "isometric": violation is None,
+            "isometric": source is None,
             "critical_pairs": i.size,
             "failure": failure,
         }
-        if violation is not None:
+        violation = source is not None and oracle._first_violation(g, source)
+        if violation:  # None when the flagged source's own BFS row finds none
             a, b, dg, h = violation
             dg = "unreachable" if dg == oracle.UNREACHABLE else int(dg)
             record["violating_pair"] = [str(a), str(b), dg, h]
         if endpoint is not None:
-            record["scan_endpoint"] = str(endpoint)
+            record["scan_endpoint"] = str(Word(d, int(g.vertices[endpoint])))
         return record
     return {"pattern": p.text, "dimensions_checked": d_max - 1}
 
@@ -279,17 +281,18 @@ _SUITES = {
 SUITES = tuple(_SUITES)
 
 
-def _check_one(args) -> list[dict]:
-    text, names = args
+def _check_one(args) -> list:
+    text, checks = args
     p = _Pattern(text)
-    return [_SUITES[name][2](p) for name in names]
+    return [check(p) for check in checks]
 
 
 def _run(names, texts, workers, max_len=None) -> list[TheoremReport]:
     """Run the named suites' checks on each text in one pass; per suite,
     report the first failing record and the checked count of all records.
     Without max_len the texts are an explicit list, swept as "N patterns"."""
-    rows = _pmap(_check_one, [(t, names) for t in texts], workers)
+    checks = tuple(_SUITES[name][2] for name in names)
+    rows = _pmap(_check_one, [(t, checks) for t in texts], workers)
     reports = []
     for i, name in enumerate(names):
         title, swept, _, checked, _ = _SUITES[name]
@@ -300,33 +303,33 @@ def _run(names, texts, workers, max_len=None) -> list[TheoremReport]:
     return reports
 
 
-def _census_one(text: str):
-    cls = structural.classify(Word.parse(text))
+def _census_one(p: _Pattern):
+    cls = p.classify(p.f)
     return cls.index, min((w.p for w in cls.witnesses), default=None)
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
-def cross_validate_patterns(texts: list[str], workers: int = 1) -> TheoremReport:
+def cross_validate_patterns(texts: list[str], workers: int) -> TheoremReport:
     return _run(("cross",), texts, workers)[0]
 
 
 def census(n: int, workers: int = 1, oracle_confirm: bool = False) -> CensusRow:
     """The classifier's counts for every pattern of length n.  oracle_confirm
-    first runs the cross check on them all (probing to 2n+2 when n <= 4) and
-    raises RuntimeError on its counterexample."""
+    also runs the cross check on each pattern in the same pass (probing to
+    2n+2 when n <= 4) and raises RuntimeError on its first counterexample."""
     if not 1 <= n <= MAX_SWEEP_LENGTH:
         raise ValueError(f"census length must be in 1..{MAX_SWEEP_LENGTH}, got {n}")
     if oracle_confirm and n > 9:
         raise ValueError(f"oracle confirmation is limited to length 9, got {n}")
-    texts = all_patterns(n)
-    bad = cross_validate_patterns(texts, workers).counterexample if oracle_confirm else None
+    checks = (_census_one, _cross_validate_one) if oracle_confirm else (_census_one,)
+    rows = _pmap(_check_one, [(t, checks) for t in all_patterns(n)], workers)
+    bad = next((r for _, *cross in rows for r in cross if "failure" in r), None)
     if bad is not None:
         raise RuntimeError(f"classifier disagrees with oracle on {bad['pattern']}: "
                            f"{bad['structural_index']} vs {bad['bruteforce_index']}")
-    bad = [(index, min_p) for index, min_p in _pmap(_census_one, texts, workers)
-           if index is not None]
+    bad = [row[0] for row in rows if row[0][0] is not None]
     return CensusRow(
         length=n,
         index_histogram=dict(sorted(Counter(index for index, _ in bad).items())),
@@ -366,14 +369,10 @@ def check_overlap_machinery() -> TheoremReport:
             return report({"r": r, "s": s, "failure": "not-a-single-cycle"})
         if _residue_walk(g) != residue_sequence(g.k1, g.k2):
             return report({"r": r, "s": s, "failure": "residue-walk-broken"})
-    # concrete words: periods r and s force period gcd(r, s), and the
-    # vacuousness flag respects bit complementation
+    # concrete words: periods r and s force period gcd(r, s) (None: vacuous)
     for r, s in [(1, 2), (2, 2), (2, 4)]:
         for t in all_patterns(r + s):
-            f = Word.parse(t)
-            res = period_closure_check(f, r, s)
-            res_c = period_closure_check(f.complement(), r, s)
-            if not res.ok or not res_c.ok or res.vacuous != res_c.vacuous:
+            if period_closure_check(Word.parse(t), r, s) is False:
                 return report({"word": t, "r": r, "s": s, "failure": "period-check-broken"})
     return report()
 

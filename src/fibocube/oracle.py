@@ -58,7 +58,7 @@ gather of the whole table per level advances all 64 BFS (64 frontier BFS would
 read it once per source).  A pass sums level times the count first reached
 there, for the batch's Hamming sum, and stops once every source has reached
 every vertex.  In the first failing batch each source runs that test on its own
-bit of the levels; the first that fails names the pair as is_isometric does.
+bit of the levels, and the first that fails is the route's answer.
 """
 
 from __future__ import annotations
@@ -373,18 +373,18 @@ def _first_violation(g: AvoidanceGraph, source: int) -> tuple[Word, Word, int | 
     return Word(d, int(verts[source])), Word(d, int(verts[j])), dg, int(ham[j])
 
 
-def _bfs_violation(g: AvoidanceGraph) -> tuple[Word, Word, int | float, int] | None:
-    """The first vertex pair, in (source, target) index order, whose BFS
-    distance differs from its Hamming distance; None when there is none.
-    Unreachable pairs violate.  This route does not read the critical-pair
-    scan, so the lemma21 sweep can check one against the other.
+def _bfs_violation(g: AvoidanceGraph) -> int | None:
+    """The index of the first source with a target whose BFS distance
+    differs from its Hamming distance; None when there is none.  Unreachable
+    pairs violate.  This route reads neither the critical-pair scan nor
+    _distance_row, so the lemma21 sweep can check the scan against it.
 
     Sources run in batches of 64 in lexicographic order, one _bfs_levels pass
     each.  A batch passes when every pair is reachable and its BFS distance
     sum, level times count over the levels, equals its Hamming sum, which is
     exact because graph distance is never below Hamming distance.  In the
     first batch that fails, each source runs the same test on its own bit of
-    the levels; the first that fails names the pair through _first_violation.
+    the levels; the first that fails is returned.
     """
     d = g.dimension
     verts = g.vertices
@@ -408,7 +408,7 @@ def _bfs_violation(g: AvoidanceGraph) -> tuple[Word, Word, int | float, int] | N
                 .reshape(n, 64).sum(axis=0) for level, _ in levels
             ])[:, : idx.size]
             fails = (counts.sum(axis=0) != n) | (np.arange(len(levels)) @ counts != ham[idx])
-            return _first_violation(g, lo + int(np.argmax(fails)))
+            return lo + int(np.argmax(fails))
     return None
 
 

@@ -121,25 +121,17 @@ def residue_sequence(k1: int, k2: int) -> list[int]:
     return [((j - 1) * k1) % n for j in range(1, n + 1)]
 
 
-@dataclass(frozen=True)
-class PeriodCheck:
-    ok: bool
-    vacuous: bool
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def period_closure_check(f: Word, r: int, s: int) -> PeriodCheck:
-    """Check that periods r and s of a word with |f| = r + s force period
+def period_closure_check(f: Word, r: int, s: int) -> bool | None:
+    """Whether periods r and s of a word with |f| = r + s force period
     g = gcd(r, s): f[i] = f[i + g] for i = 1..r + s - g.
 
-    A word failing either hypothesis (gap s at 1..r, gap r at 1..s) passes
-    vacuously.  Sound by Fine and Wilf (Proc. AMS 16 (1965)): a word of
-    length r + s with periods r and s has period gcd(r, s).  The equations of
-    the systems based at t = 1..g would only re-read the hypotheses: system
-    t's type-2 pairs start at t + (i-1)g for i = 1..r/g, so over t = 1..g they
-    start at 1..r once each, and its type-3 pairs likewise cover 1..s.
+    None, a vacuous pass, when the word fails either hypothesis (gap s at
+    1..r, gap r at 1..s).  Never False, by Fine and Wilf (Proc. AMS 16
+    (1965)): a word of length r + s with periods r and s has period gcd(r, s).
+    The equations of the systems based at t = 1..g would only re-read the
+    hypotheses: system t's type-2 pairs start at t + (i-1)g for i = 1..r/g, so
+    over t = 1..g they start at 1..r once each, and its type-3 pairs likewise
+    cover 1..s.
     """
     if r < 1 or s < 1:
         raise ValueError(f"periods must be positive, got r={r}, s={s}")
@@ -150,5 +142,5 @@ def period_closure_check(f: Word, r: int, s: int) -> PeriodCheck:
         return all(f.bit(i) == f.bit(i + p) for i in range(1, r + s - p + 1))
 
     if not (has_period(s) and has_period(r)):
-        return PeriodCheck(ok=True, vacuous=True)
-    return PeriodCheck(ok=has_period(math.gcd(r, s)), vacuous=False)
+        return None
+    return has_period(math.gcd(r, s))

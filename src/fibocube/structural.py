@@ -301,6 +301,9 @@ def witness_from_json_dict(data: dict) -> CriticalWitness:
     offsets.  JSON that cannot be read, states other p, flips or shift, or
     has fewer than two offsets raises MalformedWitnessError."""
     try:
+        for i in data["offsets"]:  # int() alone would also read "+2", " 2" or "02" as 2
+            if i != str(int(i)):
+                raise ValueError(f"offset key {i!r} is not a plain decimal integer")
         w = CriticalWitness(
             pattern=_parse_any_length(data["pattern"]),
             dimension=_json_int(data["dimension"]),

@@ -194,6 +194,15 @@ class TestVerify:
         expected.append(json.dumps(overlap, sort_keys=True))
         assert out.splitlines() == expected
 
+    def test_matches_stored_benchmark_output(self):
+        # The verify-sweep benchmark compares this run's stdout byte for byte
+        # with bench/expected/verify.jsonl; a byte change fails here too.
+        path = Path(__file__).resolve().parents[1] / "bench" / "expected" / "verify.jsonl"
+        argv = ("verify", "--max-len", "5", "--suite", "all", "--workers", "1")
+        code, out, _ = run_cli(*argv, "--format", "json")
+        assert code == EXIT_OK
+        assert out == path.read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("max_len", ["0", "-2"])
     def test_rejects_empty_sweep(self, max_len):
         code, out, err = run_cli("verify", "--max-len", max_len, "--workers", "1")

@@ -1,6 +1,5 @@
 import json
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,9 +23,13 @@ REAL_OVERLAP = harness.build_overlap_graph
 
 
 def bfs_from_target_end(g):
-    """The scan-free BFS route with its named pair turned round."""
-    v = REAL_BFS(g)
-    return v and (v[1], v[0], v[2], v[3])
+    """The scan-free BFS route's first violating source moved to the far end
+    of the pair it names."""
+    source = REAL_BFS(g)
+    if source is None:
+        return None
+    target = oracle._first_violation(g, source)[1]
+    return int(np.searchsorted(g.vertices, target.bits))
 
 
 def bad_at_3(f):
@@ -76,7 +79,7 @@ class TestCrossValidate:
                 oracle.index_bruteforce(f)
 
     def test_explicit_pattern_list(self):
-        r = cross_validate_patterns(["101", "0011", "11"])
+        r = cross_validate_patterns(["101", "0011", "11"], workers=1)
         assert r.passed and r.checked == 3
 
     def test_past_bound_probe_scans_only_good_patterns_past_2n_minus_1(self, monkeypatch):
@@ -268,6 +271,31 @@ class TestCensus:
         with pytest.raises(RuntimeError, match=message):
             census(3, workers=1, oracle_confirm=True)
 
+    def test_oracle_confirmation_runs_one_pass_classifying_each_pattern_once(
+        self, monkeypatch
+    ):
+        # The census count and the cross check share one pass over the 32
+        # patterns of length 5, and so one classification of each.
+        passes, classified = [], []
+        real_pmap, real_classify = harness._pmap, structural.classify
+
+        def pmap(fn, items, workers):
+            passes.append(fn)
+            return real_pmap(fn, items, workers)
+
+        def classify(f):
+            classified.append(str(f))
+            return real_classify(f)
+
+        expected = row_bytes(census(5, workers=1))
+        monkeypatch.setattr(harness, "_pmap", pmap)
+        monkeypatch.setattr(harness.structural, "classify", classify)
+        row = census(5, workers=1, oracle_confirm=True)
+        assert row.oracle_confirmed
+        assert row_bytes(replace(row, oracle_confirmed=False)) == expected
+        assert len(passes) == 1
+        assert classified == harness.all_patterns(5)
+
     def test_census_without_confirmation_never_reaches_the_oracle(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle was called")
@@ -368,8 +396,9 @@ class TestRunSuites:
             run_suites("nope", 3)
 
     def test_all_suites_check_each_pattern_in_one_pass(self, monkeypatch):
-        # While one swept pattern is checked, no graph is built twice, and the
-        # pattern and its square are classified once each.
+        # While one swept pattern is checked, no graph is built twice, the
+        # pattern is classified once, and its square once only when the
+        # pattern is good: a bad pattern's doubling is no claim.
         current, built, classified, passes = [], [], [], []
         real_pattern, real_classify, real_pmap = (
             harness._Pattern, structural.classify, harness._pmap
@@ -401,7 +430,22 @@ class TestRunSuites:
         assert current == texts
         assert len(passes) == 1
         assert built and len(built) == len(set(built))
-        assert sorted(classified) == sorted([(t, t) for t in texts] + [(t, t + t) for t in texts])
+        good = [t for t in texts if real_classify(Word.parse(t)).good]
+        assert sorted(classified) == sorted([(t, t) for t in texts] + [(t, t + t) for t in good])
+
+    def test_passing_sweep_names_no_pair(self, monkeypatch):
+        # A passing lemma21 check compares source indices only, so no
+        # single-source BFS row names a pair anywhere in the sweep.
+        rows = []
+        real_row = oracle._distance_row
+
+        def row(g, source):
+            rows.append(source)
+            return real_row(g, source)
+
+        monkeypatch.setattr(oracle, "_distance_row", row)
+        assert all(r.passed for r in run_suites("all", 5, workers=1))
+        assert rows == []
 
     def test_deepest_graph_of_each_check(self, monkeypatch):
         # Every graph a check builds is at most as deep as its suite's declared
@@ -514,9 +558,14 @@ class TestFailurePaths:
              {"pattern": "010", "dimension": 4, "isometric": False, "critical_pairs": 1,
               "failure": "first-source-not-scan-endpoint",
               "violating_pair": ["0110", "0000", 4, 2], "scan_endpoint": "0000"}),
+            # Source 0 flagged on Q_2(0) = {11}: no critical pair, and the
+            # source's own BFS row finds no violation, so no pair is named.
+            (oracle, "_bfs_violation", lambda g: 0, "lemma21", 0,
+             {"pattern": "0", "dimension": 2, "isometric": False, "critical_pairs": 0,
+              "failure": "equivalence-broken"}),
         ],
         ids=["lost-goodness", "isometric-above-index",
-             "source-not-scan-endpoint"],
+             "source-not-scan-endpoint", "flagged-source-without-violation"],
     )
     def test_failure_kind(self, monkeypatch, module, name, broken, check, checked,
                           counterexample):
@@ -562,8 +611,7 @@ class TestFailurePaths:
             ("is_single_cycle", lambda g: False, "not-a-single-cycle"),
             ("residue_sequence", lambda k1, k2: [], "residue-walk-broken"),
             ("build_overlap_graph", rotated_y_slots, "residue-walk-broken"),
-            ("period_closure_check", lambda f, r, s: SimpleNamespace(ok=False, vacuous=False),
-             "period-check-broken"),
+            ("period_closure_check", lambda f, r, s: False, "period-check-broken"),
         ],
         ids=["single-cycle", "residue-walk", "relabeled-y-slots", "period-check"],
     )

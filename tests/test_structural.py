@@ -508,7 +508,9 @@ class TestWitnessJson:
          ("offsets", {"2": 1, "3": "two"}), ("alpha", "1121"), ("beta", ""), ("pattern", 101),
          # int() would truncate these to a valid witness
          ("dimension", 4.9), ("dimension", True), ("dimension", "4"),
-         ("offsets", {"2": 1, "3": 2.0}), ("offsets", {"2": 1, "3": True})],
+         ("offsets", {"2": 1, "3": 2.0}), ("offsets", {"2": 1, "3": True}),
+         # int() would read each of these keys as the offset 2
+         *[("offsets", {key: 1, "3": 2}) for key in ("+2", " 2", "2 ", "02", "\u0662")]],
     )
     def test_unreadable_json_is_refused(self, key, value):
         (w,) = two_flip_candidates(W("101"))
