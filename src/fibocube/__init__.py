@@ -40,7 +40,6 @@ _EXPORTS = {
         "Classification",
         "CriticalWitness",
         "MalformedWitnessError",
-        "WitnessCheck",
         "classify",
         "lift_witness",
         "verify_witness",

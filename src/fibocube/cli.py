@@ -77,7 +77,7 @@ def _cmd_census(args) -> int:
     if args.format == "json":
         print(_dumps(row.to_json_dict()))
     elif args.format == "csv":
-        sys.stdout.write(harness.census_csv([row]))
+        sys.stdout.write(harness.census_csv(row))
     else:
         d = row.to_json_dict()
         print(

@@ -17,7 +17,7 @@ import json
 import os
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
@@ -53,9 +53,9 @@ class TheoremReport:
 @dataclass(frozen=True)
 class CensusRow:
     length: int
-    index_histogram: dict[int, int] = field(default_factory=dict)
-    p_histogram: dict[int, int] = field(default_factory=dict)
-    oracle_confirmed: bool = False
+    index_histogram: dict[int, int]
+    p_histogram: dict[int, int]
+    oracle_confirmed: bool
 
     @property
     def total(self) -> int:
@@ -82,16 +82,14 @@ class CensusRow:
         }
 
 
-def census_csv(rows: list[CensusRow]) -> str:
-    """One CSV line per row: to_json_dict's values in order, dicts as JSON,
-    under its keys with the suffix _count dropped."""
+def census_csv(row: CensusRow) -> str:
+    """The row's to_json_dict as one CSV line, dicts as JSON, under its keys
+    with the suffix _count dropped."""
+    d = row.to_json_dict()
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(key.removesuffix("_count") for key in CensusRow(1).to_json_dict())
-    for r in rows:
-        w.writerow(
-            json.dumps(v) if isinstance(v, dict) else v for v in r.to_json_dict().values()
-        )
+    w.writerow(key.removesuffix("_count") for key in d)
+    w.writerow(json.dumps(v) if isinstance(v, dict) else v for v in d.values())
     return buf.getvalue()
 
 
@@ -200,11 +198,11 @@ def _monotonicity_one(p: _Pattern) -> dict:
         return record
     for d in range(cls.index + 1, cls.index + 4):
         for w in cls.witnesses:
-            check = structural.verify_witness(structural.lift_witness(w, d))
-            if not check.ok:
+            reason = structural.verify_witness(structural.lift_witness(w, d))
+            if reason is not None:
                 record["failure"] = "lifted-witness-rejected"
                 record["dimension"] = d
-                record["reason"] = check.reason
+                record["reason"] = reason
                 return record
         if not oracle.critical_p_values(p.graph(p.f, d)).size:  # no pair: isometric
             record["failure"] = "oracle-isometric-above-index"
@@ -287,22 +285,6 @@ def _check_one(args) -> list:
     return [check(p) for check in checks]
 
 
-def _run(names, texts, workers, max_len=None) -> list[TheoremReport]:
-    """Run the named suites' checks on each text in one pass; per suite,
-    report the first failing record and the checked count of all records.
-    Without max_len the texts are an explicit list, swept as "N patterns"."""
-    checks = tuple(_SUITES[name][2] for name in names)
-    rows = _pmap(_check_one, [(t, checks) for t in texts], workers)
-    reports = []
-    for i, name in enumerate(names):
-        title, swept, _, checked, _ = _SUITES[name]
-        records = [row[i] for row in rows]
-        bad = next((r for r in records if "failure" in r), None)
-        swept = f"{len(texts)} patterns" if max_len is None else swept.format(max_len)
-        reports.append(TheoremReport(title, swept, checked(records), bad))
-    return reports
-
-
 def _census_one(p: _Pattern):
     cls = p.classify(p.f)
     return cls.index, min((w.p for w in cls.witnesses), default=None)
@@ -310,10 +292,6 @@ def _census_one(p: _Pattern):
 
 # ---------------------------------------------------------------------------
 # sweeps
-
-def cross_validate_patterns(texts: list[str], workers: int) -> TheoremReport:
-    return _run(("cross",), texts, workers)[0]
-
 
 def census(n: int, workers: int = 1, oracle_confirm: bool = False) -> CensusRow:
     """The classifier's counts for every pattern of length n.  oracle_confirm
@@ -379,7 +357,8 @@ def check_overlap_machinery() -> TheoremReport:
 
 def run_suites(suite: str, max_len: int, workers: int = 1) -> list[TheoremReport]:
     """Run one named suite, or all of them in one pass plus the
-    overlap-machinery check."""
+    overlap-machinery check; per suite, report the first failing record and
+    the checked count of all records."""
     if not 1 <= max_len <= MAX_SWEEP_LENGTH:
         raise ValueError(f"sweep length must be in 1..{MAX_SWEEP_LENGTH}, got {max_len}")
     selected = SUITES if suite == "all" else (suite,)
@@ -393,7 +372,14 @@ def run_suites(suite: str, max_len: int, workers: int = 1) -> list[TheoremReport
             deepest = _SUITES[name][4](f)
             if deepest is not None:
                 oracle._check_size(*deepest)
-    reports = _run(selected, texts, workers, max_len)
+    checks = tuple(_SUITES[name][2] for name in selected)
+    rows = _pmap(_check_one, [(t, checks) for t in texts], workers)
+    reports = []
+    for i, name in enumerate(selected):
+        title, swept, _, checked, _ = _SUITES[name]
+        records = [row[i] for row in rows]
+        bad = next((r for r in records if "failure" in r), None)
+        reports.append(TheoremReport(title, swept.format(max_len), checked(records), bad))
     if suite == "all":
         reports.append(check_overlap_machinery())
     return reports

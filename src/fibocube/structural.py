@@ -80,18 +80,6 @@ class Classification:
         return "good" if self.good else "bad"
 
 
-@dataclass(frozen=True)
-class WitnessCheck:
-    reason: str | None = None  # why the witness was rejected; None when it verifies
-
-    @property
-    def ok(self) -> bool:
-        return self.reason is None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _witness_sort_key(w: CriticalWitness):
     return (w.dimension, w.alpha.bits, w.beta.bits)
 
@@ -214,11 +202,11 @@ def classify(f: Pattern) -> Classification:
     return Classification(f, tuple(winners))
 
 
-def verify_witness(w: CriticalWitness) -> WitnessCheck:
+def verify_witness(w: CriticalWitness) -> str | None:
     """Re-check a certificate from scratch, independent of how it was made.
 
     Structurally malformed witnesses raise MalformedWitnessError; witnesses
-    that are well-formed but wrong return a failed check with a reason code.
+    that are well-formed but wrong return a reason code, and valid ones None.
     """
     f = w.pattern
     d = w.dimension
@@ -234,23 +222,23 @@ def verify_witness(w: CriticalWitness) -> WitnessCheck:
             raise MalformedWitnessError(f"copy window at offset {u} outside word")
 
     if w.alpha.length != d:
-        return WitnessCheck("alpha-length")
+        return "alpha-length"
     if w.beta.length != d:
-        return WitnessCheck("beta-length")
+        return "beta-length"
     if contains_factor(w.alpha, f):
-        return WitnessCheck("alpha-contains-factor")
+        return "alpha-contains-factor"
     if contains_factor(w.beta, f):
-        return WitnessCheck("beta-contains-factor")
+        return "beta-contains-factor"
     if hamming(w.alpha, w.beta) != len(flips):
-        return WitnessCheck("hamming-mismatch")
+        return "hamming-mismatch"
     if tuple(differing_positions(w.alpha, w.beta)) != flips:
-        return WitnessCheck("flips-mismatch")
+        return "flips-mismatch"
     if not all(contains_factor(w.alpha.flip(i), f) for i in flips):
-        return WitnessCheck("interval-not-blocked")
+        return "interval-not-blocked"
     for i, u in w.offsets:
         if u not in factor_offsets(w.alpha.flip(i), f):
-            return WitnessCheck("copy-offset")
-    return WitnessCheck()
+            return "copy-offset"
+    return None
 
 
 def lift_witness(w: CriticalWitness, d: int) -> CriticalWitness:

@@ -37,11 +37,8 @@ class Word:
             raise WordError(f"word longer than {MAX_LENGTH}: {len(text)} characters")
         return _parse_any_length(text)
 
-    def render(self) -> str:
-        return format(self.bits, f"0{self.length}b")
-
     def __str__(self) -> str:
-        return self.render()
+        return format(self.bits, f"0{self.length}b")
 
     def bit(self, i: int) -> int:
         """Bit at 1-based position i (position 1 = leftmost)."""

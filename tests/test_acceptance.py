@@ -19,12 +19,8 @@ from fibocube import (
     is_single_cycle,
     residue_sequence,
 )
-from fibocube.harness import (
-    all_patterns,
-    census,
-    cross_validate_patterns,
-    run_suites,
-)
+from fibocube import harness
+from fibocube.harness import all_patterns, census, run_suites
 
 WORKERS = max(1, os.cpu_count() or 1)
 
@@ -37,27 +33,28 @@ def report(num: int, name: str, ok: bool, detail=None):
 def test_criterion_1_oracle_structural_equivalence():
     full = run_suites("cross", 6, workers=WORKERS)[0]
     spot_values = sorted(random.Random(271828).sample(range(128), 40))
-    spot = cross_validate_patterns(
-        [format(v, "07b") for v in spot_values], workers=WORKERS
-    )
-    ok = full.passed and full.checked == 126 and spot.passed and spot.checked == 40
+    spot = [harness._cross_validate_one(harness._Pattern(format(v, "07b")))
+            for v in spot_values]
+    failures = [r for r in spot if "failure" in r]
+    ok = full.passed and full.checked == 126 and len(spot) == 40 and not failures
     report(
         1,
         "classifier equals brute force on all 126 patterns of length 1-6 "
         "plus 40 spot checks at length 7",
         ok,
-        (full.counterexample, spot.counterexample),
+        (full.counterexample, failures),
     )
 
 
 def test_all_length_7_patterns_match_oracle():
-    r = cross_validate_patterns(all_patterns(7), workers=WORKERS)
-    assert r.passed and r.checked == 128, r.counterexample
+    # census --oracle-confirm raises on its first counterexample
+    row = census(7, workers=WORKERS, oracle_confirm=True)
+    assert row.oracle_confirmed and row.total == 128
 
 
 def test_all_length_8_patterns_match_oracle():
-    r = cross_validate_patterns(all_patterns(8), workers=WORKERS)
-    assert r.passed and r.checked == 256, r.counterexample
+    row = census(8, workers=WORKERS, oracle_confirm=True)
+    assert row.oracle_confirmed and row.total == 256
 
 def test_criterion_2_minimal_p_dichotomy():
     r = run_suites("p-values", 6, workers=WORKERS)[0]

@@ -9,11 +9,10 @@ from fibocube.harness import (
     CensusRow,
     census,
     census_csv,
-    cross_validate_patterns,
     run_suites,
 )
 from fibocube.oracle import AvoidanceGraph
-from fibocube.structural import Classification, CriticalWitness, WitnessCheck
+from fibocube.structural import Classification, CriticalWitness
 from fibocube.words import Word
 
 REAL_BUILD = oracle.build_graph
@@ -77,10 +76,6 @@ class TestCrossValidate:
             f = Word.parse(t)
             assert oracle.index_bruteforce(f, harness._Pattern(t).graph) == \
                 oracle.index_bruteforce(f)
-
-    def test_explicit_pattern_list(self):
-        r = cross_validate_patterns(["101", "0011", "11"], workers=1)
-        assert r.passed and r.checked == 3
 
     def test_past_bound_probe_scans_only_good_patterns_past_2n_minus_1(self, monkeypatch):
         # The oracle's scan to 2|f|+2 stops at a bad pattern's index, its
@@ -306,7 +301,7 @@ class TestCensus:
         assert row_bytes(census(6, workers=1)) == expected
 
     def test_csv_layout(self):
-        text = census_csv([census(3)])
+        text = census_csv(census(3))
         lines = text.splitlines()
         assert lines[0].startswith("length,total,good,bad,good_fraction")
         assert lines[1].startswith("3,8,6,2,0.75,")
@@ -576,7 +571,7 @@ class TestFailurePaths:
 
     def test_monotonicity(self, monkeypatch):
         monkeypatch.setattr(
-            harness.structural, "verify_witness", lambda w: WitnessCheck("broken")
+            harness.structural, "verify_witness", lambda w: "broken"
         )
         r = run_suites("monotonicity", 4, workers=1)[0]
         assert not r.passed and r.checked == 10

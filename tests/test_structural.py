@@ -57,7 +57,7 @@ class TestTwoFlipCandidates:
         assert w.offsets == ((2, 1), (3, 2))
         assert str(w.alpha) == "1111"
         assert str(w.beta) == "1001"
-        assert verify_witness(w).ok
+        assert verify_witness(w) is None
 
     def test_short_patterns_empty(self):
         assert two_flip_candidates(W("11")) == []
@@ -68,13 +68,13 @@ class TestTwoFlipCandidates:
         cls = classify(W("1001"))
         assert not cls.good
         assert cls.index == index_bruteforce(W("1001")) == 5
-        assert all(verify_witness(w).ok for w in cls.witnesses)
+        assert all(verify_witness(w) is None for w in cls.witnesses)
 
     def test_all_candidates_verify_up_to_length_6(self):
         for n in range(1, 7):
             for f in all_patterns(n):
                 for w in two_flip_candidates(f):
-                    assert verify_witness(w).ok
+                    assert verify_witness(w) is None
                     assert w.dimension == f.length + w.shift
                     assert 1 <= w.shift <= f.length - 2
 
@@ -96,7 +96,7 @@ class TestTwoFlipPairsOnce:
                     swapped = replace(
                         w, offsets=((pa, ub), (pb, ua)), alpha=w.beta, beta=w.alpha
                     )
-                    assert verify_witness(swapped).ok, str(f)
+                    assert verify_witness(swapped) is None, str(f)
 
     def test_equals_both_copy_assignments_deduplicated(self):
         # Reference: every ordered flip pair, pa's copy at 1 and pb's at r + 1,
@@ -160,14 +160,14 @@ class TestThreeFlipCandidates:
         assert w.offsets == ((3, 3), (4, 1), (5, 4))
         assert str(w.alpha) == "0010111"
         assert str(w.beta) == "0001011"
-        assert verify_witness(w).ok
+        assert verify_witness(w) is None
 
     def test_mirrored_candidates_verify(self):
         ws = mirrored_three_flip_candidates(W("1100"))
         assert ws
         for w in ws:
             assert str(w.pattern) == "1100"
-            assert verify_witness(w).ok
+            assert verify_witness(w) is None
 
     def test_mirrored_equals_direct_layout_of_reversed_pattern(self):
         # Reference: enumerate the direct layout on the reversed pattern and
@@ -196,7 +196,7 @@ class TestThreeFlipCandidates:
         for n in range(1, 8):
             for f in all_patterns(n):
                 for w in three_flip_candidates(f) + mirrored_three_flip_candidates(f):
-                    assert verify_witness(w).ok
+                    assert verify_witness(w) is None
                     i1, i2, i3 = w.flips
                     assert i2 - i1 == i3 - i2 == w.shift
                     assert w.alpha.bit(i1) == w.alpha.bit(i3) == 1 - w.alpha.bit(i2)
@@ -246,7 +246,7 @@ class TestClassify:
             cls = classify(W(text))
             assert cls.witnesses
             assert all(w.dimension == b for w in cls.witnesses)
-            assert all(verify_witness(w).ok for w in cls.witnesses)
+            assert all(verify_witness(w) is None for w in cls.witnesses)
 
     def test_symmetry_under_reverse_and_complement(self):
         for n in range(1, 7):
@@ -339,13 +339,11 @@ class TestVerifyWitness:
         return w
 
     def test_valid(self):
-        check = verify_witness(self.witness())
-        assert check.ok and check.reason is None and bool(check)
+        assert verify_witness(self.witness()) is None
 
     def test_tampered_beta_contains_pattern(self):
-        check = verify_witness(replace(self.witness(), beta=W("1011")))
-        assert not check.ok
-        assert check.reason == "beta-contains-factor"
+        reason = verify_witness(replace(self.witness(), beta=W("1011")))
+        assert reason == "beta-contains-factor"
 
     @pytest.mark.parametrize("p", [1, 4])
     def test_p_outside_2_3_is_malformed(self, p):
@@ -385,43 +383,36 @@ class TestVerifyWitness:
 
     def test_beta_equal_to_alpha(self):
         w = self.witness()
-        check = verify_witness(replace(w, beta=w.alpha))
-        assert not check.ok
-        assert check.reason == "hamming-mismatch"
+        reason = verify_witness(replace(w, beta=w.alpha))
+        assert reason == "hamming-mismatch"
 
     def test_beta_not_matching_flips(self):
         # 0011 avoids 101 and is at distance 2 from 1111, but at the wrong
         # positions.
-        check = verify_witness(replace(self.witness(), beta=W("0011")))
-        assert not check.ok
-        assert check.reason == "flips-mismatch"
+        reason = verify_witness(replace(self.witness(), beta=W("0011")))
+        assert reason == "flips-mismatch"
 
     def test_wrong_offsets_fail(self):
-        check = verify_witness(replace(self.witness(), offsets=((2, 2), (3, 1))))
-        assert not check.ok
-        assert check.reason == "copy-offset"
+        reason = verify_witness(replace(self.witness(), offsets=((2, 2), (3, 1))))
+        assert reason == "copy-offset"
 
     def test_wrong_length_alpha(self):
-        check = verify_witness(replace(self.witness(), alpha=W("11111"), beta=W("10011")))
-        assert not check.ok
-        assert check.reason == "alpha-length"
+        reason = verify_witness(replace(self.witness(), alpha=W("11111"), beta=W("10011")))
+        assert reason == "alpha-length"
 
     def test_wrong_length_beta(self):
-        check = verify_witness(replace(self.witness(), beta=W("10011")))
-        assert not check.ok
-        assert check.reason == "beta-length"
+        reason = verify_witness(replace(self.witness(), beta=W("10011")))
+        assert reason == "beta-length"
 
     def test_alpha_contains_pattern(self):
-        check = verify_witness(replace(self.witness(), alpha=W("1010")))
-        assert not check.ok
-        assert check.reason == "alpha-contains-factor"
+        reason = verify_witness(replace(self.witness(), alpha=W("1010")))
+        assert reason == "alpha-contains-factor"
 
     def test_unblocked_interval(self):
         # 0000 and 0110 avoid 101 and differ at the declared flips 2 and 3,
         # but flipping either bit of 0000 gives a word that avoids 101 too.
-        check = verify_witness(replace(self.witness(), alpha=W("0000"), beta=W("0110")))
-        assert not check.ok
-        assert check.reason == "interval-not-blocked"
+        reason = verify_witness(replace(self.witness(), alpha=W("0000"), beta=W("0110")))
+        assert reason == "interval-not-blocked"
 
 
 class TestLiftWitness:
@@ -435,7 +426,7 @@ class TestLiftWitness:
         assert str(lw.beta) == "01001"
         assert lw.flips == (3, 4)
         assert lw.offsets == ((3, 2), (4, 3))
-        assert verify_witness(lw).ok
+        assert verify_witness(lw) is None
 
     def test_lift_identity(self):
         w = self.witness()
@@ -444,7 +435,7 @@ class TestLiftWitness:
     def test_lift_to_6(self):
         lw = lift_witness(self.witness(), 6)
         assert str(lw.alpha) == "001111"
-        assert verify_witness(lw).ok
+        assert verify_witness(lw) is None
 
     def test_lift_down_rejected(self):
         with pytest.raises(ValueError):
@@ -454,7 +445,7 @@ class TestLiftWitness:
         cls = classify(W("0110"))
         lw = lift_witness(cls.witnesses[0], cls.index + 2)
         assert str(lw.alpha).startswith("11")
-        assert verify_witness(lw).ok
+        assert verify_witness(lw) is None
 
     def test_lifted_witnesses_verify_up_to_plus_5(self):
         for n in range(3, 5):
@@ -464,7 +455,7 @@ class TestLiftWitness:
                     continue
                 for w in cls.witnesses:
                     for d in range(cls.index, cls.index + 6):
-                        assert verify_witness(lift_witness(w, d)).ok
+                        assert verify_witness(lift_witness(w, d)) is None
 
 
 class TestWitnessJson:
@@ -490,7 +481,7 @@ class TestWitnessJson:
             for lifted in (w, lift_witness(w, 76), lift_witness(w, 80)):
                 data = json.loads(json.dumps(witness_to_json_dict(lifted)))
                 assert witness_from_json_dict(data) == lifted
-                assert verify_witness(witness_from_json_dict(data)).ok
+                assert verify_witness(witness_from_json_dict(data)) is None
 
     @pytest.mark.parametrize(
         "key, value", [("p", 3), ("flips", [2, 4]), ("flips", [3, 2]), ("shift", 99)]
@@ -534,8 +525,8 @@ def assert_classify_total(text):
     cls = classify(W(text))
     assert two_error_bad(W(text)) == (not cls.good), text
     for w in cls.witnesses:
-        assert verify_witness(w).ok
-        assert verify_witness(lift_witness(w, w.dimension + 3)).ok
+        assert verify_witness(w) is None
+        assert verify_witness(lift_witness(w, w.dimension + 3)) is None
     return cls
 
 

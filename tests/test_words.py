@@ -25,7 +25,7 @@ class TestParseRender:
     def test_round_trip_exhaustive(self):
         for n in range(1, 7):
             for w in all_words(n):
-                assert Word.parse(w.render()) == w
+                assert Word.parse(str(w)) == w
 
     def test_str_is_text(self):
         assert str(W("0110")) == "0110"
