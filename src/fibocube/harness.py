@@ -28,7 +28,7 @@ from .periodicity import (
     period_closure_check,
     residue_sequence,
 )
-from .words import Word
+from .words import Word, overlap_masks
 
 MAX_SWEEP_LENGTH = 14  # longest pattern a census or verification sweep enumerates
 OVERLAP_PERIOD_LIMIT = 12  # check_overlap_machinery sweeps period pairs up to it
@@ -285,29 +285,45 @@ def _check_one(args) -> list:
     return [check(p) for check in checks]
 
 
+def _two_error_bad(f: Word) -> bool:
+    """The 2-error rule of Wei, Yang and Zhu (A characterization of
+    non-isometric binary words, European J. Combin. 78 (2019)): f is bad
+    exactly when some overlap mask has exactly two set bits.  It rests on
+    another theorem than classify's layouts and shares no code with them."""
+    return any(mask.bit_count() == 2 for mask in overlap_masks(f))
+
+
 def _census_one(p: _Pattern):
     cls = p.classify(p.f)
-    return cls.index, min((w.p for w in cls.witnesses), default=None)
+    return cls.index, min((w.p for w in cls.witnesses), default=None), _two_error_bad(p.f)
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 
 def census(n: int, workers: int = 1, oracle_confirm: bool = False) -> CensusRow:
-    """The classifier's counts for every pattern of length n.  oracle_confirm
-    also runs the cross check on each pattern in the same pass (probing to
-    2n+2 when n <= 4) and raises RuntimeError on its first counterexample."""
+    """The classifier's counts for every pattern of length n.  Each verdict
+    is checked against the 2-error rule; oracle_confirm also runs the cross
+    check on each pattern in the same pass (probing to 2n+2 when n <= 4).
+    The first disagreement raises RuntimeError naming the pattern."""
     if not 1 <= n <= MAX_SWEEP_LENGTH:
         raise ValueError(f"census length must be in 1..{MAX_SWEEP_LENGTH}, got {n}")
     if oracle_confirm and n > 9:
         raise ValueError(f"oracle confirmation is limited to length 9, got {n}")
     checks = (_census_one, _cross_validate_one) if oracle_confirm else (_census_one,)
-    rows = _pmap(_check_one, [(t, checks) for t in all_patterns(n)], workers)
+    texts = all_patterns(n)
+    rows = _pmap(_check_one, [(t, checks) for t in texts], workers)
     bad = next((r for _, *cross in rows for r in cross if "failure" in r), None)
     if bad is not None:
         raise RuntimeError(f"classifier disagrees with oracle on {bad['pattern']}: "
                            f"{bad['structural_index']} vs {bad['bruteforce_index']}")
-    bad = [row[0] for row in rows if row[0][0] is not None]
+    counts = [row[0] for row in rows]
+    for text, (index, _, rule_bad) in zip(texts, counts):
+        if (index is not None) != rule_bad:
+            raise RuntimeError(f"classifier disagrees with the 2-error rule on {text}: "
+                               f"{'good' if index is None else 'bad'} vs "
+                               f"{'bad' if rule_bad else 'good'}")
+    bad = [(index, min_p) for index, min_p, _ in counts if index is not None]
     return CensusRow(
         length=n,
         index_histogram=dict(sorted(Counter(index for index, _ in bad).items())),

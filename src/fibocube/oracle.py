@@ -69,7 +69,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .words import Pattern, Word
+from .words import Pattern, Word, overlap_masks
 
 UNREACHABLE = math.inf
 
@@ -237,10 +237,11 @@ class AvoidanceGraph:
 def _vertex_count(f: Pattern, d: int) -> int:
     """The exact number of length-d words avoiding f, from f's autocorrelation
     (Guibas and Odlyzko, String overlaps, pattern matching, and nontransitive
-    games, JCTA 30 (1981)): with c_r = 1 iff f[r:] == f[:n-r], the counts
-    have generating function c(z) / den(z), den = z^n + (1 - 2z) c(z)."""
+    games, JCTA 30 (1981)): with c_r = 1 iff f[r:] == f[:n-r], that is
+    mask_r = 0, the counts have generating function c(z) / den(z),
+    den = z^n + (1 - 2z) c(z)."""
     n = f.length
-    c = [int(f.bits & ((1 << (n - r)) - 1) == f.bits >> r) for r in range(n)] + [0]
+    c = [int(mask == 0) for mask in overlap_masks(f)] + [0]
     den = [c[k] - 2 * c[k - 1] if k else 1 for k in range(n + 1)]
     den[n] += 1
     a = []

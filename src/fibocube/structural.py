@@ -14,11 +14,10 @@ the smallest surviving dimension is the exact index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .words import (
     Pattern,
     Word,
+    _Record,
     _contains_bits,
     _parse_any_length,
     contains_factor,
@@ -32,8 +31,7 @@ class MalformedWitnessError(ValueError):
     """Witness fields are structurally inconsistent (not merely invalid)."""
 
 
-@dataclass(frozen=True)
-class CriticalWitness:
+class CriticalWitness(_Record):
     """Certificate that (alpha, beta) is a blocked pair at this dimension.
 
     offsets pairs each flip, a position where alpha and beta differ, with the
@@ -42,11 +40,20 @@ class CriticalWitness:
     least gap between copy starts, is the layout's r or r' and lifting keeps it.
     """
 
-    pattern: Word
-    dimension: int
-    offsets: tuple[tuple[int, int], ...]
-    alpha: Word
-    beta: Word
+    __slots__ = ("pattern", "dimension", "offsets", "alpha", "beta")
+
+    def __init__(self, pattern: Word, dimension: int, offsets: tuple[tuple[int, int], ...],
+                 alpha: Word, beta: Word):
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+
+    def _replace(self, **changes) -> "CriticalWitness":
+        """A copy with the named fields changed; any other name, p, flips
+        and shift included, raises TypeError."""
+        return CriticalWitness(**dict(zip(self.__slots__, self._fields)) | changes)
 
     @property
     def p(self) -> int:
@@ -62,10 +69,12 @@ class CriticalWitness:
         return min(b - a for a, b in zip(starts, starts[1:]))
 
 
-@dataclass(frozen=True)
-class Classification:
-    pattern: Word
-    witnesses: tuple[CriticalWitness, ...]  # all at the index B(f); none when f is good
+class Classification(_Record):
+    __slots__ = ("pattern", "witnesses")
+
+    def __init__(self, pattern: Word, witnesses: tuple[CriticalWitness, ...]):
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "witnesses", witnesses)  # all at the index B(f); none when good
 
     @property
     def index(self) -> int | None:
@@ -255,8 +264,7 @@ def lift_witness(w: CriticalWitness, d: int) -> CriticalWitness:
         return w
     c = 1 - w.pattern.bit(1)
     prefix = Word(k, (1 << k) - 1 if c else 0)
-    return replace(
-        w,
+    return w._replace(
         dimension=d,
         offsets=tuple((i + k, u + k) for i, u in w.offsets),
         alpha=prefix.concat(w.alpha),

@@ -11,7 +11,8 @@ operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
+from operator import attrgetter
 
 MAX_LENGTH = 63
 
@@ -20,10 +21,51 @@ class WordError(ValueError):
     """Invalid word construction or mismatched operands."""
 
 
-@dataclass(frozen=True, order=True)
-class Word:
-    length: int
-    bits: int
+class _Record:
+    """Base of the immutable records on the command-line path.
+
+    Fields are the subclass's __slots__, set once by its __init__.  Records
+    compare equal only to records of the same type with equal fields, hash
+    as the tuple of their fields, print as Name(field=value, ...) and pickle
+    through their constructor.  Plain classes rather than dataclasses, so
+    that importing the CLI loads neither dataclasses nor inspect.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = property(attrgetter(*cls.__slots__))  # the field values, as a tuple
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields == other._fields
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields
+
+
+@total_ordering
+class Word(_Record):
+    __slots__ = ("length", "bits")
+
+    def __init__(self, length: int, bits: int):
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "bits", bits)
+        self.__post_init__()  # looked up by name, so a wrapper on the class sees each build
 
     def __post_init__(self):
         if not isinstance(self.length, int) or self.length < 1:
@@ -39,6 +81,11 @@ class Word:
 
     def __str__(self) -> str:
         return format(self.bits, f"0{self.length}b")
+
+    def __lt__(self, other):  # Words order by (length, bits), only among themselves
+        if other.__class__ is self.__class__:
+            return self._fields < other._fields
+        return NotImplemented
 
     def bit(self, i: int) -> int:
         """Bit at 1-based position i (position 1 = leftmost)."""
@@ -95,6 +142,15 @@ def _contains_bits(ubits: int, ulen: int, fbits: int, flen: int) -> bool:
 def contains_factor(u: Word, f: Pattern) -> bool:
     """True iff f occurs as consecutive bits of u; False when f is longer."""
     return _contains_bits(u.bits, u.length, f.bits, f.length)
+
+
+def overlap_masks(f: Pattern) -> list[int]:
+    """mask_r = f[r+1..n] XOR f[1..n-r] as an (n-r)-bit int, for r = 0..n-1.
+
+    mask_r is 0 exactly when f overlaps itself at shift r (always at r = 0).
+    """
+    n = f.length
+    return [(f.bits & ((1 << (n - r)) - 1)) ^ (f.bits >> r) for r in range(n)]
 
 
 def factor_offsets(u: Word, f: Pattern) -> list[int]:

@@ -256,6 +256,23 @@ class TestCensus:
         with pytest.raises(RuntimeError, match=message):
             census(2, workers=1, oracle_confirm=True)
 
+    @pytest.mark.parametrize("text, verdicts", [("101", "good vs bad"), ("000", "bad vs good")])
+    def test_census_names_a_verdict_the_2_error_rule_contradicts(self, monkeypatch, text,
+                                                                 verdicts):
+        # One verdict of length 3 flipped: the bad 101 read as good, or the
+        # good 000 as bad at index 3.
+        real_classify = structural.classify
+
+        def classify(f):
+            if str(f) != text:
+                return real_classify(f)
+            return Classification(f, ()) if text == "101" else bad_at_3(f)
+
+        monkeypatch.setattr(harness.structural, "classify", classify)
+        message = rf"^classifier disagrees with the 2-error rule on {text}: {verdicts}$"
+        with pytest.raises(RuntimeError, match=message):
+            census(3, workers=1)
+
     def test_oracle_confirmation_probes_good_patterns_past_the_bound(self, monkeypatch):
         # One critical pair appears only at d = 2n + 2, which the cross
         # check's probe reaches; 000 is the first good pattern of length 3.

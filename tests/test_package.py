@@ -1,8 +1,10 @@
 import ast
-import dataclasses
+import copy
 import importlib
 import inspect
 import json
+import operator
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +66,93 @@ class TestLazyNumpy:
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert json.loads(run.stdout) == [False, True]
+
+
+class TestColdStart:
+    def test_string_commands_load_no_dataclasses_inspect_or_numpy(self):
+        # -S: only what the package loads, not what an install's site hooks add
+        code = (
+            f"import json, sys; sys.path.insert(0, {SRC!r}); from fibocube import cli; "
+            "codes = [cli.main([c, p]) for c in ('classify', 'index', 'witness') "
+            "for p in ('11', '0011')]; "
+            "print(json.dumps([codes, [m for m in ('dataclasses', 'inspect', 'numpy') "
+            "if m in sys.modules]]))"
+        )
+        run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                             text=True)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout.splitlines()[-1]) == [[0, 10, 0, 10, 0, 10], []]
+
+
+def records():
+    """(record, an equal record built apart, its fields, its repr) for a
+    Word, a CriticalWitness and the Classifications of a bad and a good f."""
+    bad, good = (structural.classify(Word.parse(t)) for t in ("0011", "11"))
+    (w,) = bad.witnesses
+    word = "Word(length=4, bits=3)"
+    witness = (f"CriticalWitness(pattern={word}, dimension=7, offsets=((3, 3), (4, 1), "
+               "(5, 4)), alpha=Word(length=7, bits=23), beta=Word(length=7, bits=11))")
+    return [
+        (Word(4, 3), Word.parse("0011"), {"length": 4, "bits": 3}, word),
+        (w, structural.classify(Word.parse("0011")).witnesses[0],
+         {"pattern": w.pattern, "dimension": 7, "offsets": ((3, 3), (4, 1), (5, 4)),
+          "alpha": w.alpha, "beta": w.beta}, witness),
+        (bad, structural.classify(Word.parse("0011")), {"pattern": bad.pattern,
+                                                        "witnesses": (w,)},
+         f"Classification(pattern={word}, witnesses=({witness},))"),
+        (good, structural.classify(Word.parse("11")), {"pattern": good.pattern,
+                                                       "witnesses": ()},
+         "Classification(pattern=Word(length=2, bits=3), witnesses=())"),
+    ]
+
+
+class TestRecords:
+    """Word, CriticalWitness and Classification behave as frozen records."""
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_equality_hash_and_repr(self, k):
+        record, twin, fields, text = records()[k]
+        values = tuple(fields.values())
+        assert record is not twin
+        assert record == twin and not record != twin
+        assert hash(record) == hash(twin) == hash(values)
+        assert record != values and values != record
+        assert [getattr(record, name) for name in fields] == list(values)
+        assert repr(record) == text
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_fields_cannot_be_assigned_or_deleted(self, k):
+        record, _, fields, text = records()[k]
+        for name in list(fields) + ["extra"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert repr(record) == text
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_pickle_and_copy_round_trips(self, k):
+        record = records()[k][0]
+        copies = [pickle.loads(pickle.dumps(record, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies + [copy.copy(record), copy.deepcopy(record)]:
+            assert type(other) is type(record)
+            assert other == record and hash(other) == hash(record)
+            assert repr(other) == repr(record)
+
+    def test_words_order_by_length_then_bits(self):
+        words = [Word(2, 3), Word(1, 1), Word(2, 0), Word(1, 0)]
+        assert sorted(words) == [Word(1, 0), Word(1, 1), Word(2, 0), Word(2, 3)]
+        assert Word(1, 1) < Word(2, 0) <= Word(2, 0) < Word(2, 3)
+        assert Word(2, 3) > Word(2, 0) >= Word(2, 0) > Word(1, 1)
+
+    @pytest.mark.parametrize("other", [(1, 0), 1, "0"])
+    def test_words_order_only_among_words(self, other):
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(Word(1, 0), other)
+            with pytest.raises(TypeError):
+                compare(other, Word(1, 0))
 
 
 # (function, parameter) pairs whose default no caller overrides, with the reason.
@@ -289,7 +378,7 @@ def test_derived_fields_cannot_be_set(case):
     field = case.split(".")[1]
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
         cls(**kwargs)
-    kept = {f.name for f in dataclasses.fields(cls)}
+    kept = set(inspect.signature(cls).parameters)
     record = cls(**{k: v for k, v in kwargs.items() if k in kept})
     if field == "notes":
         assert record.to_json_dict()["notes"] == kwargs["notes"]

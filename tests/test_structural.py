@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -93,8 +92,8 @@ class TestTwoFlipPairsOnce:
                 for w in two_flip_candidates(f):
                     (pa, ua), (pb, ub) = w.offsets
                     assert (ua, ub) == (1, w.shift + 1)
-                    swapped = replace(
-                        w, offsets=((pa, ub), (pb, ua)), alpha=w.beta, beta=w.alpha
+                    swapped = w._replace(
+                        offsets=((pa, ub), (pb, ua)), alpha=w.beta, beta=w.alpha
                     )
                     assert verify_witness(swapped) is None, str(f)
 
@@ -174,8 +173,7 @@ class TestThreeFlipCandidates:
         # read every witness end-for-end.
         def mirror(w):
             d, n = w.dimension, w.pattern.length
-            return replace(
-                w,
+            return w._replace(
                 pattern=w.pattern.reverse(),
                 offsets=tuple(sorted((d + 1 - i, d + 2 - n - u) for i, u in w.offsets)),
                 alpha=w.alpha.reverse(),
@@ -342,76 +340,76 @@ class TestVerifyWitness:
         assert verify_witness(self.witness()) is None
 
     def test_tampered_beta_contains_pattern(self):
-        reason = verify_witness(replace(self.witness(), beta=W("1011")))
+        reason = verify_witness(self.witness()._replace(beta=W("1011")))
         assert reason == "beta-contains-factor"
 
     @pytest.mark.parametrize("p", [1, 4])
     def test_p_outside_2_3_is_malformed(self, p):
         offsets = ((1, 1), (2, 1), (3, 2), (4, 2))[:p]
         with pytest.raises(MalformedWitnessError, match=rf"^p must be 2 or 3, got {p}$"):
-            verify_witness(replace(self.witness(), offsets=offsets))
+            verify_witness(self.witness()._replace(offsets=offsets))
 
     def test_flips_not_ascending_is_malformed(self):
         # The (2, 1) copy is listed twice, so flip 2 is too.
-        w = replace(self.witness(), offsets=((2, 1), (3, 2), (2, 1)))
+        w = self.witness()._replace(offsets=((2, 1), (3, 2), (2, 1)))
         message = r"^flips not strictly ascending: \(2, 3, 2\)$"
         with pytest.raises(MalformedWitnessError, match=message):
             verify_witness(w)
 
     def test_offsets_out_of_flip_order_are_malformed(self):
-        w = replace(self.witness(), offsets=((3, 2), (2, 1)))
+        w = self.witness()._replace(offsets=((3, 2), (2, 1)))
         message = r"^flips not strictly ascending: \(3, 2\)$"
         with pytest.raises(MalformedWitnessError, match=message):
             verify_witness(w)
 
     def test_flip_out_of_range_is_malformed(self):
         with pytest.raises(MalformedWitnessError, match=r"^flip outside 1\.\.4: \(2, 9\)$"):
-            verify_witness(replace(self.witness(), offsets=((2, 1), (9, 2))))
+            verify_witness(self.witness()._replace(offsets=((2, 1), (9, 2))))
 
     @pytest.mark.parametrize("field", ["p", "flips", "shift"])
     def test_derived_fields_cannot_be_set(self, field):
         with pytest.raises(TypeError):
-            replace(self.witness(), **{field: 99})
+            self.witness()._replace(**{field: 99})
 
     @pytest.mark.parametrize("offset", [0, 3])
     def test_copy_window_outside_word_is_malformed(self, offset):
         # 101 at offset 3 would end at position 5 of a length-4 word.
-        w = replace(self.witness(), offsets=((2, 1), (3, offset)))
+        w = self.witness()._replace(offsets=((2, 1), (3, offset)))
         message = rf"^copy window at offset {offset} outside word$"
         with pytest.raises(MalformedWitnessError, match=message):
             verify_witness(w)
 
     def test_beta_equal_to_alpha(self):
         w = self.witness()
-        reason = verify_witness(replace(w, beta=w.alpha))
+        reason = verify_witness(w._replace(beta=w.alpha))
         assert reason == "hamming-mismatch"
 
     def test_beta_not_matching_flips(self):
         # 0011 avoids 101 and is at distance 2 from 1111, but at the wrong
         # positions.
-        reason = verify_witness(replace(self.witness(), beta=W("0011")))
+        reason = verify_witness(self.witness()._replace(beta=W("0011")))
         assert reason == "flips-mismatch"
 
     def test_wrong_offsets_fail(self):
-        reason = verify_witness(replace(self.witness(), offsets=((2, 2), (3, 1))))
+        reason = verify_witness(self.witness()._replace(offsets=((2, 2), (3, 1))))
         assert reason == "copy-offset"
 
     def test_wrong_length_alpha(self):
-        reason = verify_witness(replace(self.witness(), alpha=W("11111"), beta=W("10011")))
+        reason = verify_witness(self.witness()._replace(alpha=W("11111"), beta=W("10011")))
         assert reason == "alpha-length"
 
     def test_wrong_length_beta(self):
-        reason = verify_witness(replace(self.witness(), beta=W("10011")))
+        reason = verify_witness(self.witness()._replace(beta=W("10011")))
         assert reason == "beta-length"
 
     def test_alpha_contains_pattern(self):
-        reason = verify_witness(replace(self.witness(), alpha=W("1010")))
+        reason = verify_witness(self.witness()._replace(alpha=W("1010")))
         assert reason == "alpha-contains-factor"
 
     def test_unblocked_interval(self):
         # 0000 and 0110 avoid 101 and differ at the declared flips 2 and 3,
         # but flipping either bit of 0000 gives a word that avoids 101 too.
-        reason = verify_witness(replace(self.witness(), alpha=W("0000"), beta=W("0110")))
+        reason = verify_witness(self.witness()._replace(alpha=W("0000"), beta=W("0110")))
         assert reason == "interval-not-blocked"
 
 

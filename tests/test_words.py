@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -10,6 +11,7 @@ from fibocube.words import (
     differing_positions,
     factor_offsets,
     hamming,
+    overlap_masks,
 )
 
 
@@ -162,6 +164,33 @@ class TestDifferingPositions:
     def test_length_mismatch(self):
         with pytest.raises(WordError):
             differing_positions(W("01"), W("011"))
+
+
+class TestOverlapMasks:
+    @staticmethod
+    def sliced(text, r):
+        """f[r+1..n] XOR f[1..n-r] read off the text, one character per bit."""
+        return "".join("01"[a != b] for a, b in zip(text[r:], text[:len(text) - r]))
+
+    def test_equal_string_slicing_exhaustive(self):
+        for n in range(1, 11):
+            for w in all_words(n):
+                text = str(w)
+                masks = overlap_masks(w)
+                assert len(masks) == n
+                for r, mask in enumerate(masks):
+                    assert format(mask, f"0{n - r}b") == self.sliced(text, r), (text, r)
+
+    def test_equal_string_slicing_long(self):
+        rng = random.Random(7)
+        for n in range(11, MAX_LENGTH + 1):
+            text = "".join(rng.choice("01") for _ in range(n))
+            for r, mask in enumerate(overlap_masks(W(text))):
+                assert format(mask, f"0{n - r}b") == self.sliced(text, r), (text, r)
+
+    def test_examples(self):
+        assert overlap_masks(W("0011")) == [0, 0b010, 0b11, 0b1]
+        assert overlap_masks(W("1010")) == [0, 0b111, 0, 0b1]
 
 
 class TestWindowsAndConcat:
