@@ -75,16 +75,15 @@ def _cmd_census(args) -> int:
 
     row = harness.census(args.length, workers=_workers(args), oracle_confirm=args.oracle_confirm)
     if args.format == "json":
-        print(_dumps(row.to_json_dict()))
+        print(_dumps(row))
     elif args.format == "csv":
         sys.stdout.write(harness.census_csv(row))
     else:
-        d = row.to_json_dict()
         print(
-            f"length={d['length']} total={d['total']} good={d['good_count']} "
-            f"bad={d['bad_count']} good_fraction={d['good_fraction']:.6f} "
-            f"index_histogram={_dumps(d['index_histogram'])} "
-            f"p_histogram={_dumps(d['p_histogram'])}"
+            f"length={row['length']} total={row['total']} good={row['good_count']} "
+            f"bad={row['bad_count']} good_fraction={row['good_fraction']:.6f} "
+            f"index_histogram={_dumps(row['index_histogram'])} "
+            f"p_histogram={_dumps(row['p_histogram'])}"
         )
     return EXIT_OK
 
@@ -95,14 +94,14 @@ def _cmd_verify(args) -> int:
     reports = harness.run_suites(args.suite, args.max_len, workers=_workers(args))
     for r in reports:
         if args.format == "json":
-            print(_dumps(r.to_json_dict()))
+            print(_dumps(r))
         else:
-            status = "PASS" if r.passed else "FAIL"
-            line = f"{status} {r.name} checked={r.checked} [{r.swept}]"
-            if not r.passed:
-                line += f" counterexample={_dumps(r.counterexample)}"
+            line = (f"{'PASS' if r['passed'] else 'FAIL'} {r['name']} "
+                    f"checked={r['checked']} [{r['swept']}]")
+            if not r["passed"]:
+                line += f" counterexample={_dumps(r['counterexample'])}"
             print(line)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_INTERNAL
+    return EXIT_OK if all(r["passed"] for r in reports) else EXIT_INTERNAL
 
 
 def _cmd_graph(args) -> int:

@@ -17,7 +17,6 @@ import json
 import os
 from collections import Counter, defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
@@ -34,62 +33,19 @@ MAX_SWEEP_LENGTH = 14  # longest pattern a census or verification sweep enumerat
 OVERLAP_PERIOD_LIMIT = 12  # check_overlap_machinery sweeps period pairs up to it
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    name: str
-    swept: str
-    checked: int
-    counterexample: dict | None = None  # the first failing record; None when all pass
-
-    @property
-    def passed(self) -> bool:
-        return self.counterexample is None
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "swept": self.swept, "passed": self.passed,
-                "checked": self.checked, "counterexample": self.counterexample, "notes": ""}
+def _report(name: str, swept: str, checked: int, counterexample: dict | None) -> dict:
+    """One suite's JSON record; passed when counterexample, the first failing record, is None."""
+    return {"name": name, "swept": swept, "passed": counterexample is None,
+            "checked": checked, "counterexample": counterexample, "notes": ""}
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    length: int
-    index_histogram: dict[int, int]
-    p_histogram: dict[int, int]
-    oracle_confirmed: bool
-
-    @property
-    def total(self) -> int:
-        return 2**self.length
-
-    @property
-    def bad_count(self) -> int:
-        return sum(self.index_histogram.values())
-
-    @property
-    def good_count(self) -> int:
-        return self.total - self.bad_count
-
-    def to_json_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "total": self.total,
-            "good_count": self.good_count,
-            "bad_count": self.bad_count,
-            "good_fraction": self.good_count / self.total,
-            "index_histogram": {str(k): v for k, v in sorted(self.index_histogram.items())},
-            "p_histogram": {str(k): v for k, v in sorted(self.p_histogram.items())},
-            "oracle_confirmed": self.oracle_confirmed,
-        }
-
-
-def census_csv(row: CensusRow) -> str:
-    """The row's to_json_dict as one CSV line, dicts as JSON, under its keys
-    with the suffix _count dropped."""
-    d = row.to_json_dict()
+def census_csv(row: dict) -> str:
+    """A census row as one CSV line, dicts as JSON, under its keys with the
+    suffix _count dropped."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(key.removesuffix("_count") for key in d)
-    w.writerow(json.dumps(v) if isinstance(v, dict) else v for v in d.values())
+    w.writerow(key.removesuffix("_count") for key in row)
+    w.writerow(json.dumps(v) if isinstance(v, dict) else v for v in row.values())
     return buf.getvalue()
 
 
@@ -145,14 +101,31 @@ def _doubling_probe(f: Word) -> tuple[Word, int] | None:
     return (f.concat(f), 4 * f.length - 1) if f.length <= 3 else None
 
 
+def _two_error_bad(f: Word) -> bool:
+    """The 2-error rule of Wei, Yang and Zhu (A characterization of
+    non-isometric binary words, European J. Combin. 78 (2019)): f is bad
+    exactly when some overlap mask has exactly two set bits.  It rests on
+    another theorem than classify's layouts and shares no code with them."""
+    return any(mask.bit_count() == 2 for mask in overlap_masks(f))
+
+
 def _cross_validate_one(p: _Pattern) -> dict:
-    # The oracle scans to the probe depth, past the index bound 2n - 1 for
-    # n <= 4, so a violation there is an index classify did not report.
-    s_index = p.classify(p.f).index
+    """classify's index against the oracle's scan to the probe depth (past
+    the index bound 2n - 1 for n <= 4), its verdict against the 2-error
+    rule, and a bad f's witness pairs against the critical pairs of Q_B(f)."""
+    cls = p.classify(p.f)
     b_index = oracle.first_violation_dimension(*_probe_graph(p.f), p.graph)
-    record = {"pattern": p.text, "structural_index": s_index, "bruteforce_index": b_index}
-    if s_index != b_index:
+    record = {"pattern": p.text, "structural_index": cls.index, "bruteforce_index": b_index}
+    if cls.index != b_index:
         record["failure"] = "index-mismatch"
+    elif cls.good == _two_error_bad(p.f):
+        record["failure"] = "two-error-mismatch"
+    elif not cls.good:
+        g = p.graph(p.f, b_index)
+        i, j = g._critical_pairs  # i < j, so each pair is (lesser, greater) word
+        pairs = {tuple(sorted((w.alpha.bits, w.beta.bits))) for w in cls.witnesses}
+        if pairs != set(zip(g.vertices[i].tolist(), g.vertices[j].tolist())):
+            record["failure"] = "witness-set-mismatch"
     return record
 
 
@@ -285,14 +258,6 @@ def _check_one(args) -> list:
     return [check(p) for check in checks]
 
 
-def _two_error_bad(f: Word) -> bool:
-    """The 2-error rule of Wei, Yang and Zhu (A characterization of
-    non-isometric binary words, European J. Combin. 78 (2019)): f is bad
-    exactly when some overlap mask has exactly two set bits.  It rests on
-    another theorem than classify's layouts and shares no code with them."""
-    return any(mask.bit_count() == 2 for mask in overlap_masks(f))
-
-
 def _census_one(p: _Pattern):
     cls = p.classify(p.f)
     return cls.index, min((w.p for w in cls.witnesses), default=None), _two_error_bad(p.f)
@@ -301,11 +266,11 @@ def _census_one(p: _Pattern):
 # ---------------------------------------------------------------------------
 # sweeps
 
-def census(n: int, workers: int = 1, oracle_confirm: bool = False) -> CensusRow:
-    """The classifier's counts for every pattern of length n.  Each verdict
-    is checked against the 2-error rule; oracle_confirm also runs the cross
-    check on each pattern in the same pass (probing to 2n+2 when n <= 4).
-    The first disagreement raises RuntimeError naming the pattern."""
+def census(n: int, workers: int = 1, oracle_confirm: bool = False) -> dict:
+    """The classifier's counts for every pattern of length n, as the CLI's
+    JSON record.  Each verdict is checked against the 2-error rule;
+    oracle_confirm also runs the cross check on each pattern in the same
+    pass.  The first disagreement raises RuntimeError naming the pattern."""
     if not 1 <= n <= MAX_SWEEP_LENGTH:
         raise ValueError(f"census length must be in 1..{MAX_SWEEP_LENGTH}, got {n}")
     if oracle_confirm and n > 9:
@@ -313,23 +278,31 @@ def census(n: int, workers: int = 1, oracle_confirm: bool = False) -> CensusRow:
     checks = (_census_one, _cross_validate_one) if oracle_confirm else (_census_one,)
     texts = all_patterns(n)
     rows = _pmap(_check_one, [(t, checks) for t in texts], workers)
-    bad = next((r for _, *cross in rows for r in cross if "failure" in r), None)
-    if bad is not None:
-        raise RuntimeError(f"classifier disagrees with oracle on {bad['pattern']}: "
-                           f"{bad['structural_index']} vs {bad['bruteforce_index']}")
-    counts = [row[0] for row in rows]
-    for text, (index, _, rule_bad) in zip(texts, counts):
+    index_histogram, p_histogram = Counter(), Counter()
+    for text, ((index, min_p, rule_bad), *cross) in zip(texts, rows):
         if (index is not None) != rule_bad:
             raise RuntimeError(f"classifier disagrees with the 2-error rule on {text}: "
                                f"{'good' if index is None else 'bad'} vs "
                                f"{'bad' if rule_bad else 'good'}")
-    bad = [(index, min_p) for index, min_p, _ in counts if index is not None]
-    return CensusRow(
-        length=n,
-        index_histogram=dict(sorted(Counter(index for index, _ in bad).items())),
-        p_histogram=dict(sorted(Counter(min_p for _, min_p in bad).items())),
-        oracle_confirmed=oracle_confirm,
-    )
+        for r in cross:  # its two-error-mismatch was raised above
+            if "failure" in r:
+                raise RuntimeError(f"classifier disagrees with oracle on {text}: "
+                                   f"{r['structural_index']} vs {r['bruteforce_index']}")
+        if index is not None:
+            index_histogram[index] += 1
+            p_histogram[min_p] += 1
+    total, bad = 2**n, index_histogram.total()
+    return {
+        "length": n,
+        "total": total,
+        "good_count": total - bad,
+        "bad_count": bad,
+        "good_fraction": (total - bad) / total,
+        # keys in integer order: the csv form prints these dicts unsorted
+        "index_histogram": {str(k): v for k, v in sorted(index_histogram.items())},
+        "p_histogram": {str(k): v for k, v in sorted(p_histogram.items())},
+        "oracle_confirmed": oracle_confirm,
+    }
 
 
 def _residue_walk(g) -> list[int]:
@@ -348,14 +321,14 @@ def _residue_walk(g) -> list[int]:
     return walk
 
 
-def check_overlap_machinery() -> TheoremReport:
+def check_overlap_machinery() -> dict:
     """Cycle structure, residue walks and concrete period checks over period
     pairs up to OVERLAP_PERIOD_LIMIT; stops at the first failure."""
     limit = OVERLAP_PERIOD_LIMIT
     swept = f"period pairs 1..{limit}, plus concrete words for three pairs"
 
-    def report(bad=None):
-        return TheoremReport("overlap-cycle-closure", swept, limit * limit, bad)
+    def report(bad):
+        return _report("overlap-cycle-closure", swept, limit * limit, bad)
 
     for r, s in product(range(1, limit + 1), repeat=2):
         g = build_overlap_graph(r, s)
@@ -368,13 +341,13 @@ def check_overlap_machinery() -> TheoremReport:
         for t in all_patterns(r + s):
             if period_closure_check(Word.parse(t), r, s) is False:
                 return report({"word": t, "r": r, "s": s, "failure": "period-check-broken"})
-    return report()
+    return report(None)
 
 
-def run_suites(suite: str, max_len: int, workers: int = 1) -> list[TheoremReport]:
+def run_suites(suite: str, max_len: int, workers: int = 1) -> list[dict]:
     """Run one named suite, or all of them in one pass plus the
-    overlap-machinery check; per suite, report the first failing record and
-    the checked count of all records."""
+    overlap-machinery check; per suite, one JSON record with the first
+    failing record and the checked count of all records."""
     if not 1 <= max_len <= MAX_SWEEP_LENGTH:
         raise ValueError(f"sweep length must be in 1..{MAX_SWEEP_LENGTH}, got {max_len}")
     selected = SUITES if suite == "all" else (suite,)
@@ -395,7 +368,7 @@ def run_suites(suite: str, max_len: int, workers: int = 1) -> list[TheoremReport
         title, swept, _, checked, _ = _SUITES[name]
         records = [row[i] for row in rows]
         bad = next((r for r in records if "failure" in r), None)
-        reports.append(TheoremReport(title, swept.format(max_len), checked(records), bad))
+        reports.append(_report(title, swept.format(max_len), checked(records), bad))
     if suite == "all":
         reports.append(check_overlap_machinery())
     return reports

@@ -36,83 +36,83 @@ def test_criterion_1_oracle_structural_equivalence():
     spot = [harness._cross_validate_one(harness._Pattern(format(v, "07b")))
             for v in spot_values]
     failures = [r for r in spot if "failure" in r]
-    ok = full.passed and full.checked == 126 and len(spot) == 40 and not failures
+    ok = full["passed"] and full["checked"] == 126 and len(spot) == 40 and not failures
     report(
         1,
         "classifier equals brute force on all 126 patterns of length 1-6 "
         "plus 40 spot checks at length 7",
         ok,
-        (full.counterexample, failures),
+        (full["counterexample"], failures),
     )
 
 
 def test_all_length_7_patterns_match_oracle():
     # census --oracle-confirm raises on its first counterexample
     row = census(7, workers=WORKERS, oracle_confirm=True)
-    assert row.oracle_confirmed and row.total == 128
+    assert row["oracle_confirmed"] and row["total"] == 128
 
 
 def test_all_length_8_patterns_match_oracle():
     row = census(8, workers=WORKERS, oracle_confirm=True)
-    assert row.oracle_confirmed and row.total == 256
+    assert row["oracle_confirmed"] and row["total"] == 256
 
 def test_criterion_2_minimal_p_dichotomy():
     r = run_suites("p-values", 6, workers=WORKERS)[0]
-    ok = r.passed and r.checked == 78
+    ok = r["passed"] and r["checked"] == 78
     report(
         2,
         "minimal p of oracle critical pairs at the index is 2 or 3 for every "
         "bad pattern of length <= 6",
         ok,
-        r.counterexample,
+        r["counterexample"],
     )
 
 
 def test_criterion_3_index_bound():
     r = run_suites("index-bound", 10, workers=WORKERS)[0]
-    ok = r.passed and r.checked == 2046
+    ok = r["passed"] and r["checked"] == 2046
     report(
         3,
         "index <= 2n-1 (2n-2 with a two-flip witness) for all lengths <= 10; "
         "oracle finds nothing past the bound for lengths <= 4",
         ok,
-        r.counterexample,
+        r["counterexample"],
     )
 
 
 def test_criterion_4_doubling_preserves_good():
     r = run_suites("doubling", 6, workers=WORKERS)[0]
-    ok = r.passed and r.checked == 126
+    ok = r["passed"] and r["checked"] == 126
     report(
         4,
         "ff is good for every good f of length <= 6, oracle-confirmed for "
         "length <= 3",
         ok,
-        r.counterexample,
+        r["counterexample"],
     )
 
 
 def test_criterion_5_nonisometric_iff_critical_pair():
     r = run_suites("lemma21", 5, workers=WORKERS)[0]
-    ok = r.passed and r.checked >= 62
+    ok = r["passed"] and r["checked"] >= 62
     report(
         5,
         "BFS isometry verdict equals critical-pair existence for all "
         "patterns of length <= 5 at every dimension",
         ok,
-        r.counterexample,
+        r["counterexample"],
     )
 
 
 def test_criterion_6_witness_lifting():
     r = run_suites("monotonicity", 6, workers=WORKERS)[0]
-    ok = r.passed and r.checked == 78
+    ok = r["passed"] and r["checked"] == 78
     report(
         6,
         "lifted witnesses re-verify and the oracle confirms non-isometry at "
         "index+1..index+3 for every bad pattern of length <= 6",
         ok,
-        r.counterexample,
+        r["counterexample"],
     )
 
 
@@ -178,7 +178,7 @@ def test_criterion_9_census_determinism_and_symmetry():
     detail = None
     for n in range(1, 11):
         rows = [
-            json.dumps(census(n, workers=w).to_json_dict(), sort_keys=True)
+            json.dumps(census(n, workers=w), sort_keys=True)
             for w in (1, 1, min(2, WORKERS + 1))
         ]
         if len(set(rows)) != 1:
@@ -189,7 +189,7 @@ def test_criterion_9_census_determinism_and_symmetry():
             good = sum(
                 1 for t in all_patterns(n) if classify(transform(Word.parse(t))).good
             )
-            if good != base.good_count:
+            if good != base["good_count"]:
                 ok, detail = False, ("asymmetric", n, transform.__name__)
     report(
         9,

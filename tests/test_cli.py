@@ -157,6 +157,23 @@ class TestCensus:
         assert code == EXIT_OK
         assert out.startswith("length=3 total=8 good=6 bad=2")
 
+    def test_two_digit_index_keys(self):
+        # Length 6 is the first with an index of 10: csv keeps the keys in
+        # integer order, text prints them sorted as strings.
+        assert run_cli("census", "6", "--format", "csv", "--workers", "1") == (
+            EXIT_OK,
+            "length,total,good,bad,good_fraction,index_histogram,p_histogram,oracle_confirmed\n"
+            '6,64,18,46,0.28125,"{""7"": 20, ""8"": 12, ""9"": 12, ""10"": 2}",'
+            '"{""2"": 46}",False\n',
+            "",
+        )
+        assert run_cli("census", "6", "--workers", "1") == (
+            EXIT_OK,
+            "length=6 total=64 good=18 bad=46 good_fraction=0.281250 "
+            'index_histogram={"10": 2, "7": 20, "8": 12, "9": 12} p_histogram={"2": 46}\n',
+            "",
+        )
+
     def test_rejects_zero_workers(self):
         assert run_cli("census", "4", "--workers", "0") == (
             EXIT_USAGE, "", "error: --workers must be at least 1\n"
@@ -190,7 +207,7 @@ class TestVerify:
             single_code, single_out, _ = run_cli(*argv, "--suite", suite)
             assert single_code == EXIT_OK
             expected += single_out.splitlines()
-        overlap = harness.check_overlap_machinery().to_json_dict()
+        overlap = harness.check_overlap_machinery()
         expected.append(json.dumps(overlap, sort_keys=True))
         assert out.splitlines() == expected
 

@@ -5,17 +5,13 @@ import numpy as np
 import pytest
 
 from fibocube import harness, oracle, structural
-from fibocube.harness import (
-    CensusRow,
-    census,
-    census_csv,
-    run_suites,
-)
+from fibocube.harness import census, census_csv, run_suites
 from fibocube.oracle import AvoidanceGraph
 from fibocube.structural import Classification, CriticalWitness
 from fibocube.words import Word
 
 REAL_BUILD = oracle.build_graph
+REAL_CLASSIFY = structural.classify
 REAL_SCAN = oracle.critical_p_values
 REAL_BFS = oracle._bfs_violation
 REAL_OVERLAP = harness.build_overlap_graph
@@ -37,6 +33,16 @@ def bad_at_3(f):
     return Classification(f, (w,))
 
 
+def first_beta_moved(f):
+    """classify(f) with a bad f's first witness moved to beta = all ones: its
+    index and verdict stand, but its pair is no critical pair of Q_B(f)."""
+    cls = REAL_CLASSIFY(f)
+    if cls.good:
+        return cls
+    w, *rest = cls.witnesses
+    return Classification(f, (w._replace(beta=Word(w.dimension, (1 << w.dimension) - 1)), *rest))
+
+
 def rotated_y_slots(r, s):
     """build_overlap_graph(r, s) with each v2_j renamed v2_{j+1}, the last v2_1:
     still one cycle, but its walk from v2_1 leaves the residue order once
@@ -52,23 +58,23 @@ NO_PAIRS = np.zeros(0, dtype=np.int64)
 ONE_PAIR = np.array([2])
 
 
-def row_bytes(row: CensusRow) -> str:
-    return json.dumps(row.to_json_dict(), sort_keys=True)
+def row_bytes(row: dict) -> str:
+    return json.dumps(row, sort_keys=True)
 
 
 class TestCrossValidate:
     def test_max_len_1(self):
         r = run_suites("cross", 1)[0]
-        assert r.passed and r.checked == 2
+        assert r["passed"] and r["checked"] == 2
 
     def test_max_len_3(self):
         r = run_suites("cross", 3)[0]
-        assert r.passed and r.checked == 14
-        assert r.counterexample is None
+        assert r["passed"] and r["checked"] == 14
+        assert r["counterexample"] is None
 
     def test_max_len_4_with_past_bound_probe(self):
         r = run_suites("cross", 4, workers=2)[0]
-        assert r.passed and r.checked == 30
+        assert r["passed"] and r["checked"] == 30
 
     def test_pattern_index_is_the_oracle_index(self):
         # The index scan over the sweeps' cached graphs and over fresh ones agree.
@@ -89,7 +95,7 @@ class TestCrossValidate:
 
         monkeypatch.setattr(harness.oracle, "build_graph", spy)
         r = run_suites("cross", 3, workers=1)[0]
-        assert r.passed
+        assert r["passed"]
         expected = []
         for p in harness.patterns_up_to(3):
             last = 4 if p in ("010", "101") else 2 * len(p) + 2  # the index, or 2n+2
@@ -104,8 +110,8 @@ class TestCrossValidate:
             ONE_PAIR if (g.pattern.length, g.dimension) == (4, 9) else REAL_SCAN(g)
         ))
         r = run_suites("cross", 4, workers=1)[0]
-        assert not r.passed and r.checked == 30
-        assert r.counterexample == {
+        assert not r["passed"] and r["checked"] == 30
+        assert r["counterexample"] == {
             "pattern": "0000",
             "structural_index": None,
             "bruteforce_index": 9,
@@ -116,15 +122,15 @@ class TestCrossValidate:
 class TestTheoremChecks:
     def test_p_values(self):
         r = run_suites("p-values", 3)[0]
-        assert r.passed and r.checked == 2
+        assert r["passed"] and r["checked"] == 2
 
     def test_p_values_vacuous_at_length_2(self):
         r = run_suites("p-values", 2)[0]
-        assert r.passed and r.checked == 0
+        assert r["passed"] and r["checked"] == 0
 
     def test_index_bound(self):
         r = run_suites("index-bound", 5)[0]
-        assert r.passed and r.checked == 62
+        assert r["passed"] and r["checked"] == 62
 
     def test_index_bound_is_a_view_of_cross(self, monkeypatch):
         # For n <= 4 its record is the cross check's; past the probe's reach
@@ -145,7 +151,7 @@ class TestTheoremChecks:
 
     def test_doubling(self):
         r = run_suites("doubling", 3)[0]
-        assert r.passed and r.checked == 14
+        assert r["passed"] and r["checked"] == 14
 
     def test_doubling_builds_q_d_ff_only_for_good_f(self, monkeypatch):
         # A bad f's Q_d(ff) below B(f) <= 2|f| - 1 < |ff| is the whole cube,
@@ -157,7 +163,7 @@ class TestTheoremChecks:
             return REAL_BUILD(f, d)
 
         monkeypatch.setattr(harness.oracle, "build_graph", spy)
-        assert run_suites("doubling", 3, workers=1)[0].passed
+        assert run_suites("doubling", 3, workers=1)[0]["passed"]
         expected = []
         for p in harness.patterns_up_to(3):
             if p not in ("010", "101"):
@@ -182,17 +188,17 @@ class TestTheoremChecks:
 
     def test_monotonicity(self):
         r = run_suites("monotonicity", 3)[0]
-        assert r.passed and r.checked == 2
+        assert r["passed"] and r["checked"] == 2
 
     def test_critical_equivalence(self):
         r = run_suites("lemma21", 3)[0]
-        assert r.passed
+        assert r["passed"]
         # 2 patterns of length 1 scanned over d=2..4, 4 over d=2..6, 8 over d=2..8
-        assert r.checked == 2 * 3 + 4 * 5 + 8 * 7
+        assert r["checked"] == 2 * 3 + 4 * 5 + 8 * 7
 
     def test_report_json_round_trip(self):
         r = run_suites("cross", 2)[0]
-        data = json.loads(json.dumps(r.to_json_dict()))
+        data = json.loads(json.dumps(r))
         assert data["passed"] is True
         assert data["name"] == "oracle-structural-cross-validation"
 
@@ -202,9 +208,9 @@ class TestTheoremChecks:
 FROZEN_CENSUS = {
     1: (2, 0, {}, {}),
     2: (4, 0, {}, {}),
-    3: (6, 2, {4: 2}, {2: 2}),
-    4: (8, 8, {5: 6, 7: 2}, {2: 6, 3: 2}),
-    5: (10, 22, {6: 12, 7: 4, 8: 6}, {2: 22}),
+    3: (6, 2, {"4": 2}, {"2": 2}),
+    4: (8, 8, {"5": 6, "7": 2}, {"2": 6, "3": 2}),
+    5: (10, 22, {"6": 12, "7": 4, "8": 6}, {"2": 22}),
 }
 
 
@@ -213,26 +219,26 @@ class TestCensus:
     def test_frozen_counts(self, n):
         good, bad, index_hist, p_hist = FROZEN_CENSUS[n]
         row = census(n)
-        assert row.good_count == good
-        assert row.bad_count == bad
-        assert row.index_histogram == index_hist
-        assert row.p_histogram == p_hist
-        assert row.total == 2**n
+        assert row["good_count"] == good
+        assert row["bad_count"] == bad
+        assert row["index_histogram"] == index_hist
+        assert row["p_histogram"] == p_hist
+        assert row["total"] == 2**n
 
     def test_histogram_mass_matches_bad_count(self):
         for n in range(1, 8):
             row = census(n)
-            assert sum(row.index_histogram.values()) == row.bad_count
-            assert sum(row.p_histogram.values()) == row.bad_count
-            assert row.good_count + row.bad_count == row.total
+            assert sum(row["index_histogram"].values()) == row["bad_count"]
+            assert sum(row["p_histogram"].values()) == row["bad_count"]
+            assert row["good_count"] + row["bad_count"] == row["total"]
 
     def test_worker_determinism(self):
         assert row_bytes(census(6, workers=1)) == row_bytes(census(6, workers=2))
 
     def test_oracle_confirmation(self):
         row = census(4, oracle_confirm=True)
-        assert row.oracle_confirmed
-        assert row.good_count == 8
+        assert row["oracle_confirmed"]
+        assert row["good_count"] == 8
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -273,6 +279,17 @@ class TestCensus:
         with pytest.raises(RuntimeError, match=message):
             census(3, workers=1)
 
+    @pytest.mark.parametrize("module, name, broken, message", [
+        (harness, "_two_error_bad", lambda f: False,
+         "the 2-error rule on 010: bad vs good"),
+        (structural, "classify", first_beta_moved, "oracle on 010: 4 vs 4"),
+    ], ids=["two-error-mismatch", "witness-set-mismatch"])
+    def test_oracle_confirmation_names_a_cross_failure(self, monkeypatch, module, name,
+                                                      broken, message):
+        monkeypatch.setattr(module, name, broken)
+        with pytest.raises(RuntimeError, match=rf"^classifier disagrees with {message}$"):
+            census(3, workers=1, oracle_confirm=True)
+
     def test_oracle_confirmation_probes_good_patterns_past_the_bound(self, monkeypatch):
         # One critical pair appears only at d = 2n + 2, which the cross
         # check's probe reaches; 000 is the first good pattern of length 3.
@@ -303,8 +320,8 @@ class TestCensus:
         monkeypatch.setattr(harness, "_pmap", pmap)
         monkeypatch.setattr(harness.structural, "classify", classify)
         row = census(5, workers=1, oracle_confirm=True)
-        assert row.oracle_confirmed
-        assert row_bytes(replace(row, oracle_confirmed=False)) == expected
+        assert row["oracle_confirmed"]
+        assert row_bytes(row | {"oracle_confirmed": False}) == expected
         assert len(passes) == 1
         assert classified == harness.all_patterns(5)
 
@@ -335,14 +352,14 @@ class TestCensus:
 
     def test_no_pure_three_pattern_up_to_3(self):
         for n in range(1, 4):
-            assert 3 not in census(n).p_histogram
+            assert "3" not in census(n)["p_histogram"]
         assert self._pure_three(harness.patterns_up_to(3)) == []
 
     def test_pure_three_patterns_at_length_4(self):
         # p = 3 is first the least p at length 4, where the bad patterns whose
         # witnesses all have p = 3 are 0011 and 1100.
-        assert census(4).p_histogram == {2: 6, 3: 2}
-        assert census(8).p_histogram[3] == 4
+        assert census(4)["p_histogram"] == {"2": 6, "3": 2}
+        assert census(8)["p_histogram"]["3"] == 4
         assert self._pure_three(harness.all_patterns(4)) == ["0011", "1100"]
 
     def test_good_counts_invariant_under_reversal_and_complement(self):
@@ -356,7 +373,7 @@ class TestCensus:
                 for t in harness.all_patterns(n)
                 if classify(transform(Word.parse(t))).good
             )
-            assert good == row.good_count
+            assert good == row["good_count"]
 
 
 class TestWorkerPool:
@@ -388,20 +405,20 @@ class TestWorkerPool:
 class TestOverlapMachinery:
     def test_passes(self):
         r = harness.check_overlap_machinery()
-        assert r.passed and r.checked == 144
-        assert r.name == "overlap-cycle-closure"
+        assert r["passed"] and r["checked"] == 144
+        assert r["name"] == "overlap-cycle-closure"
 
 
 class TestRunSuites:
     def test_all_includes_overlap_machinery(self):
         reports = run_suites("all", 3)
         assert len(reports) == 7
-        assert reports[-1].name == "overlap-cycle-closure"
-        assert all(r.passed for r in reports)
+        assert reports[-1]["name"] == "overlap-cycle-closure"
+        assert all(r["passed"] for r in reports)
 
     def test_single_suite(self):
         (r,) = run_suites("cross", 2)
-        assert r.name == "oracle-structural-cross-validation"
+        assert r["name"] == "oracle-structural-cross-validation"
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
@@ -437,7 +454,7 @@ class TestRunSuites:
         monkeypatch.setattr(harness.oracle, "build_graph", build)
         monkeypatch.setattr(harness.structural, "classify", classify)
         reports = run_suites("all", 4, workers=1)
-        assert all(r.passed for r in reports)
+        assert all(r["passed"] for r in reports)
         texts = harness.patterns_up_to(4)
         assert current == texts
         assert len(passes) == 1
@@ -456,7 +473,7 @@ class TestRunSuites:
             return real_row(g, source)
 
         monkeypatch.setattr(oracle, "_distance_row", row)
-        assert all(r.passed for r in run_suites("all", 5, workers=1))
+        assert all(r["passed"] for r in run_suites("all", 5, workers=1))
         assert rows == []
 
     def test_deepest_graph_of_each_check(self, monkeypatch):
@@ -495,8 +512,8 @@ class TestRunSuites:
             run_suites(suite, 3)
 
     def test_reports_deterministic(self):
-        a = [json.dumps(r.to_json_dict(), sort_keys=True) for r in run_suites("all", 2)]
-        b = [json.dumps(r.to_json_dict(), sort_keys=True) for r in run_suites("all", 2, workers=2)]
+        a = [json.dumps(r, sort_keys=True) for r in run_suites("all", 2)]
+        b = [json.dumps(r, sort_keys=True) for r in run_suites("all", 2, workers=2)]
         assert a == b
 
 
@@ -507,18 +524,18 @@ class TestFailurePaths:
     def test_cross_validate(self, monkeypatch):
         monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: NO_PAIRS)
         r = run_suites("cross", 3, workers=1)[0]
-        assert not r.passed and r.checked == 14
-        assert r.counterexample["failure"] == "index-mismatch"
-        assert r.counterexample["pattern"] == "010"
-        assert r.swept == "all patterns of length 1..3"
+        assert not r["passed"] and r["checked"] == 14
+        assert r["counterexample"]["failure"] == "index-mismatch"
+        assert r["counterexample"]["pattern"] == "010"
+        assert r["swept"] == "all patterns of length 1..3"
 
     def test_cross_validate_violation_past_bound(self, monkeypatch):
         monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: (
             ONE_PAIR if g.dimension == 2 * g.pattern.length + 1 else REAL_SCAN(g)
         ))
         r = run_suites("cross", 3, workers=1)[0]
-        assert not r.passed and r.checked == 14
-        assert r.counterexample == {
+        assert not r["passed"] and r["checked"] == 14
+        assert r["counterexample"] == {
             "pattern": "0",
             "structural_index": None,
             "bruteforce_index": 3,
@@ -531,27 +548,27 @@ class TestFailurePaths:
             harness.oracle, "critical_p_values", lambda g: np.full_like(REAL_SCAN(g), 4)
         )
         r = run_suites("p-values", 4, workers=1)[0]
-        assert not r.passed and r.checked == 10
-        assert r.counterexample["failure"] == "minimal-p-outside-2-3"
-        assert r.counterexample["pattern"] == "010"
-        assert r.counterexample["min_p"] == 4
+        assert not r["passed"] and r["checked"] == 10
+        assert r["counterexample"]["failure"] == "minimal-p-outside-2-3"
+        assert r["counterexample"]["pattern"] == "010"
+        assert r["counterexample"]["min_p"] == 4
 
     def test_index_bound(self, monkeypatch):
         monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: (
             ONE_PAIR if g.dimension == 2 * g.pattern.length + 2 else REAL_SCAN(g)
         ))
         r = run_suites("index-bound", 3, workers=1)[0]
-        assert not r.passed and r.checked == 14
-        assert r.counterexample["failure"] == "index-mismatch"
-        assert r.counterexample["pattern"] == "0"
-        assert r.counterexample["bruteforce_index"] == 4
+        assert not r["passed"] and r["checked"] == 14
+        assert r["counterexample"]["failure"] == "index-mismatch"
+        assert r["counterexample"]["pattern"] == "0"
+        assert r["counterexample"]["bruteforce_index"] == 4
 
     def test_doubling(self, monkeypatch):
         monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: ONE_PAIR)
         r = run_suites("doubling", 3, workers=1)[0]
-        assert not r.passed and r.checked == 14
-        assert r.counterexample["failure"] == "oracle-says-doubled-is-bad"
-        assert r.counterexample["pattern"] == "0"
+        assert not r["passed"] and r["checked"] == 14
+        assert r["counterexample"]["failure"] == "oracle-says-doubled-is-bad"
+        assert r["counterexample"]["pattern"] == "0"
 
     @pytest.mark.parametrize(
         "module, name, broken, check, checked, counterexample",
@@ -562,6 +579,13 @@ class TestFailurePaths:
              "doubling", 14,
              {"pattern": "0", "index": None, "doubled_index": 3,
               "failure": "doubling-lost-goodness"}),
+            # every pattern read as good by the 2-error rule; 010 is the first bad one
+            (harness, "_two_error_bad", lambda f: False, "cross", 14,
+             {"pattern": "010", "structural_index": 4, "bruteforce_index": 4,
+              "failure": "two-error-mismatch"}),
+            (structural, "classify", first_beta_moved, "cross", 14,
+             {"pattern": "010", "structural_index": 4, "bruteforce_index": 4,
+              "failure": "witness-set-mismatch"}),
             (oracle, "critical_p_values", lambda g: NO_PAIRS, "monotonicity", 2,
              {"pattern": "010", "index": 4, "dimension": 5,
               "failure": "oracle-isometric-above-index"}),
@@ -576,46 +600,55 @@ class TestFailurePaths:
              {"pattern": "0", "dimension": 2, "isometric": False, "critical_pairs": 0,
               "failure": "equivalence-broken"}),
         ],
-        ids=["lost-goodness", "isometric-above-index",
+        ids=["lost-goodness", "two-error-mismatch", "witness-set-mismatch",
+             "isometric-above-index",
              "source-not-scan-endpoint", "flagged-source-without-violation"],
     )
     def test_failure_kind(self, monkeypatch, module, name, broken, check, checked,
                           counterexample):
         monkeypatch.setattr(module, name, broken)
         r = run_suites(check, 3, workers=1)[0]
-        assert not r.passed and r.checked == checked
-        assert r.counterexample == counterexample
+        assert not r["passed"] and r["checked"] == checked
+        assert r["counterexample"] == counterexample
+
+    def test_cross_index_mismatch_takes_precedence(self, monkeypatch):
+        # 010 is bad, but the oracle and the 2-error rule both call it good.
+        monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: NO_PAIRS)
+        monkeypatch.setattr(harness, "_two_error_bad", lambda f: False)
+        r = run_suites("cross", 3, workers=1)[0]
+        assert r["counterexample"] == {"pattern": "010", "structural_index": 4,
+                                       "bruteforce_index": None, "failure": "index-mismatch"}
 
     def test_monotonicity(self, monkeypatch):
         monkeypatch.setattr(
             harness.structural, "verify_witness", lambda w: "broken"
         )
         r = run_suites("monotonicity", 4, workers=1)[0]
-        assert not r.passed and r.checked == 10
-        assert r.counterexample["failure"] == "lifted-witness-rejected"
-        assert r.counterexample["reason"] == "broken"
-        assert r.counterexample["dimension"] == 5
+        assert not r["passed"] and r["checked"] == 10
+        assert r["counterexample"]["failure"] == "lifted-witness-rejected"
+        assert r["counterexample"]["reason"] == "broken"
+        assert r["counterexample"]["dimension"] == 5
 
     def test_critical_equivalence(self, monkeypatch):
         # Every graph's critical-pair scan reads as empty.
         monkeypatch.setattr(AvoidanceGraph, "_critical_pairs",
                             property(lambda g: (NO_PAIRS, NO_PAIRS)))
         r = run_suites("lemma21", 3, workers=1)[0]
-        assert not r.passed
+        assert not r["passed"]
         # "010" and "101" fail at d=4; every other pattern checks all its dimensions
-        assert r.checked == 2 * 3 + 4 * 5 + 6 * 7
-        assert r.counterexample["failure"] == "equivalence-broken"
-        assert r.counterexample["critical_pairs"] == 0
-        assert r.counterexample["dimension"] == 4
-        assert r.counterexample["pattern"] == "010"
-        assert r.counterexample["violating_pair"] == ["0000", "0110", 4, 2]
+        assert r["checked"] == 2 * 3 + 4 * 5 + 6 * 7
+        assert r["counterexample"]["failure"] == "equivalence-broken"
+        assert r["counterexample"]["critical_pairs"] == 0
+        assert r["counterexample"]["dimension"] == 4
+        assert r["counterexample"]["pattern"] == "010"
+        assert r["counterexample"]["violating_pair"] == ["0000", "0110", 4, 2]
 
     def test_overlap_machinery_stops_at_its_first_failure(self, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "is_single_cycle", lambda g: calls.append(g) and False)
         r = harness.check_overlap_machinery()
-        assert r.counterexample == {"r": 1, "s": 1, "failure": "not-a-single-cycle"}
-        assert len(calls) == 1 and r.checked == 144
+        assert r["counterexample"] == {"r": 1, "s": 1, "failure": "not-a-single-cycle"}
+        assert len(calls) == 1 and r["checked"] == 144
 
     @pytest.mark.parametrize(
         "name, broken, failure",
@@ -630,6 +663,6 @@ class TestFailurePaths:
     def test_overlap_machinery(self, monkeypatch, name, broken, failure):
         monkeypatch.setattr(harness, name, broken)
         r = harness.check_overlap_machinery()
-        assert not r.passed and r.checked == 144
-        assert r.counterexample["failure"] == failure
-        assert r.swept == "period pairs 1..12, plus concrete words for three pairs"
+        assert not r["passed"] and r["checked"] == 144
+        assert r["counterexample"]["failure"] == failure
+        assert r["swept"] == "period pairs 1..12, plus concrete words for three pairs"

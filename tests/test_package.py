@@ -352,15 +352,6 @@ DERIVED_FIELDS = {
     "CriticalPair.p": ("oracle.CriticalPair", {"p": 2, "alpha": Word.parse("010"),
                                                "beta": Word.parse("111"),
                                                "blocked_side": "both"}),
-    **{f"TheoremReport.{name}": ("harness.TheoremReport",
-                                 {name: value, "passed": True, "notes": "", "name": "n",
-                                  "swept": "s", "checked": 1, "counterexample": None})
-       for name, value in (("passed", True), ("notes", ""))},
-    **{f"CensusRow.{name}": ("harness.CensusRow",
-                             {name: value, "length": 2, "total": 4, "good_count": 3,
-                              "bad_count": 1, "index_histogram": {3: 1},
-                              "p_histogram": {2: 1}, "oracle_confirmed": False})
-       for name, value in (("total", 4), ("good_count", 3), ("bad_count", 1))},
     **{f"OverlapGraph.{name}": ("periodicity.OverlapGraph",
                                 {name: value, "r": 4, "s": 6, "k1": 2, "k2": 3,
                                  "x_vertices": (), "y_vertices": (), "edges": ()})
@@ -371,7 +362,7 @@ DERIVED_FIELDS = {
 @pytest.mark.parametrize("case", DERIVED_FIELDS)
 def test_derived_fields_cannot_be_set(case):
     """A derived field is read from the others, so no record can contradict
-    itself; it still reads under its old name (notes as a JSON key)."""
+    itself; it still reads under its old name."""
     path, kwargs = DERIVED_FIELDS[case]
     module, name = path.split(".")
     cls = getattr(importlib.import_module(f"fibocube.{module}"), name)
@@ -380,7 +371,22 @@ def test_derived_fields_cannot_be_set(case):
         cls(**kwargs)
     kept = set(inspect.signature(cls).parameters)
     record = cls(**{k: v for k, v in kwargs.items() if k in kept})
-    if field == "notes":
-        assert record.to_json_dict()["notes"] == kwargs["notes"]
-    else:
-        assert getattr(record, field) == kwargs[field]
+    assert getattr(record, field) == kwargs[field]
+
+
+def test_harness_records_agree_with_themselves():
+    """The census row and suite reports are plain JSON records, so their
+    derived keys are checked here: no record contradicts itself."""
+    from fibocube.harness import census, run_suites
+
+    for n in range(1, 11):
+        row = census(n)
+        assert row["good_count"] + row["bad_count"] == row["total"] == 2**n
+        assert row["good_fraction"] == row["good_count"] / row["total"]
+        for histogram in (row["index_histogram"], row["p_histogram"]):
+            assert sum(histogram.values()) == row["bad_count"]
+    reports = run_suites("all", 4)
+    assert len(reports) == 7
+    for r in reports:
+        assert r["passed"] == (r["counterexample"] is None)
+        assert r["notes"] == ""
