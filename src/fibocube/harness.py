@@ -15,18 +15,12 @@ import csv
 import io
 import json
 import os
-from collections import Counter, defaultdict
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 from itertools import product
 
 from . import oracle, structural
-from .periodicity import (
-    build_overlap_graph,
-    is_single_cycle,
-    period_closure_check,
-    residue_sequence,
-)
 from .words import Word, overlap_masks
 
 MAX_SWEEP_LENGTH = 14  # longest pattern a census or verification sweep enumerates
@@ -286,8 +280,8 @@ def census(n: int, workers: int = 1, oracle_confirm: bool = False) -> dict:
                                f"{'bad' if rule_bad else 'good'}")
         for r in cross:  # its two-error-mismatch was raised above
             if "failure" in r:
-                raise RuntimeError(f"classifier disagrees with oracle on {text}: "
-                                   f"{r['structural_index']} vs {r['bruteforce_index']}")
+                raise RuntimeError(f"classifier disagrees with oracle on {text} ({r['failure']})"
+                                   f": {r['structural_index']} vs {r['bruteforce_index']}")
         if index is not None:
             index_histogram[index] += 1
             p_histogram[min_p] += 1
@@ -305,43 +299,15 @@ def census(n: int, workers: int = 1, oracle_confirm: bool = False) -> dict:
     }
 
 
-def _residue_walk(g) -> list[int]:
-    """j - 1 for each v2_j in the order a walk round g's single cycle visits
-    them, from v2_1 through its gap-r equation (a v3_* vertex)."""
-    ends = defaultdict(list)
-    for a, b in g.edges:
-        ends[a].append(b)
-        ends[b].append(a)
-    walk, y = [], "v2_1"
-    x = min(ends[y], key=lambda v: v.startswith("v3_"))  # enter by v1_*, leave by v3_*
-    for _ in g.y_vertices:
-        walk.append(int(y.removeprefix("v2_")) - 1)
-        x = next(v for v in ends[y] if v != x)
-        y = next(v for v in ends[x] if v != y)
-    return walk
-
-
 def check_overlap_machinery() -> dict:
     """Cycle structure, residue walks and concrete period checks over period
     pairs up to OVERLAP_PERIOD_LIMIT; stops at the first failure."""
+    from . import periodicity
+
     limit = OVERLAP_PERIOD_LIMIT
-    swept = f"period pairs 1..{limit}, plus concrete words for three pairs"
-
-    def report(bad):
-        return _report("overlap-cycle-closure", swept, limit * limit, bad)
-
-    for r, s in product(range(1, limit + 1), repeat=2):
-        g = build_overlap_graph(r, s)
-        if not is_single_cycle(g):
-            return report({"r": r, "s": s, "failure": "not-a-single-cycle"})
-        if _residue_walk(g) != residue_sequence(g.k1, g.k2):
-            return report({"r": r, "s": s, "failure": "residue-walk-broken"})
-    # concrete words: periods r and s force period gcd(r, s) (None: vacuous)
-    for r, s in [(1, 2), (2, 2), (2, 4)]:
-        for t in all_patterns(r + s):
-            if period_closure_check(Word.parse(t), r, s) is False:
-                return report({"word": t, "r": r, "s": s, "failure": "period-check-broken"})
-    return report(None)
+    return _report("overlap-cycle-closure",
+                   f"period pairs 1..{limit}, plus concrete words for three pairs",
+                   limit * limit, periodicity._overlap_failure(limit))
 
 
 def run_suites(suite: str, max_len: int, workers: int = 1) -> list[dict]:

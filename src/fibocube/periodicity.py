@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 
 from .words import Word
 
@@ -87,16 +88,22 @@ def build_overlap_graph(r: int, s: int) -> OverlapGraph:
     return OverlapGraph(r, s, xs, ys, edges)
 
 
+def _adjacency(graph: OverlapGraph) -> dict[str, list[str]]:
+    """Each vertex's neighbours, one entry per edge end; every edge end must be a vertex."""
+    adj = {v: [] for v in graph.x_vertices + graph.y_vertices}
+    for a, b in graph.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
 def is_single_cycle(graph: OverlapGraph) -> bool:
     """True iff the graph has a vertex, every vertex has degree 2 and the graph
     is connected."""
     vertices = graph.x_vertices + graph.y_vertices
     if not vertices or Counter(v for e in graph.edges for v in e) != dict.fromkeys(vertices, 2):
         return False
-    adj = {v: [] for v in vertices}
-    for a, b in graph.edges:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = _adjacency(graph)
     seen, stack = {vertices[0]}, [vertices[0]]
     while stack:
         for w in adj[stack.pop()]:
@@ -144,3 +151,29 @@ def period_closure_check(f: Word, r: int, s: int) -> bool | None:
     if not (has_period(s) and has_period(r)):
         return None
     return has_period(math.gcd(r, s))
+
+
+def _overlap_failure(limit: int) -> dict | None:
+    """The first failing record of the overlap checks, or None.  For each
+    r, s <= limit, the (r, s) graph is one cycle, and a walk round it from
+    v2_1 through its gap-r equation (a v3_* vertex) meets v2_{h+1} for h in
+    residue_sequence order.  Then, for three (r, s), periods r and s of each
+    word of length r + s force period gcd(r, s) (None is a vacuous pass)."""
+    for r, s in product(range(1, limit + 1), repeat=2):
+        g = build_overlap_graph(r, s)
+        if not is_single_cycle(g):
+            return {"r": r, "s": s, "failure": "not-a-single-cycle"}
+        adj, slot = _adjacency(g), {y: h for h, y in enumerate(g.y_vertices)}
+        walk, y = [], g.y_vertices[0]
+        x = min(adj[y], key=lambda v: v.startswith("v3_"))  # enter by v1_*, leave by v3_*
+        for _ in g.y_vertices:
+            walk.append(slot[y])
+            x = next(v for v in adj[y] if v != x)
+            y = next(v for v in adj[x] if v != y)
+        if walk != residue_sequence(g.k1, g.k2):
+            return {"r": r, "s": s, "failure": "residue-walk-broken"}
+    for r, s in ((1, 2), (2, 2), (2, 4)):
+        for bits in range(1 << (r + s)):
+            if period_closure_check(w := Word(r + s, bits), r, s) is False:
+                return {"word": str(w), "r": r, "s": s, "failure": "period-check-broken"}
+    return None

@@ -13,9 +13,11 @@ import pytest
 import fibocube
 from fibocube import cli, harness
 from fibocube.cli import EXIT_BAD, EXIT_OK, EXIT_USAGE, main
-from fibocube.oracle import build_graph
+from fibocube.oracle import UNREACHABLE, build_graph, find_critical_pairs, is_isometric
 from fibocube.words import Word
 from test_oracle import reference_graph_to_dot, reference_graph_to_json_dict
+
+STORED_ORACLE = Path(__file__).resolve().parents[1] / "bench" / "expected" / "oracle.json"
 
 
 def run_cli(*argv):
@@ -262,12 +264,35 @@ class TestGraphExport:
     def test_matches_stored_benchmark_export(self):
         # The oracle-big benchmark checks this export's size and sha256
         # against bench/expected/oracle.json; a byte change fails here too.
-        path = Path(__file__).resolve().parents[1] / "bench" / "expected" / "oracle.json"
-        want = json.loads(path.read_text())["graph-0000000-d13-dot"]
+        want = json.loads(STORED_ORACLE.read_text())["graph-0000000-d13-dot"]
         code, out, _ = run_cli("graph", "0000000", "--dim", "13", "--format", "dot")
         data = out.encode()
         assert code == want["code"] == EXIT_OK
         assert (len(data), hashlib.sha256(data).hexdigest()) == (want["bytes"], want["sha256"])
+
+    @pytest.mark.parametrize("label", ["0000000-d13", "1010101-d13", "0110110-d13",
+                                       "0011-d7", "0011-d10"])
+    def test_matches_stored_benchmark_answers(self, label):
+        # The oracle-big benchmark's graph answers, rendered as it stores
+        # them in bench/expected/oracle.json: the verdict, and the critical
+        # pairs' count and the first 16 hex digits of their sha256.
+        want = json.loads(STORED_ORACLE.read_text())[label]
+        text, d = label.split("-d")
+        g = build_graph(Word.parse(text), int(d))
+        verdict, pairs = is_isometric(g), find_critical_pairs(g)
+        vp = verdict.violating_pair
+        if vp is not None:
+            a, b, dg, ham = vp
+            vp = [str(a), str(b), "unreachable" if dg == UNREACHABLE else int(dg), int(ham)]
+        rows = [[str(c.alpha), str(c.beta), c.p, c.blocked_side] for c in pairs]
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
+        assert {
+            "isometric": bool(verdict.isometric),
+            "violating_pair": vp,
+            "minimal_critical_p": verdict.minimal_critical_p,
+            "critical_pairs": len(rows),
+            "critical_digest": digest,
+        } == want
 
     def test_matches_reference_export(self):
         g = build_graph(Word.parse("0011"), 7)

@@ -1,10 +1,13 @@
 import json
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fibocube import harness, oracle, structural
+from fibocube import harness, oracle, periodicity, structural
 from fibocube.harness import census, census_csv, run_suites
 from fibocube.oracle import AvoidanceGraph
 from fibocube.structural import Classification, CriticalWitness
@@ -14,7 +17,7 @@ REAL_BUILD = oracle.build_graph
 REAL_CLASSIFY = structural.classify
 REAL_SCAN = oracle.critical_p_values
 REAL_BFS = oracle._bfs_violation
-REAL_OVERLAP = harness.build_overlap_graph
+REAL_OVERLAP = periodicity.build_overlap_graph
 
 
 def bfs_from_target_end(g):
@@ -258,7 +261,7 @@ class TestCensus:
     def test_oracle_confirmation_names_a_disagreeing_pattern(self, monkeypatch):
         # The oracle side reports index 99 for every pattern; 00 comes first.
         monkeypatch.setattr(oracle, "first_violation_dimension", lambda *args: 99)
-        message = r"^classifier disagrees with oracle on 00: None vs 99$"
+        message = r"^classifier disagrees with oracle on 00 \(index-mismatch\): None vs 99$"
         with pytest.raises(RuntimeError, match=message):
             census(2, workers=1, oracle_confirm=True)
 
@@ -282,7 +285,8 @@ class TestCensus:
     @pytest.mark.parametrize("module, name, broken, message", [
         (harness, "_two_error_bad", lambda f: False,
          "the 2-error rule on 010: bad vs good"),
-        (structural, "classify", first_beta_moved, "oracle on 010: 4 vs 4"),
+        (structural, "classify", first_beta_moved,
+         r"oracle on 010 \(witness-set-mismatch\): 4 vs 4"),
     ], ids=["two-error-mismatch", "witness-set-mismatch"])
     def test_oracle_confirmation_names_a_cross_failure(self, monkeypatch, module, name,
                                                       broken, message):
@@ -296,7 +300,7 @@ class TestCensus:
         monkeypatch.setattr(harness.oracle, "critical_p_values", lambda g: (
             ONE_PAIR if g.dimension == 2 * g.pattern.length + 2 else REAL_SCAN(g)
         ))
-        message = r"^classifier disagrees with oracle on 000: None vs 8$"
+        message = r"^classifier disagrees with oracle on 000 \(index-mismatch\): None vs 8$"
         with pytest.raises(RuntimeError, match=message):
             census(3, workers=1, oracle_confirm=True)
 
@@ -407,6 +411,19 @@ class TestOverlapMachinery:
         r = harness.check_overlap_machinery()
         assert r["passed"] and r["checked"] == 144
         assert r["name"] == "overlap-cycle-closure"
+
+    def test_census_does_not_load_periodicity(self):
+        # The harness imports the periodicity engine inside the overlap check only.
+        src = str(Path(harness.__file__).resolve().parents[1])
+        code = (
+            f"import json, sys; sys.path.insert(0, {src!r}); from fibocube import harness; "
+            "harness.census(3); before = 'fibocube.periodicity' in sys.modules; "
+            "harness.check_overlap_machinery(); "
+            "print(json.dumps([before, 'fibocube.periodicity' in sys.modules]))"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == [False, True]
 
 
 class TestRunSuites:
@@ -645,7 +662,8 @@ class TestFailurePaths:
 
     def test_overlap_machinery_stops_at_its_first_failure(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(harness, "is_single_cycle", lambda g: calls.append(g) and False)
+        monkeypatch.setattr(periodicity, "is_single_cycle",
+                            lambda g: calls.append(g) and False)
         r = harness.check_overlap_machinery()
         assert r["counterexample"] == {"r": 1, "s": 1, "failure": "not-a-single-cycle"}
         assert len(calls) == 1 and r["checked"] == 144
@@ -661,7 +679,7 @@ class TestFailurePaths:
         ids=["single-cycle", "residue-walk", "relabeled-y-slots", "period-check"],
     )
     def test_overlap_machinery(self, monkeypatch, name, broken, failure):
-        monkeypatch.setattr(harness, name, broken)
+        monkeypatch.setattr(periodicity, name, broken)
         r = harness.check_overlap_machinery()
         assert not r["passed"] and r["checked"] == 144
         assert r["counterexample"]["failure"] == failure

@@ -22,7 +22,7 @@ from fibocube.structural import (
     witness_from_json_dict,
     witness_to_json_dict,
 )
-from fibocube.words import Word, contains_factor
+from fibocube.words import Word, contains_factor, overlap_masks
 
 
 def W(text):
@@ -128,6 +128,24 @@ class TestTwoFlipPairsOnce:
         for n in range(1, 11):
             for f in all_patterns(n):
                 assert two_flip_candidates(f) == reference(f), str(f)
+
+    def test_equals_layouts_read_off_the_overlap_masks(self):
+        # One layout per shift r whose mask has two set bits; its flips are
+        # the two positions k in r+1..n where f[k] != f[k-r], bit n - k of
+        # mask_r.  Every other shift's two-flip layouts are inconsistent.
+        def from_masks(f):
+            n = f.length
+            layouts = []
+            for r, mask in enumerate(overlap_masks(f)):
+                if 1 <= r <= n - 2 and mask.bit_count() == 2:
+                    pa, pb = sorted(n - b for b in range(n - r) if mask >> b & 1)
+                    layouts.append((n + r, ((pa, 1), (pb, r + 1))))
+            return [witness_to_json_dict(w) for w in _witnesses(f, layouts)]
+
+        for n in range(1, 12):
+            for f in all_patterns(n):
+                got = [witness_to_json_dict(w) for w in two_flip_candidates(f)]
+                assert got == from_masks(f), str(f)
 
     @pytest.mark.parametrize(
         "enumerate_",
