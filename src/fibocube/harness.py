@@ -77,7 +77,16 @@ class _Pattern:
         self.text = text
         self.f = Word.parse(text)
         self.classify = cache(lambda w: structural.classify(w))
-        self.graph = cache(lambda w, d: oracle.build_graph(w, d))
+        self._graphs = {}
+
+    def graph(self, w: Word, d: int) -> oracle.AvoidanceGraph:
+        """Q_d(w), grown from a held Q_{d-1}(w) when d > |w|, else built."""
+        g = self._graphs.get((w, d))
+        if g is None:
+            below = self._graphs.get((w, d - 1)) if d > w.length else None
+            g = oracle.build_graph(w, d) if below is None else oracle.grow_graph(below)
+            self._graphs[w, d] = g
+        return g
 
 
 def _past_bound_probe(f: Word) -> tuple[Word, int] | None:

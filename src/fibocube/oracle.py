@@ -10,7 +10,8 @@ independent of the structural classifier, so the two can check each other.
 
 Q_d(f) is grown one bit at a time from the f-avoiding words one bit shorter,
 so enumeration costs the sum of the vertex counts up to d, not 2^d window
-tests (Q_25(11) has 196,418 of the 2^25 words).  A graph is refused before
+tests (Q_25(11) has 196,418 of the 2^25 words); grow_graph takes that one
+step from a Q_d(f) already built.  A graph is refused before
 anything is allocated when its d x V neighbor table would exceed
 MAX_TABLE_BYTES; V is counted exactly from f's autocorrelation.  An export
 is refused, once its edges are counted and before they are listed, when its
@@ -57,8 +58,10 @@ batch of 64 sources.  Each source is one bit of a uint64 per vertex, so one
 gather of the whole table per level advances all 64 BFS (64 frontier BFS would
 read it once per source).  A pass sums level times the count first reached
 there, for the batch's Hamming sum, and stops once every source has reached
-every vertex.  In the first failing batch each source runs that test on its own
-bit of the levels, and the first that fails is the route's answer.
+every vertex.  Any set of sources fails that test exactly when one of its
+sources does, so the first failing batch is bisected over its lanes: each step
+counts, over the stacked levels, only the bits of half the lanes left, and at
+most six steps name the first failing source, the route's answer.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ UNREACHABLE = math.inf
 
 _CANDIDATE_CHUNK = 1 << 18  # critical-pair candidates held at once
 _SOURCE_CHUNK = 64  # BFS sources per batch: one bit each in a uint64
+_FLIP_BLOCK = 1 << 15  # flip-table entries looked up at once (at least one row)
 MAX_TABLE_BYTES = 1 << 30  # largest d x V int64 neighbor table, or DOT text, of a graph
 
 
@@ -150,15 +154,22 @@ class AvoidanceGraph:
         when that word is not a vertex.  Bit k of the mask is set exactly
         in the -1 case, so interval-blocking tests reduce to integer masking.
         Row k of the contiguous d x V array the table views, which the BFS
-        gathers through, is one _lookup of the vertices with bit k flipped.
+        gathers through, holds the lookups of the vertices with bit k
+        flipped.  Rows are looked up a block of about _FLIP_BLOCK entries per
+        _lookup, and each block's -1 entries are OR-ed into the mask with one
+        reduce, so every temporary is one block (or one row, when a row is
+        longer) and stays cache-sized.
         """
         verts = self.vertices
         d = self.dimension
         by_bit = np.empty((d, verts.size), dtype=np.int64)
         forb = np.zeros(verts.size, dtype=np.int64)
-        for k in range(d):
-            by_bit[k] = self._lookup(verts ^ (1 << k))
-            forb |= (by_bit[k] < 0).astype(np.int64) << k
+        flips = 1 << np.arange(d, dtype=np.int64)[:, None]
+        step = max(1, _FLIP_BLOCK // max(1, verts.size))
+        for lo in range(0, d, step):
+            rows, flip = by_bit[lo : lo + step], flips[lo : lo + step]
+            rows[:] = self._lookup(verts ^ flip)
+            forb |= np.bitwise_or.reduce(rows >> 63 & flip, axis=0)  # -1 >> 63 is all ones
         return by_bit.T, forb
 
     @property
@@ -267,21 +278,37 @@ def _check_size(f: Pattern, d: int) -> None:
             )
 
 
+def _append_bit(f: Pattern, verts: np.ndarray) -> np.ndarray:
+    """The f-avoiding words one bit longer than verts, which must be the
+    sorted f-avoiding words of one length, at least |f| - 1: each gets 0 and
+    1 appended, and those ending in f are dropped (the prefix avoids f, so
+    only the last window can be new).  Appending the low bit keeps the order."""
+    verts = np.repeat(verts << 1, 2)
+    verts[1::2] |= 1
+    return verts[(verts & (1 << f.length) - 1) != f.bits]
+
+
 def build_graph(f: Pattern, d: int) -> AvoidanceGraph:
-    """Every length-d word avoiding f, sorted: each length from |f| to d
-    appends 0 and 1 to the words one bit shorter and drops those ending in f
-    (the prefix avoids f, so only the last window can be new).  Appending the
-    low bit keeps the order; the work grows with the vertex counts, not 2^d.
-    Graphs over the size limit are refused first (_check_size).
+    """Every length-d word avoiding f, sorted: the words of length |f| - 1
+    (all of them) grown one bit at a time by _append_bit, so the work grows
+    with the vertex counts, not 2^d.  Graphs over the size limit are refused
+    first (_check_size).
     """
     _check_size(f, d)
     verts = np.arange(1 << min(d, f.length - 1), dtype=np.int64)
-    mask = (1 << f.length) - 1
     for _ in range(f.length, d + 1):
-        verts = np.repeat(verts << 1, 2)
-        verts[1::2] |= 1
-        verts = verts[(verts & mask) != f.bits]
+        verts = _append_bit(f, verts)
     return AvoidanceGraph(f, d, verts)
+
+
+def grow_graph(g: AvoidanceGraph) -> AvoidanceGraph:
+    """Q_{d+1}(f) from g = Q_d(f), d >= |f| - 1, by build_graph's last step;
+    refused, before anything is allocated, as build_graph(f, d + 1) is."""
+    f, d = g.pattern, g.dimension + 1
+    if d < f.length:
+        raise ValueError(f"Q_{d}({f}) is not grown from Q_{d - 1}({f}): d < |f|")
+    _check_size(f, d)
+    return AvoidanceGraph(f, d, _append_bit(f, g.vertices))
 
 
 def _bfs_levels(g: AvoidanceGraph, sources: np.ndarray):
@@ -381,11 +408,12 @@ def _bfs_violation(g: AvoidanceGraph) -> int | None:
     _distance_row, so the lemma21 sweep can check the scan against it.
 
     Sources run in batches of 64 in lexicographic order, one _bfs_levels pass
-    each.  A batch passes when every pair is reachable and its BFS distance
-    sum, level times count over the levels, equals its Hamming sum, which is
-    exact because graph distance is never below Hamming distance.  In the
-    first batch that fails, each source runs the same test on its own bit of
-    the levels; the first that fails is returned.
+    each.  A set of sources passes when every pair is reachable and its BFS
+    distance sum, level times count over the levels, equals its Hamming sum,
+    which is exact because graph distance is never below Hamming distance.
+    So a set fails exactly when one of its sources does, and the first batch
+    that fails is bisected over its lanes, counting only the bits of the
+    first half of the lanes still in question, down to the first failing one.
     """
     d = g.dimension
     verts = g.vertices
@@ -402,14 +430,18 @@ def _bfs_violation(g: AvoidanceGraph) -> int | None:
         reached = sum(count for _, count in levels)
         total = sum(k * count for k, (_, count) in enumerate(levels))
         if (reached, total) != (n * idx.size, ham_sum):
-            # Each source's count per level: little-endian bytes unpacked
-            # little-bit-first put source s in column s.
-            counts = np.array([
-                np.unpackbits(level.astype("<u8", copy=False).view(np.uint8), bitorder="little")
-                .reshape(n, 64).sum(axis=0) for level, _ in levels
-            ])[:, : idx.size]
-            fails = (counts.sum(axis=0) != n) | (np.arange(len(levels)) @ counts != ham[idx])
-            return lo + int(np.argmax(fails))
+            stacked = np.stack([level for level, _ in levels])
+            depth = np.arange(len(levels))
+            a, b = 0, idx.size  # the lanes below a pass, and a..b-1 hold one that fails
+            while b - a > 1:
+                mid = (a + b) // 2
+                lanes = np.uint64((1 << mid) - (1 << a))
+                counts = np.bitwise_count(stacked & lanes).sum(axis=1, dtype=np.int64)
+                if (counts.sum(), depth @ counts) != (n * (mid - a), ham[lo + a : lo + mid].sum()):
+                    b = mid
+                else:
+                    a = mid
+            return lo + a
     return None
 
 

@@ -1,6 +1,8 @@
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from fibocube.structural import Classification, CriticalWitness
 from fibocube.words import Word
 
 REAL_BUILD = oracle.build_graph
+REAL_GROW = oracle.grow_graph
 REAL_CLASSIFY = structural.classify
 REAL_SCAN = oracle.critical_p_values
 REAL_BFS = oracle._bfs_violation
@@ -28,6 +31,20 @@ def bfs_from_target_end(g):
         return None
     target = oracle._first_violation(g, source)[1]
     return int(np.searchsorted(g.vertices, target.bits))
+
+
+def spy_graphs(monkeypatch, record):
+    """Call record(f, d) for each graph Q_d(f) the oracle builds or grows."""
+    def build(f, d):
+        record(f, d)
+        return REAL_BUILD(f, d)
+
+    def grow(g):
+        record(g.pattern, g.dimension + 1)
+        return REAL_GROW(g)
+
+    monkeypatch.setattr(oracle, "build_graph", build)
+    monkeypatch.setattr(oracle, "grow_graph", grow)
 
 
 def bad_at_3(f):
@@ -86,17 +103,47 @@ class TestCrossValidate:
             assert oracle.index_bruteforce(f, harness._Pattern(t).graph) == \
                 oracle.index_bruteforce(f)
 
+    def test_pattern_graphs_equal_built_graphs(self, monkeypatch):
+        # Past |f| each Q_d(f) is grown from the held Q_{d-1}(f).
+        grown = []
+        spy_graphs(monkeypatch, lambda f, d: grown.append(d) if d > f.length else None)
+        for text in harness.patterns_up_to(6):
+            grown.clear()
+            p = harness._Pattern(text)
+            for d in range(1, 2 * len(text) + 3):
+                assert np.array_equal(p.graph(p.f, d).vertices, REAL_BUILD(p.f, d).vertices)
+            assert grown == list(range(len(text) + 1, 2 * len(text) + 3)), text
+
+    def test_graphs_die_with_their_pattern(self, monkeypatch):
+        # No reference cycle holds a pattern's graphs: they are freed when
+        # it is dropped, without the cycle collector.
+        refs = []
+
+        def keep(make):
+            def run(*args):
+                g = make(*args)
+                refs.append(weakref.ref(g))
+                return g
+            return run
+
+        monkeypatch.setattr(oracle, "build_graph", keep(REAL_BUILD))
+        monkeypatch.setattr(oracle, "grow_graph", keep(REAL_GROW))
+        gc.disable()
+        try:
+            p = harness._Pattern("0011")  # bad, B = 7: Q_2..Q_4 built, Q_5..Q_7 grown
+            harness._cross_validate_one(p)
+            assert [r().dimension for r in refs] == [2, 3, 4, 5, 6, 7]
+            del p
+            assert [r() for r in refs] == [None] * 6
+        finally:
+            gc.enable()
+
     def test_past_bound_probe_scans_only_good_patterns_past_2n_minus_1(self, monkeypatch):
         # The oracle's scan to 2|f|+2 stops at a bad pattern's index, its
         # first violation, so only good patterns are probed past 2|f|-1,
         # and no graph is built twice.
         built = []
-
-        def spy(f, d):
-            built.append((str(f), d))
-            return REAL_BUILD(f, d)
-
-        monkeypatch.setattr(harness.oracle, "build_graph", spy)
+        spy_graphs(monkeypatch, lambda f, d: built.append((str(f), d)))
         r = run_suites("cross", 3, workers=1)[0]
         assert r["passed"]
         expected = []
@@ -160,12 +207,7 @@ class TestTheoremChecks:
         # A bad f's Q_d(ff) below B(f) <= 2|f| - 1 < |ff| is the whole cube,
         # so the oracle confirms ff only for a good f, over its index scan.
         built = []
-
-        def spy(f, d):
-            built.append((str(f), d))
-            return REAL_BUILD(f, d)
-
-        monkeypatch.setattr(harness.oracle, "build_graph", spy)
+        spy_graphs(monkeypatch, lambda f, d: built.append((str(f), d)))
         assert run_suites("doubling", 3, workers=1)[0]["passed"]
         expected = []
         for p in harness.patterns_up_to(3):
@@ -454,10 +496,6 @@ class TestRunSuites:
             current.append(text)
             return real_pattern(text)
 
-        def build(f, d):
-            built.append((current[-1], str(f), d))
-            return REAL_BUILD(f, d)
-
         def classify(f):
             classified.append((current[-1], str(f)))
             return real_classify(f)
@@ -468,7 +506,7 @@ class TestRunSuites:
 
         monkeypatch.setattr(harness, "_Pattern", pattern)
         monkeypatch.setattr(harness, "_pmap", pmap)
-        monkeypatch.setattr(harness.oracle, "build_graph", build)
+        spy_graphs(monkeypatch, lambda f, d: built.append((current[-1], str(f), d)))
         monkeypatch.setattr(harness.structural, "classify", classify)
         reports = run_suites("all", 4, workers=1)
         assert all(r["passed"] for r in reports)
@@ -497,11 +535,7 @@ class TestRunSuites:
         # Every graph a check builds is at most as deep as its suite's declared
         # deepest graph, and that depth is reached by some pattern.
         built = []
-        def build(w, d):
-            built.append((w, d))
-            return REAL_BUILD(w, d)
-
-        monkeypatch.setattr(oracle, "build_graph", build)
+        spy_graphs(monkeypatch, lambda w, d: built.append((w, d)))
         for name, (_, _, check, _, deepest) in harness._SUITES.items():
             reached = False
             for text in harness.patterns_up_to(5):

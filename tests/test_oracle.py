@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibocube import oracle
+from fibocube import harness, oracle
 from fibocube.harness import all_patterns, patterns_up_to
 from fibocube.oracle import (
     UNREACHABLE,
@@ -102,6 +102,34 @@ def bfs_route_pair(g):
     violating source, or None when the route finds no source."""
     source = _bfs_violation(g)
     return None if source is None else oracle._first_violation(g, source)
+
+
+def reference_bfs_violation(g):
+    """_bfs_violation with the failing batch read lane by lane: the same
+    _bfs_levels passes, then each source's count per level, unpacked from
+    every level's bits, and the first source whose counts miss a vertex or
+    its Hamming sum."""
+    d = g.dimension
+    verts = g.vertices
+    n = verts.size
+    bits = (verts[:, None] >> np.arange(d)) & 1
+    ones = bits.sum(axis=0)
+    ham = bits @ (n - 2 * ones) + ones.sum()
+    starts = np.arange(0, n, 64)
+    for lo, ham_sum in zip(starts.tolist(), np.add.reduceat(ham, starts).tolist()):
+        idx = np.arange(lo, min(lo + 64, n))
+        levels = list(_bfs_levels(g, idx))
+        reached = sum(count for _, count in levels)
+        total = sum(k * count for k, (_, count) in enumerate(levels))
+        if (reached, total) != (n * idx.size, ham_sum):
+            # Little-endian bytes unpacked little-bit-first put source s in column s.
+            counts = np.array([
+                np.unpackbits(level.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+                .reshape(n, 64).sum(axis=0) for level, _ in levels
+            ])[:, : idx.size]
+            fails = (counts.sum(axis=0) != n) | (np.arange(len(levels)) @ counts != ham[idx])
+            return lo + int(np.argmax(fails))
+    return None
 
 
 def reference_vertices(f, d):
@@ -246,6 +274,36 @@ class TestBuildGraph:
     def test_matches_window_filter_larger(self, text, d):
         assert_vertices_match_reference(W(text), d)
 
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_grown_graph_equals_built_graph(self, length):
+        for text in all_patterns(length):
+            f = W(text)
+            for d in range(max(2, f.length), 2 * f.length + 3):
+                grown = oracle.grow_graph(build_graph(f, d - 1))
+                assert (grown.pattern, grown.dimension) == (f, d)
+                assert np.array_equal(grown.vertices, build_graph(f, d).vertices), (text, d)
+
+    def test_grows_only_from_the_last_whole_cube_up(self):
+        # Below |f| the step would drop the short words whose value is f's.
+        with pytest.raises(ValueError, match=r"Q_3\(0011\) is not grown from Q_2\(0011\)"):
+            oracle.grow_graph(build_graph(W("0011"), 2))
+
+    def test_growing_past_the_size_limit_is_refused_before_allocating(self, monkeypatch):
+        f = W("0" * 12)
+        with pytest.raises(ValueError) as limit:
+            oracle._check_size(f, 23)
+
+        def step(f, verts):
+            raise AssertionError("grew before the size check")
+
+        monkeypatch.setattr(oracle, "_append_bit", step)
+        # A three-vertex stand-in for Q_22(f): growing reads only its label
+        # and dimension before the size check.
+        with pytest.raises(ValueError) as refused:
+            oracle.grow_graph(AvoidanceGraph(f, 22, np.arange(3, dtype=np.int64)))
+        assert str(refused.value) == str(limit.value)
+        assert "Q_23(000000000000) has" in str(refused.value)
+
 
 def assert_flip_tables_match_reference(g):
     """Entry [v, k] of the neighbor table names the vertex word v ^ (1 << k),
@@ -277,6 +335,32 @@ class TestWordLookup:
                 assert_flip_tables_match_reference(build_graph(W(text), d))
         assert_flip_tables_match_reference(build_graph(W("11"), 22))
         assert_flip_tables_match_reference(build_graph(W("01"), 63))
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["as-built", "binary-search"])
+    def test_flip_table_blocks_split_anywhere(self, monkeypatch, dense):
+        # Each lookup covers as many whole rows as fit in the block, or one
+        # row when a row is longer, so no temporary outgrows a block or a row.
+        if not dense:
+            without_dense_index(monkeypatch)
+        lookups = []
+        real_lookup = AvoidanceGraph._lookup
+
+        def lookup(g, words):
+            lookups.append(words.shape)
+            return real_lookup(g, words)
+
+        monkeypatch.setattr(AvoidanceGraph, "_lookup", lookup)
+        for block in (1, 50, 333):
+            monkeypatch.setattr(oracle, "_FLIP_BLOCK", block)
+            for text in patterns_up_to(4):
+                for d in range(1, 2 * len(text) + 3):
+                    lookups.clear()
+                    # A new graph each time: the tables are cached per graph.
+                    g = build_graph(W(text), d)
+                    assert_flip_tables_match_reference(g)
+                    rows = max(1, block // g.vertex_count)
+                    assert [r for r, _ in lookups] == [min(rows, d - k) for k in range(0, d, rows)]
+                    assert all(r * n <= max(block, n) for r, n in lookups)
 
     @pytest.mark.parametrize(
         "text, d, dense",
@@ -549,6 +633,35 @@ class TestIsIsometric:
         assert first == int(np.searchsorted(g.vertices, pair[0].bits))
         batches = [list(range(lo, min(lo + 64, n))) for lo in range(0, first + 1, 64)]
         assert passes == [(batch, n * len(batch)) for batch in batches]
+
+    def test_route_matches_lane_by_lane_counts_on_lemma21_graphs(self):
+        graphs = 0
+        for text in patterns_up_to(6):
+            f = W(text)
+            for d in range(2, harness._probe_graph(f)[1] + 1):
+                g = build_graph(f, d)
+                assert _bfs_violation(g) == reference_bfs_violation(g), (text, d)
+                graphs += 1
+        assert graphs == 1122
+
+    # Q_d without the two common neighbors of one pair at Hamming distance 2:
+    # that pair is the only violating one, so its lesser word is the first
+    # violating source.  It sits at lane 0, at lane 63 of a full first batch,
+    # and at lane 60 of a partial last batch of 62 lanes, the last lane that
+    # can hold it: distance is symmetric, so the last vertex never comes first.
+    @pytest.mark.parametrize(
+        "d, removed, first",
+        [
+            pytest.param(7, (1, 2), 0, id="lane-0"),
+            pytest.param(8, (127, 191), 63, id="lane-63"),
+            pytest.param(7, (125, 126), 124, id="partial-batch"),
+        ],
+    )
+    def test_route_first_source_at_batch_edges(self, d, removed, first):
+        g = AvoidanceGraph(W("0"), d, np.setdiff1d(np.arange(1 << d), removed))
+        isometric, pair = reference_verdict(g)
+        assert not isometric and pair[0] == str(Word(d, int(g.vertices[first])))
+        assert _bfs_violation(g) == reference_bfs_violation(g) == first
 
     def test_scan_runs_once_per_graph(self, monkeypatch):
         g = build_graph(W("00011"), 8)
