@@ -3,10 +3,14 @@
 Each suite checks every pattern of a length range, in lexicographic order,
 against the brute-force oracle (or re-derives an invariant from definitions)
 and reports the first counterexample if any.  One table lists the suites;
-one pass checks each pattern against all selected suites, so a pattern is
-classified once and each of its graphs built and tested once.  The pass may
-be split over worker processes; results are merged in input order, so output
-is identical for any worker count.
+one pass checks each orbit of patterns under reversal and complement against
+all selected suites.  Each pattern is classified once, and each graph is
+built and tested once per orbit: reversal and complement are automorphisms
+of Q_d, so every oracle fact is the same on the whole orbit, and is computed
+on its first member's graphs.  Each member keeps its own
+record, so the checked counts are per pattern.  The pass may be split over
+worker processes; records are merged in input order, so output is identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -68,25 +72,127 @@ def _pmap(fn, items, workers: int | None):
 # ---------------------------------------------------------------------------
 # per-pattern checks (module level so the pass pickles for process pools)
 
-class _Pattern:
-    """One swept pattern f.  Its caches live on the instance, so each word is
-    classified once and each graph Q_d(w) is built and tested at most once,
-    whichever checks ask; all of it is freed with the pattern."""
+_COMPLEMENT = str.maketrans("01", "10")
+# The maps other than the identity that reversal and complement generate.
+_CARRIES = (Word.reverse, Word.complement, lambda w: w.reverse().complement())
 
-    def __init__(self, text: str):
-        self.text = text
-        self.f = Word.parse(text)
-        self.classify = cache(lambda w: structural.classify(w))
+
+def _orbits(texts) -> list[list[str]]:
+    """texts grouped into orbits under reversal and complement, members in
+    input order, orbits in the input order of their first members."""
+    orbits: dict[str, list[str]] = {}
+    for text in texts:
+        c = text.translate(_COMPLEMENT)
+        orbits.setdefault(min(text, text[::-1], c, c[::-1]), []).append(text)
+    return list(orbits.values())
+
+
+def _fact(method):
+    """An _Oracle method whose result is computed once per oracle and arguments."""
+    def once(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._facts:
+            self._facts[key] = method(self, *args)
+        return self._facts[key]
+    return once
+
+
+class _Oracle:
+    """The oracle's facts about the graphs of one word f.  Each graph Q_d(w)
+    is built at most once, or grown from a held Q_{d-1}(w) when d > |w|, and
+    each fact is computed at most once, whichever checks ask; all of it is
+    freed with the object."""
+
+    def __init__(self, f: Word):
+        self.f = f
         self._graphs = {}
+        self._facts = {}
 
     def graph(self, w: Word, d: int) -> oracle.AvoidanceGraph:
-        """Q_d(w), grown from a held Q_{d-1}(w) when d > |w|, else built."""
         g = self._graphs.get((w, d))
         if g is None:
             below = self._graphs.get((w, d - 1)) if d > w.length else None
             g = oracle.build_graph(w, d) if below is None else oracle.grow_graph(below)
             self._graphs[w, d] = g
         return g
+
+    @_fact
+    def index(self, probe) -> int | None:
+        """first_violation_dimension over the graphs up to the one probe(f) names."""
+        return oracle.first_violation_dimension(*probe(self.f), self.graph)
+
+    @_fact
+    def index_bruteforce(self) -> int | None:
+        return oracle.index_bruteforce(self.f, self.graph)
+
+    @_fact
+    def p_values(self, d: int) -> tuple[int, ...]:
+        """The p of each critical pair of Q_d(f); empty when it is isometric."""
+        return tuple(oracle.critical_p_values(self.graph(self.f, d)).tolist())
+
+    @_fact
+    def critical_pairs(self, d: int) -> frozenset[tuple[int, int]]:
+        """The critical pairs of Q_d(f), each as (lesser, greater) word bits."""
+        g = self.graph(self.f, d)
+        i, j = g._critical_pairs  # i < j, so each pair is (lesser, greater) word
+        return frozenset(zip(g.vertices[i].tolist(), g.vertices[j].tolist()))
+
+    @_fact
+    def equivalence_failure(self, d: int) -> dict | None:
+        return _equivalence_failure(self.graph(self.f, d))
+
+
+class _Pattern:
+    """One swept pattern f, with its own classification cache (each word is
+    classified once).  Its oracle facts come from its own graphs or, for a
+    member of another pattern rep's orbit, from rep's: the reversal or
+    complement that maps rep.f onto f carries Q_d(rep.f) onto Q_d(f), so
+    every oracle fact a check reads is the same on both, and carry maps the
+    critical pairs."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.f = Word.parse(text)
+        self.classify = cache(lambda w: structural.classify(w))
+        self.rep = None
+        self.own_graphs()
+
+    def member(self, text: str) -> _Pattern:
+        """Another member of f's orbit, reading this pattern's oracle facts."""
+        p = _Pattern(text)
+        p.rep, p.oracle = self, self.oracle
+        p.carry = next(c for c in _CARRIES if c(self.f) == p.f)  # maps Q_d(f) onto Q_d(p.f)
+        return p
+
+    def own_graphs(self) -> None:
+        """Read every later oracle fact from f's own graphs."""
+        self.oracle, self.carry = _Oracle(self.f), None
+
+    def critical_pairs(self, d: int) -> frozenset[tuple[int, int]]:
+        pairs = self.oracle.critical_pairs(d)
+        if self.carry is None:
+            return pairs
+        carry = self.carry
+        return frozenset(tuple(sorted((carry(Word(d, a)).bits, carry(Word(d, b)).bits)))
+                         for a, b in pairs)
+
+
+def _index_and_least_p(cls) -> list:
+    return [cls.index, min((w.p for w in cls.witnesses), default=None)]
+
+
+def _orbit_checked(p: _Pattern, cls, record: dict) -> dict:
+    """record, failing orbit-mismatch when nothing failed before and cls,
+    p's classification, differs in index or least p from that of its orbit
+    representative: both are facts of isomorphic graphs."""
+    if p.rep is not None and "failure" not in record:
+        mine, theirs = _index_and_least_p(cls), _index_and_least_p(p.rep.classify(p.rep.f))
+        if mine != theirs:
+            record["failure"] = "orbit-mismatch"
+            record["representative"] = p.rep.text
+            record["index_and_least_p"] = mine
+            record["representative_index_and_least_p"] = theirs
+    return record
 
 
 def _past_bound_probe(f: Word) -> tuple[Word, int] | None:
@@ -117,26 +223,24 @@ def _cross_validate_one(p: _Pattern) -> dict:
     the index bound 2n - 1 for n <= 4), its verdict against the 2-error
     rule, and a bad f's witness pairs against the critical pairs of Q_B(f)."""
     cls = p.classify(p.f)
-    b_index = oracle.first_violation_dimension(*_probe_graph(p.f), p.graph)
+    b_index = p.oracle.index(_probe_graph)
     record = {"pattern": p.text, "structural_index": cls.index, "bruteforce_index": b_index}
     if cls.index != b_index:
         record["failure"] = "index-mismatch"
     elif cls.good == _two_error_bad(p.f):
         record["failure"] = "two-error-mismatch"
     elif not cls.good:
-        g = p.graph(p.f, b_index)
-        i, j = g._critical_pairs  # i < j, so each pair is (lesser, greater) word
         pairs = {tuple(sorted((w.alpha.bits, w.beta.bits))) for w in cls.witnesses}
-        if pairs != set(zip(g.vertices[i].tolist(), g.vertices[j].tolist())):
+        if pairs != p.critical_pairs(b_index):
             record["failure"] = "witness-set-mismatch"
-    return record
+    return _orbit_checked(p, cls, record)
 
 
 def _min_p_one(p: _Pattern) -> dict:
-    b = oracle.index_bruteforce(p.f, p.graph)
+    b = p.oracle.index_bruteforce()
     if b is None:
         return {"pattern": p.text, "index": None, "min_p": None}
-    ps = oracle.critical_p_values(p.graph(p.f, b)).tolist()
+    ps = p.oracle.p_values(b)
     min_p = min(ps, default=None)
     record = {"pattern": p.text, "index": b, "min_p": min_p, "pairs_at_min": ps.count(min_p)}
     if min_p not in (2, 3):
@@ -162,66 +266,73 @@ def _doubling_one(p: _Pattern) -> dict:
         probe = _doubling_probe(p.f)
         if not cls_ff.good:
             record["failure"] = "doubling-lost-goodness"
-        elif probe and oracle.first_violation_dimension(*probe, p.graph) is not None:
+        elif probe and p.oracle.index(_doubling_probe) is not None:
             record["failure"] = "oracle-says-doubled-is-bad"
-    return record
+    return _orbit_checked(p, cls, record)
 
 
 def _monotonicity_one(p: _Pattern) -> dict:
     cls = p.classify(p.f)
-    record = {"pattern": p.text, "index": cls.index}
+    record = {"pattern": p.text, "index": cls.index} | _monotonicity_failure(p, cls)
+    return _orbit_checked(p, cls, record)
+
+
+def _monotonicity_failure(p: _Pattern, cls) -> dict:
+    """A bad f's first failure at dimensions index+1..index+3: a lifted
+    witness rejected, or Q_d(f) isometric; {} when there is none."""
     if cls.good:
-        return record
+        return {}
     for d in range(cls.index + 1, cls.index + 4):
         for w in cls.witnesses:
             reason = structural.verify_witness(structural.lift_witness(w, d))
             if reason is not None:
-                record["failure"] = "lifted-witness-rejected"
-                record["dimension"] = d
-                record["reason"] = reason
-                return record
-        if not oracle.critical_p_values(p.graph(p.f, d)).size:  # no pair: isometric
-            record["failure"] = "oracle-isometric-above-index"
-            record["dimension"] = d
-            return record
-    return record
+                return {"failure": "lifted-witness-rejected", "dimension": d, "reason": reason}
+        if not p.oracle.p_values(d):  # no pair: isometric
+            return {"failure": "oracle-isometric-above-index", "dimension": d}
+    return {}
 
 
 def _critical_equivalence_one(p: _Pattern) -> dict:
-    """The scan-free BFS route against the critical-pair scan on every graph:
-    a violating source exactly when there is a critical pair, and the first
-    violating source is the least endpoint of the critical pairs, which is
-    where is_isometric runs its one BFS.  A pair is named only for a failure."""
+    """The scan-free BFS route against the critical-pair scan on every graph
+    to the probe depth (see _equivalence_failure)."""
     _, d_max = _probe_graph(p.f)
     for d in range(2, d_max + 1):
-        g = p.graph(p.f, d)
-        source = oracle._bfs_violation(g)
-        # The scan's index pairs are sorted with i < j, so the least alpha of
-        # find_critical_pairs(g) is vertices[i[0]].
-        i, _ = g._critical_pairs
-        endpoint = int(i[0]) if i.size else None
-        if (source is None) == (endpoint is not None):
-            failure = "equivalence-broken"
-        elif endpoint is not None and source != endpoint:
-            failure = "first-source-not-scan-endpoint"
-        else:
-            continue
-        record = {
-            "pattern": p.text,
-            "dimension": d,
-            "isometric": source is None,
-            "critical_pairs": i.size,
-            "failure": failure,
-        }
-        violation = source is not None and oracle._first_violation(g, source)
-        if violation:  # None when the flagged source's own BFS row finds none
-            a, b, dg, h = violation
-            dg = "unreachable" if dg == oracle.UNREACHABLE else int(dg)
-            record["violating_pair"] = [str(a), str(b), dg, h]
-        if endpoint is not None:
-            record["scan_endpoint"] = str(Word(d, int(g.vertices[endpoint])))
-        return record
+        broken = p.oracle.equivalence_failure(d)
+        if broken:
+            return {"pattern": p.text, **broken}
     return {"pattern": p.text, "dimensions_checked": d_max - 1}
+
+
+def _equivalence_failure(g: oracle.AvoidanceGraph) -> dict | None:
+    """The scan-free BFS route against the critical-pair scan on g: a
+    violating source exactly when there is a critical pair, and the first
+    violating source is the least endpoint of the critical pairs, which is
+    where is_isometric runs its one BFS.  A pair is named only for a failure."""
+    source = oracle._bfs_violation(g)
+    # The scan's index pairs are sorted with i < j, so the least alpha of
+    # find_critical_pairs(g) is vertices[i[0]].
+    i, _ = g._critical_pairs
+    endpoint = int(i[0]) if i.size else None
+    if (source is None) == (endpoint is not None):
+        failure = "equivalence-broken"
+    elif endpoint is not None and source != endpoint:
+        failure = "first-source-not-scan-endpoint"
+    else:
+        return None
+    record = {
+        "dimension": g.dimension,
+        "isometric": source is None,
+        "critical_pairs": i.size,
+        "failure": failure,
+    }
+    violation = source is not None and oracle._first_violation(g, source)
+    if violation:  # None when the flagged source's own BFS row finds none
+        a, b, dg, h = violation
+        dg = "unreachable" if dg == oracle.UNREACHABLE else int(dg)
+        record["violating_pair"] = [str(a), str(b), dg, h]
+    if endpoint is not None:
+        record["scan_endpoint"] = str(Word(g.dimension, int(g.vertices[endpoint])))
+    return record
 
 
 def _bad_patterns(records) -> int:
@@ -256,14 +367,37 @@ SUITES = tuple(_SUITES)
 
 
 def _check_one(args) -> list:
-    text, checks = args
-    p = _Pattern(text)
-    return [check(p) for check in checks]
+    """The records of one orbit's members, in the order given, one per
+    check.  The first member is the representative, checked on its own
+    graphs; the others read its oracle facts.  A member whose record fails
+    is checked again on its own graphs, so that the record names its words."""
+    texts, checks = args
+    rep = _Pattern(texts[0])
+    rows = [[check(rep) for check in checks]]
+    for text in texts[1:]:
+        p, row = rep.member(text), []
+        for check in checks:
+            record = check(p)
+            if "failure" in record and p.oracle is rep.oracle:
+                p.own_graphs()
+                record = check(p)
+            row.append(record)
+        rows.append(row)
+    return rows
+
+
+def _sweep(texts: list[str], checks, workers: int | None) -> list[list[dict]]:
+    """Each text's records, one per check, in input order, from one pass
+    over the orbits of texts."""
+    orbits = _orbits(texts)
+    done = _pmap(_check_one, [(orbit, checks) for orbit in orbits], workers)
+    rows = {text: row for orbit, orbit_rows in zip(orbits, done)
+            for text, row in zip(orbit, orbit_rows)}
+    return [rows[text] for text in texts]
 
 
 def _census_one(p: _Pattern):
-    cls = p.classify(p.f)
-    return cls.index, min((w.p for w in cls.witnesses), default=None), _two_error_bad(p.f)
+    return *_index_and_least_p(p.classify(p.f)), _two_error_bad(p.f)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +414,7 @@ def census(n: int, workers: int = 1, oracle_confirm: bool = False) -> dict:
         raise ValueError(f"oracle confirmation is limited to length 9, got {n}")
     checks = (_census_one, _cross_validate_one) if oracle_confirm else (_census_one,)
     texts = all_patterns(n)
-    rows = _pmap(_check_one, [(t, checks) for t in texts], workers)
+    rows = _sweep(texts, checks, workers)
     index_histogram, p_histogram = Counter(), Counter()
     for text, ((index, min_p, rule_bad), *cross) in zip(texts, rows):
         if (index is not None) != rule_bad:
@@ -337,7 +471,7 @@ def run_suites(suite: str, max_len: int, workers: int = 1) -> list[dict]:
             if deepest is not None:
                 oracle._check_size(*deepest)
     checks = tuple(_SUITES[name][2] for name in selected)
-    rows = _pmap(_check_one, [(t, checks) for t in texts], workers)
+    rows = _sweep(texts, checks, workers)
     reports = []
     for i, name in enumerate(selected):
         title, swept, _, checked, _ = _SUITES[name]

@@ -22,7 +22,8 @@ index, or -1 for a non-vertex, through one lookup.  When 2^d <= d * V it is a
 gather through a dense index of all 2^d words, which then has no more entries
 than the d x V neighbor table; sparser graphs, such as Q_25(11) or Q_63(01),
 binary-search the sorted vertices instead.  The vertices must be sorted,
-distinct d-bit words, so the constructor checks them.
+distinct d-bit words, so the constructor checks them; build_graph and
+grow_graph, which make them so, skip that check.
 
 The export takes each edge from its lower end i and the bit k it sets (one
 lookup per bit into a V x d bool matrix), never from the flip tables.  DOT is
@@ -118,6 +119,14 @@ class AvoidanceGraph:
         self.pattern = pattern
         self.dimension = dimension
         self.vertices = vertices
+
+    @classmethod
+    def _built(cls, pattern: Pattern, dimension: int, vertices: np.ndarray) -> "AvoidanceGraph":
+        """The graph on vertices that build_graph or grow_graph made: sorted,
+        distinct int64 words in [0, 2^dimension) by construction, so unchecked."""
+        g = cls.__new__(cls)
+        g.pattern, g.dimension, g.vertices = pattern, dimension, vertices
+        return g
 
     @property
     def vertex_count(self) -> int:
@@ -298,7 +307,7 @@ def build_graph(f: Pattern, d: int) -> AvoidanceGraph:
     verts = np.arange(1 << min(d, f.length - 1), dtype=np.int64)
     for _ in range(f.length, d + 1):
         verts = _append_bit(f, verts)
-    return AvoidanceGraph(f, d, verts)
+    return AvoidanceGraph._built(f, d, verts)
 
 
 def grow_graph(g: AvoidanceGraph) -> AvoidanceGraph:
@@ -308,7 +317,7 @@ def grow_graph(g: AvoidanceGraph) -> AvoidanceGraph:
     if d < f.length:
         raise ValueError(f"Q_{d}({f}) is not grown from Q_{d - 1}({f}): d < |f|")
     _check_size(f, d)
-    return AvoidanceGraph(f, d, _append_bit(f, g.vertices))
+    return AvoidanceGraph._built(f, d, _append_bit(f, g.vertices))
 
 
 def _bfs_levels(g: AvoidanceGraph, sources: np.ndarray):

@@ -63,6 +63,18 @@ def first_beta_moved(f):
     return Classification(f, (w._replace(beta=Word(w.dimension, (1 << w.dimension) - 1)), *rest))
 
 
+def on_101(broken):
+    """classify with only 101 broken, a member of the orbit {010, 101}."""
+    return lambda f: broken(f) if str(f) == "101" else REAL_CLASSIFY(f)
+
+
+def with_third_flip(f):
+    """classify(f) with one more offset in each witness: index unchanged, p = 3."""
+    cls = REAL_CLASSIFY(f)
+    return Classification(f, tuple(w._replace(offsets=w.offsets + ((9, 9),))
+                                   for w in cls.witnesses))
+
+
 def rotated_y_slots(r, s):
     """build_overlap_graph(r, s) with each v2_j renamed v2_{j+1}, the last v2_1:
     still one cycle, but its walk from v2_1 leaves the residue order once
@@ -100,7 +112,7 @@ class TestCrossValidate:
         # The index scan over the sweeps' cached graphs and over fresh ones agree.
         for t in harness.patterns_up_to(5):
             f = Word.parse(t)
-            assert oracle.index_bruteforce(f, harness._Pattern(t).graph) == \
+            assert oracle.index_bruteforce(f, harness._Pattern(t).oracle.graph) == \
                 oracle.index_bruteforce(f)
 
     def test_pattern_graphs_equal_built_graphs(self, monkeypatch):
@@ -111,7 +123,7 @@ class TestCrossValidate:
             grown.clear()
             p = harness._Pattern(text)
             for d in range(1, 2 * len(text) + 3):
-                assert np.array_equal(p.graph(p.f, d).vertices, REAL_BUILD(p.f, d).vertices)
+                assert np.array_equal(p.oracle.graph(p.f, d).vertices, REAL_BUILD(p.f, d).vertices)
             assert grown == list(range(len(text) + 1, 2 * len(text) + 3)), text
 
     def test_graphs_die_with_their_pattern(self, monkeypatch):
@@ -141,13 +153,13 @@ class TestCrossValidate:
     def test_past_bound_probe_scans_only_good_patterns_past_2n_minus_1(self, monkeypatch):
         # The oracle's scan to 2|f|+2 stops at a bad pattern's index, its
         # first violation, so only good patterns are probed past 2|f|-1,
-        # and no graph is built twice.
+        # and no graph is built twice.  Only orbit representatives have graphs.
         built = []
         spy_graphs(monkeypatch, lambda f, d: built.append((str(f), d)))
         r = run_suites("cross", 3, workers=1)[0]
         assert r["passed"]
         expected = []
-        for p in harness.patterns_up_to(3):
+        for p, *_ in harness._orbits(harness.patterns_up_to(3)):
             last = 4 if p in ("010", "101") else 2 * len(p) + 2  # the index, or 2n+2
             expected += [(p, d) for d in range(2, last + 1)]
         assert built == expected
@@ -205,12 +217,13 @@ class TestTheoremChecks:
 
     def test_doubling_builds_q_d_ff_only_for_good_f(self, monkeypatch):
         # A bad f's Q_d(ff) below B(f) <= 2|f| - 1 < |ff| is the whole cube,
-        # so the oracle confirms ff only for a good f, over its index scan.
+        # so the oracle confirms ff only for a good f, over its index scan,
+        # on the graphs of its orbit's representative.
         built = []
         spy_graphs(monkeypatch, lambda f, d: built.append((str(f), d)))
         assert run_suites("doubling", 3, workers=1)[0]["passed"]
         expected = []
-        for p in harness.patterns_up_to(3):
+        for p, *_ in harness._orbits(harness.patterns_up_to(3)):
             if p not in ("010", "101"):
                 expected += [(p + p, d) for d in range(2, 4 * len(p))]
         assert built == expected
@@ -350,7 +363,8 @@ class TestCensus:
         self, monkeypatch
     ):
         # The census count and the cross check share one pass over the 32
-        # patterns of length 5, and so one classification of each.
+        # patterns of length 5, and so one classification of each, orbit by
+        # orbit.
         passes, classified = [], []
         real_pmap, real_classify = harness._pmap, structural.classify
 
@@ -369,7 +383,9 @@ class TestCensus:
         assert row["oracle_confirmed"]
         assert row_bytes(row | {"oracle_confirmed": False}) == expected
         assert len(passes) == 1
-        assert classified == harness.all_patterns(5)
+        assert classified == [t for orbit in harness._orbits(harness.all_patterns(5))
+                              for t in orbit]
+        assert sorted(classified) == harness.all_patterns(5)
 
     def test_census_without_confirmation_never_reaches_the_oracle(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -420,6 +436,62 @@ class TestCensus:
                 if classify(transform(Word.parse(t))).good
             )
             assert good == row["good_count"]
+
+
+class TestOrbits:
+    def test_orbits_group_reversal_and_complement(self):
+        # Members in input order, orbits in the input order of their first
+        # members, every text in exactly one orbit.
+        texts = harness.patterns_up_to(4)
+        orbits = harness._orbits(texts)
+        assert all(orbit == sorted(orbit, key=texts.index) for orbit in orbits)
+        firsts = [orbit[0] for orbit in orbits]
+        assert firsts == sorted(firsts, key=texts.index)
+        assert sorted(t for orbit in orbits for t in orbit) == sorted(texts)
+        for orbit in orbits:
+            f = Word.parse(orbit[0])
+            images = {f, f.reverse(), f.complement(), f.reverse().complement()}
+            assert sorted(orbit) == sorted(map(str, images))
+        assert [len(harness._orbits(harness.all_patterns(n))) for n in range(1, 9)] == \
+            [1, 2, 3, 6, 10, 20, 36, 72]
+
+    def test_carried_pairs_are_the_pairs_of_the_image_graph(self):
+        # Q_d(rev f) and Q_d(comp f), built on their own, have exactly f's
+        # critical pairs reversed or complemented.
+        for text in harness.patterns_up_to(5):
+            f = Word.parse(text)
+            for image in (f.reverse(), f.complement()):
+                member = harness._Pattern(text).member(str(image))
+                for d in range(2, 2 * f.length + 1):
+                    g = REAL_BUILD(image, d)
+                    i, j = g._critical_pairs
+                    pairs = set(zip(g.vertices[i].tolist(), g.vertices[j].tolist()))
+                    assert member.critical_pairs(d) == pairs, (text, str(image), d)
+
+    def test_member_records_equal_records_on_own_graphs(self, monkeypatch):
+        # Every suite's record of every member of every orbit of length <= 6,
+        # read from the representative's oracle facts, equals the member's
+        # record on its own graphs: the oracle fields (bruteforce_index,
+        # index, min_p, pairs_at_min, dimensions_checked) and the witness-set
+        # comparison alike.  Checking a member on those facts builds no graph.
+        checks = [entry[2] for entry in harness._SUITES.values()]
+        members, bad_members = 0, 0
+        for orbit in harness._orbits(harness.patterns_up_to(6)):
+            rep = harness._Pattern(orbit[0])
+            for check in checks:
+                check(rep)
+            for text in orbit[1:]:
+                member, own = rep.member(text), harness._Pattern(text)
+                for check in checks:
+                    record = check(own)
+                    assert "failure" not in record, record
+                    monkeypatch.setattr(oracle, "build_graph", None)
+                    monkeypatch.setattr(oracle, "grow_graph", None)
+                    assert check(member) == record, (check.__name__, text)
+                    monkeypatch.undo()
+                members += 1
+                bad_members += not member.classify(member.f).good
+        assert (members, bad_members) == (126 - 42, 53)  # 42 orbits of length 1..6
 
 
 class TestWorkerPool:
@@ -484,9 +556,10 @@ class TestRunSuites:
             run_suites("nope", 3)
 
     def test_all_suites_check_each_pattern_in_one_pass(self, monkeypatch):
-        # While one swept pattern is checked, no graph is built twice, the
-        # pattern is classified once, and its square once only when the
-        # pattern is good: a bad pattern's doubling is no claim.
+        # Graphs are built only while an orbit's representative is checked,
+        # and no graph is built twice for one orbit.  Each pattern is
+        # classified once, and its square once only when the pattern is
+        # good: a bad pattern's doubling is no claim.
         current, built, classified, passes = [], [], [], []
         real_pattern, real_classify, real_pmap = (
             harness._Pattern, structural.classify, harness._pmap
@@ -511,8 +584,13 @@ class TestRunSuites:
         reports = run_suites("all", 4, workers=1)
         assert all(r["passed"] for r in reports)
         texts = harness.patterns_up_to(4)
-        assert current == texts
+        orbits = harness._orbits(texts)
+        assert current == [t for orbit in orbits for t in orbit]
+        assert sorted(current) == sorted(texts)
         assert len(passes) == 1
+        reps = {orbit[0] for orbit in orbits}
+        assert {t for t, _, _ in built} == reps
+        assert all(f in (t, t + t) for t, f, _ in built)
         assert built and len(built) == len(set(built))
         good = [t for t in texts if real_classify(Word.parse(t)).good]
         assert sorted(classified) == sorted([(t, t) for t in texts] + [(t, t + t) for t in good])
@@ -640,6 +718,16 @@ class TestFailurePaths:
             (oracle, "critical_p_values", lambda g: NO_PAIRS, "monotonicity", 2,
              {"pattern": "010", "index": 4, "dimension": 5,
               "failure": "oracle-isometric-above-index"}),
+            # classify breaks the symmetry on 101 alone: its orbit's
+            # representative 010 has index 4 and least p 2.
+            (structural, "classify", on_101(bad_at_3), "doubling", 14,
+             {"pattern": "101", "index": 3, "failure": "orbit-mismatch",
+              "representative": "010", "index_and_least_p": [3, 2],
+              "representative_index_and_least_p": [4, 2]}),
+            (structural, "classify", on_101(with_third_flip), "doubling", 14,
+             {"pattern": "101", "index": 4, "failure": "orbit-mismatch",
+              "representative": "010", "index_and_least_p": [4, 3],
+              "representative_index_and_least_p": [4, 2]}),
             (oracle, "_bfs_violation", bfs_from_target_end, "lemma21",
              2 * 3 + 4 * 5 + 6 * 7,
              {"pattern": "010", "dimension": 4, "isometric": False, "critical_pairs": 1,
@@ -652,7 +740,7 @@ class TestFailurePaths:
               "failure": "equivalence-broken"}),
         ],
         ids=["lost-goodness", "two-error-mismatch", "witness-set-mismatch",
-             "isometric-above-index",
+             "isometric-above-index", "orbit-mismatch-index", "orbit-mismatch-least-p",
              "source-not-scan-endpoint", "flagged-source-without-violation"],
     )
     def test_failure_kind(self, monkeypatch, module, name, broken, check, checked,
@@ -661,6 +749,26 @@ class TestFailurePaths:
         r = run_suites(check, 3, workers=1)[0]
         assert not r["passed"] and r["checked"] == checked
         assert r["counterexample"] == counterexample
+
+    def test_cross_index_mismatch_takes_precedence_over_orbit_mismatch(self, monkeypatch):
+        # 101 read as bad at index 3 breaks the symmetry and the index both.
+        monkeypatch.setattr(structural, "classify", on_101(bad_at_3))
+        r = run_suites("cross", 3, workers=1)[0]
+        assert not r["passed"] and r["checked"] == 14
+        assert r["counterexample"] == {"pattern": "101", "structural_index": 3,
+                                       "bruteforce_index": 4, "failure": "index-mismatch"}
+
+    def test_member_failure_names_its_own_words(self, monkeypatch):
+        # The scan reads as empty on every graph: 010 fails on its own graphs,
+        # and so does 101, whose record names a pair of Q_4(101), as the
+        # per-pattern check does, not 010's.
+        monkeypatch.setattr(AvoidanceGraph, "_critical_pairs",
+                            property(lambda g: (NO_PAIRS, NO_PAIRS)))
+        check = harness._critical_equivalence_one
+        (rep,), (member,) = harness._check_one((["010", "101"], (check,)))
+        assert rep["violating_pair"] == ["0000", "0110", 4, 2]
+        assert member["violating_pair"] == ["1001", "1111", 4, 2]
+        assert member == check(harness._Pattern("101"))
 
     def test_cross_index_mismatch_takes_precedence(self, monkeypatch):
         # 010 is bad, but the oracle and the 2-error rule both call it good.

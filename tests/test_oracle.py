@@ -208,6 +208,24 @@ class TestVertexArrayCheck:
     def test_accepted(self, d, words):
         AvoidanceGraph(W("11"), d, np.array(words, dtype=np.int64))
 
+    def test_built_and_grown_graphs_skip_the_check_they_would_pass(self, monkeypatch):
+        # build_graph and grow_graph make sorted d-bit words by construction,
+        # so they do not run the check; every graph they make for patterns
+        # up to length 4 would pass it.
+        def refuse(*args):
+            raise AssertionError("the constructor's check ran")
+
+        monkeypatch.setattr(AvoidanceGraph, "__init__", refuse)
+        graphs = []
+        for n in range(1, 5):
+            for bits in range(1 << n):
+                f = Word(n, bits)
+                graphs += [oracle.build_graph(f, d) for d in range(1, 2 * n + 3)]
+                graphs += [oracle.grow_graph(g) for g in graphs[-n - 2:]]
+        monkeypatch.undo()
+        for g in graphs:
+            AvoidanceGraph(g.pattern, g.dimension, g.vertices)
+
 
 class TestBuildGraph:
     def test_fibonacci_cube_d4(self):

@@ -257,8 +257,6 @@ def test_every_default_parameter_is_set_by_some_caller():
 # Functions and methods that no program file names yet, with the reason.
 UNCALLED_ALLOWED = {
     "structural.witness_from_json_dict": "read back by a planned witness check command",
-    "words.reverse": "for planned checks that B(f) is invariant under reversal",
-    "words.complement": "for planned checks that B(f) is invariant under complement",
 }
 
 
