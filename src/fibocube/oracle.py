@@ -11,24 +11,29 @@ independent of the structural classifier, so the two can check each other.
 Q_d(f) is grown one bit at a time from the f-avoiding words one bit shorter,
 so enumeration costs the sum of the vertex counts up to d, not 2^d window
 tests (Q_25(11) has 196,418 of the 2^25 words); grow_graph takes that one
-step from a Q_d(f) already built.  A graph is refused before
-anything is allocated when its d x V neighbor table would exceed
+step from a Q_d(f) already built.  Each step also carries every vertex's
+forbidden-flip mask (the bits whose flip leaves the graph), so the mask, like
+the vertices, is read off f at build time with no lookup.  A graph is refused
+before anything is allocated when its d x V neighbor table would exceed
 MAX_TABLE_BYTES; V is counted exactly from f's autocorrelation.  An export
 is refused, once its edges are counted and before they are listed, when its
 DOT text would exceed the same limit.
 
-The flip tables, the critical-pair scan and the export find a word's vertex
-index, or -1 for a non-vertex, through one lookup.  When 2^d <= d * V it is a
-gather through a dense index of all 2^d words, which then has no more entries
-than the d x V neighbor table; sparser graphs, such as Q_25(11) or Q_63(01),
-binary-search the sorted vertices instead.  The vertices must be sorted,
-distinct d-bit words, so the constructor checks them; build_graph and
-grow_graph, which make them so, skip that check.
+The neighbor table, the critical-pair scan and the export find a word's
+vertex index, or -1 for a non-vertex, through one lookup.  When 2^d <= d * V
+it is a gather through a dense index of all 2^d words, which then has no more
+entries than the d x V neighbor table; sparser graphs, such as Q_25(11) or
+Q_63(01), binary-search the sorted vertices instead.  The vertices must be
+sorted, distinct d-bit words, so the constructor checks them; build_graph and
+grow_graph, which make them so, skip that check.  A hand-built graph has no
+grown mask and reads it off the neighbor table's -1 entries.  Otherwise only
+the lemma21 route's _bfs_levels builds that d x V table.
 
 The export takes each edge from its lower end i and the bit k it sets (one
-lookup per bit into a V x d bool matrix), never from the flip tables.  DOT is
-written into one byte buffer and decoded once: an edge line is a copy of its
-lower end's fixed-width line template with digit d-1-k of the upper name set.
+lookup per bit into a V x d bool matrix), never from the neighbor table.  DOT
+is written into one byte buffer and decoded once: an edge line is a copy of
+its lower end's fixed-width line template with digit d-1-k of the upper name
+set.
 
 The critical-pair scan decides isometry: an induced subgraph of Q_d is
 isometric exactly when it has no critical pair (the equivalence the lemma21
@@ -49,9 +54,9 @@ endpoint of the critical pairs, which is the first violating source.
   edges never violate).
 - So the first violating source is the least endpoint, and the first
   violating target in its BFS row completes the pair.
-That BFS is level-synchronous over the frontier only: each level gathers the
-neighbors of the vertices it reached last, so the whole BFS reads each
-neighbor-table entry once.
+That BFS is level-synchronous over the frontier only: each level flips the d
+bits of the vertices it reached last, so the whole BFS crosses each edge once
+and builds no neighbor table.
 
 The lemma21 sweep checks the scan against an independent, scan-free BFS
 route on every graph it covers: one pass of the bit-parallel _bfs_levels per
@@ -121,11 +126,14 @@ class AvoidanceGraph:
         self.vertices = vertices
 
     @classmethod
-    def _built(cls, pattern: Pattern, dimension: int, vertices: np.ndarray) -> "AvoidanceGraph":
+    def _built(cls, pattern: Pattern, dimension: int, vertices: np.ndarray,
+               mask: np.ndarray) -> "AvoidanceGraph":
         """The graph on vertices that build_graph or grow_graph made: sorted,
-        distinct int64 words in [0, 2^dimension) by construction, so unchecked."""
+        distinct int64 words in [0, 2^dimension) by construction, so unchecked,
+        with the forbidden-flip mask _append_bit grew beside them."""
         g = cls.__new__(cls)
         g.pattern, g.dimension, g.vertices = pattern, dimension, vertices
+        g.forbidden_flip_mask = mask
         return g
 
     @property
@@ -136,7 +144,7 @@ class AvoidanceGraph:
     def _dense_index(self) -> np.ndarray | None:
         """index[w] is the dense index of vertex w and -1 for a non-vertex
         word, over all 2^d words; None when 2^d > d * V, so the index never
-        has more entries than the d x V neighbor table it fills."""
+        has more entries than the d x V neighbor table."""
         d, n = self.dimension, self.vertices.size
         if 1 << d > d * n:
             return None
@@ -156,38 +164,39 @@ class AvoidanceGraph:
         return np.where(verts[pos] == words, pos, -1)
 
     @cached_property
-    def _flip_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(neighbor index table V x d, forbidden-flip mask per vertex).
+    def neighbor_table(self) -> np.ndarray:
+        """V x d: entry [v, k] is the dense index of vertex XOR (1 << k), or
+        -1 when that word is not a vertex.
 
-        Table entry [v, k] is the dense index of vertex XOR (1 << k), or -1
-        when that word is not a vertex.  Bit k of the mask is set exactly
-        in the -1 case, so interval-blocking tests reduce to integer masking.
         Row k of the contiguous d x V array the table views, which the BFS
         gathers through, holds the lookups of the vertices with bit k
         flipped.  Rows are looked up a block of about _FLIP_BLOCK entries per
-        _lookup, and each block's -1 entries are OR-ed into the mask with one
-        reduce, so every temporary is one block (or one row, when a row is
-        longer) and stays cache-sized.
+        _lookup, so every temporary is one block (or one row, when a row is
+        longer) and stays cache-sized.  Only the lemma21 route's _bfs_levels,
+        and a hand-built graph's forbidden_flip_mask, read the table.
         """
         verts = self.vertices
         d = self.dimension
         by_bit = np.empty((d, verts.size), dtype=np.int64)
-        forb = np.zeros(verts.size, dtype=np.int64)
         flips = 1 << np.arange(d, dtype=np.int64)[:, None]
         step = max(1, _FLIP_BLOCK // max(1, verts.size))
         for lo in range(0, d, step):
-            rows, flip = by_bit[lo : lo + step], flips[lo : lo + step]
-            rows[:] = self._lookup(verts ^ flip)
-            forb |= np.bitwise_or.reduce(rows >> 63 & flip, axis=0)  # -1 >> 63 is all ones
-        return by_bit.T, forb
+            by_bit[lo : lo + step] = self._lookup(verts ^ flips[lo : lo + step])
+        return by_bit.T
 
-    @property
-    def neighbor_table(self) -> np.ndarray:
-        return self._flip_tables[0]
-
-    @property
+    @cached_property
     def forbidden_flip_mask(self) -> np.ndarray:
-        return self._flip_tables[1]
+        """Per vertex, bit k set exactly when vertex XOR (1 << k) is not a
+        vertex, so interval-blocking tests reduce to integer masking.
+
+        build_graph and grow_graph set it from f as they grow the vertices
+        (_append_bit); a hand-built vertex array reads it off the -1 entries
+        of the neighbor table.
+        """
+        forb = np.zeros(self.vertices.size, dtype=np.int64)
+        for k, row in enumerate(self.neighbor_table.T):
+            forb |= row >> 63 & 1 << k  # -1 >> 63 is all ones
+        return forb
 
     @cached_property
     def _critical_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +208,7 @@ class AvoidanceGraph:
         vertices.  A vertex with more submasks than the graph has vertices
         tests every vertex instead, so no vertex costs more than one row of
         all pairs.  The whole cube forbids no flip, so it has no pair and
-        builds no flip table.
+        reads no mask (a hand-built one would build the neighbor table).
         """
         verts = self.vertices
         n = verts.size
@@ -287,14 +296,26 @@ def _check_size(f: Pattern, d: int) -> None:
             )
 
 
-def _append_bit(f: Pattern, verts: np.ndarray) -> np.ndarray:
+def _append_bit(f: Pattern, verts: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The f-avoiding words one bit longer than verts, which must be the
-    sorted f-avoiding words of one length, at least |f| - 1: each gets 0 and
-    1 appended, and those ending in f are dropped (the prefix avoids f, so
-    only the last window can be new).  Appending the low bit keeps the order."""
+    sorted f-avoiding words of one length, at least |f| - 1, and their
+    forbidden-flip masks from the masks of verts: each word gets 0 and 1
+    appended, and those ending in f are dropped (the prefix avoids f, so only
+    the last window can be new).  Appending the low bit keeps the order.
+
+    Flipping bit k >= 1 of w.b flips bit k - 1 of w, so it leaves the graph
+    when bit k - 1 of w's mask is set, or when it makes the last window f.
+    With x = (w.b's last window) XOR f, one flip does that exactly when x has
+    one set bit, and that bit is the flip; x = 0 is the dropped word.
+    """
     verts = np.repeat(verts << 1, 2)
     verts[1::2] |= 1
-    return verts[(verts & (1 << f.length) - 1) != f.bits]
+    x = verts & (1 << f.length) - 1
+    x ^= f.bits
+    keep = x != 0
+    mask = np.repeat(mask << 1, 2)
+    mask |= x * (np.bitwise_count(x) == 1)
+    return verts[keep], mask[keep]
 
 
 def build_graph(f: Pattern, d: int) -> AvoidanceGraph:
@@ -305,9 +326,10 @@ def build_graph(f: Pattern, d: int) -> AvoidanceGraph:
     """
     _check_size(f, d)
     verts = np.arange(1 << min(d, f.length - 1), dtype=np.int64)
+    mask = np.zeros_like(verts)  # the whole cube forbids no flip
     for _ in range(f.length, d + 1):
-        verts = _append_bit(f, verts)
-    return AvoidanceGraph._built(f, d, verts)
+        verts, mask = _append_bit(f, verts, mask)
+    return AvoidanceGraph._built(f, d, verts, mask)
 
 
 def grow_graph(g: AvoidanceGraph) -> AvoidanceGraph:
@@ -317,7 +339,7 @@ def grow_graph(g: AvoidanceGraph) -> AvoidanceGraph:
     if d < f.length:
         raise ValueError(f"Q_{d}({f}) is not grown from Q_{d - 1}({f}): d < |f|")
     _check_size(f, d)
-    return AvoidanceGraph._built(f, d, _append_bit(f, g.vertices))
+    return AvoidanceGraph._built(f, d, *_append_bit(f, g.vertices, g.forbidden_flip_mask))
 
 
 def _bfs_levels(g: AvoidanceGraph, sources: np.ndarray):
@@ -355,23 +377,29 @@ def _distance_row(g: AvoidanceGraph, source: int) -> np.ndarray:
     """BFS distances (V, int64) from one source index to every vertex index;
     -1 where a vertex is unreachable.
 
-    Each level gathers the neighbors of the frontier only, so the BFS reads
-    every table entry once (V * d in all) rather than the whole table per
-    level, as the 64-lane _bfs_levels does.  dist has one extra last slot,
-    held at 0, so the table's -1 entries land there and never count as new.
+    Each level flips the d bits of the frontier only, so the BFS crosses
+    every edge once (V * d flips in all) and builds no neighbor table.  With
+    a dense index the slots of dist are the 2^d words themselves, so a level
+    needs no lookup: non-vertices are held at 0 and never count as new.
+    Otherwise they are the vertex indices, found by _lookup, with one extra
+    last slot, held at 0, where the -1 of a non-vertex lands.
     """
-    n = g.vertex_count
-    by_bit = g.neighbor_table.T
-    dist = np.full(n + 1, -1, dtype=np.int64)
-    dist[n] = dist[source] = 0
-    frontier = np.array([source])
+    n, verts, index = g.vertex_count, g.vertices, g._dense_index
+    flips = 1 << np.arange(g.dimension, dtype=np.int64)[:, None]
+    if index is None:
+        dist = np.full(n + 1, -1, dtype=np.int64)
+        dist[n], start = 0, source
+    else:
+        dist, start = np.where(index < 0, 0, -1), verts[source]
+    dist[start] = 0
+    frontier = np.array([start])
     level = 0
     while frontier.size:
         level += 1
-        reach = by_bit[:, frontier]
-        dist[reach[dist[reach] < 0]] = level
+        nb = g._lookup(verts[frontier] ^ flips) if index is None else frontier ^ flips
+        dist[nb[dist[nb] < 0]] = level
         frontier = np.flatnonzero(dist == level)
-    return dist[:n]
+    return dist[:n] if index is None else dist[verts]
 
 
 @dataclass(frozen=True)

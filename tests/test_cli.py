@@ -15,9 +15,14 @@ from fibocube import cli, harness
 from fibocube.cli import EXIT_BAD, EXIT_OK, EXIT_USAGE, main
 from fibocube.oracle import UNREACHABLE, build_graph, find_critical_pairs, is_isometric
 from fibocube.words import Word
-from test_oracle import reference_graph_to_dot, reference_graph_to_json_dict
+from test_oracle import (
+    forbid_neighbor_table,
+    reference_graph_to_dot,
+    reference_graph_to_json_dict,
+)
 
 STORED_ORACLE = Path(__file__).resolve().parents[1] / "bench" / "expected" / "oracle.json"
+ORACLE_LABELS = ["0000000-d13", "1010101-d13", "0110110-d13", "0011-d7", "0011-d10"]
 
 
 def run_cli(*argv):
@@ -270,8 +275,7 @@ class TestGraphExport:
         assert code == want["code"] == EXIT_OK
         assert (len(data), hashlib.sha256(data).hexdigest()) == (want["bytes"], want["sha256"])
 
-    @pytest.mark.parametrize("label", ["0000000-d13", "1010101-d13", "0110110-d13",
-                                       "0011-d7", "0011-d10"])
+    @pytest.mark.parametrize("label", ORACLE_LABELS)
     def test_matches_stored_benchmark_answers(self, label):
         # The oracle-big benchmark's graph answers, rendered as it stores
         # them in bench/expected/oracle.json: the verdict, and the critical
@@ -293,6 +297,13 @@ class TestGraphExport:
             "critical_pairs": len(rows),
             "critical_digest": digest,
         } == want
+
+    def test_stored_benchmark_answers_build_no_neighbor_table(self, monkeypatch):
+        # The scan reads the grown mask and the BFS naming the pair flips its
+        # frontier's bits, so neither builds a neighbor table.
+        forbid_neighbor_table(monkeypatch)
+        for label in ORACLE_LABELS:
+            self.test_matches_stored_benchmark_answers(label)
 
     def test_matches_reference_export(self):
         g = build_graph(Word.parse("0011"), 7)

@@ -14,6 +14,7 @@ from fibocube.harness import census, census_csv, run_suites
 from fibocube.oracle import AvoidanceGraph
 from fibocube.structural import Classification, CriticalWitness
 from fibocube.words import Word
+from test_oracle import forbid_neighbor_table
 
 REAL_BUILD = oracle.build_graph
 REAL_GROW = oracle.grow_graph
@@ -826,3 +827,24 @@ class TestFailurePaths:
         assert not r["passed"] and r["checked"] == 144
         assert r["counterexample"]["failure"] == failure
         assert r["swept"] == "period pairs 1..12, plus concrete words for three pairs"
+
+
+class TestNeighborTable:
+    """The scan reads each graph's grown forbidden-flip mask, so only the
+    lemma21 route's bit-parallel BFS builds a neighbor table."""
+
+    def test_census_oracle_confirmation_builds_no_table(self, monkeypatch):
+        want = census(7, oracle_confirm=True)
+        forbid_neighbor_table(monkeypatch)
+        assert census(7, oracle_confirm=True) == want
+
+    @pytest.mark.parametrize("suite", [s for s in harness.SUITES if s != "lemma21"])
+    def test_suites_past_lemma21_build_no_table(self, monkeypatch, suite):
+        want = run_suites(suite, 5, workers=1)
+        forbid_neighbor_table(monkeypatch)
+        assert run_suites(suite, 5, workers=1) == want
+
+    def test_lemma21_builds_tables(self, monkeypatch):
+        forbid_neighbor_table(monkeypatch)
+        with pytest.raises(AssertionError, match="built a neighbor table"):
+            run_suites("lemma21", 5, workers=1)

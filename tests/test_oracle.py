@@ -339,8 +339,26 @@ def assert_flip_tables_match_reference(g):
     assert not (forb >> d).any()
 
 
+def assert_grown_mask_matches_lookup(g):
+    """The forbidden-flip mask build_graph or grow_graph grew with g's
+    vertices equals the one a hand-built graph on the same vertices reads off
+    its neighbor table's -1 entries."""
+    assert "forbidden_flip_mask" in vars(g) and "neighbor_table" not in vars(g)
+    looked_up = AvoidanceGraph(g.pattern, g.dimension, g.vertices).forbidden_flip_mask
+    assert g.forbidden_flip_mask.dtype == np.int64
+    assert np.array_equal(g.forbidden_flip_mask, looked_up), (str(g.pattern), g.dimension)
+
+
 def without_dense_index(monkeypatch):
     monkeypatch.setattr(AvoidanceGraph, "_dense_index", property(lambda self: None))
+
+
+def forbid_neighbor_table(monkeypatch):
+    """Make every read of a graph's neighbor table raise."""
+    def refuse(g):
+        raise AssertionError(f"Q_{g.dimension}({g.pattern}) built a neighbor table")
+
+    monkeypatch.setattr(AvoidanceGraph, "neighbor_table", property(refuse))
 
 
 class TestWordLookup:
@@ -351,8 +369,23 @@ class TestWordLookup:
         for text in patterns_up_to(5):
             for d in range(1, 2 * len(text) + 3):
                 assert_flip_tables_match_reference(build_graph(W(text), d))
-        assert_flip_tables_match_reference(build_graph(W("11"), 22))
-        assert_flip_tables_match_reference(build_graph(W("01"), 63))
+        # The masks build_graph grows against the lookup route, and those a
+        # chain of grow_graph steps up from the last whole cube grows against
+        # build_graph's.
+        for text in patterns_up_to(7):
+            f, top = W(text), min(2 * len(text) + 2, 25)
+            built = [build_graph(f, d) for d in range(1, top + 1)]
+            for g in built:
+                assert_grown_mask_matches_lookup(g)
+            g = built[max(1, f.length - 1) - 1]
+            while g.dimension < top:
+                g = oracle.grow_graph(g)
+                want = built[g.dimension - 1].forbidden_flip_mask
+                assert "neighbor_table" not in vars(g)
+                assert np.array_equal(g.forbidden_flip_mask, want), (text, g.dimension)
+        for text, d in (("11", 22), ("01", 25), ("01", 63)):
+            assert_grown_mask_matches_lookup(build_graph(W(text), d))
+            assert_flip_tables_match_reference(build_graph(W(text), d))
 
     @pytest.mark.parametrize("dense", [True, False], ids=["as-built", "binary-search"])
     def test_flip_table_blocks_split_anywhere(self, monkeypatch, dense):
@@ -553,7 +586,7 @@ class TestIsIsometric:
             g = AvoidanceGraph(W(label), 4, np.arange(16, dtype=np.int64))
             assert is_isometric(g) == oracle.Verdict()
             assert find_critical_pairs(g) == []
-            assert "_flip_tables" not in vars(g)
+            assert "neighbor_table" not in vars(g) and "forbidden_flip_mask" not in vars(g)
 
     # {000, 011} at d = 3: two vertices at Hamming distance 2 with no path.
     # Labelled 1111, longer than d, the graph is still not the whole cube.
@@ -904,13 +937,13 @@ def reference_edge_list(g):
 
 
 def assert_exports_match_reference(g):
-    """g must be fresh: no export, nor the reference, builds the flip tables."""
+    """g must be fresh: no export, nor the reference, builds the neighbor table."""
     assert graph_to_dot(g) == reference_graph_to_dot(g)
     data, want = graph_to_json_dict(g), reference_graph_to_json_dict(g)
     assert data == want
     assert json.dumps(data, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert data["edges"] == [[str(a), str(b)] for a, b in reference_edge_list(g)]
-    assert "_flip_tables" not in vars(g)
+    assert "neighbor_table" not in vars(g)
 
 
 class TestExports:

@@ -7,6 +7,7 @@ import operator
 import pickle
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -163,32 +164,35 @@ UNSET_DEFAULTS_ALLOWED = {
 
 
 def defaulted_parameters(tree, module):
-    """(module.function, function, parameter, positional index or None) for
-    every parameter with a default; the index leaves out a method's self."""
+    """(qualified name, called name, parameter, positional index or None)
+    for every parameter with a default; the index leaves out a method's self.
+    A class's __init__ is called by the class's name, so its parameters are
+    recorded under that name."""
     found = []
 
-    def visit(node, in_class):
+    def visit(node, cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, True)
+                visit(child, child.name)
                 continue
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, in_class)
+                visit(child, cls)
                 continue
             a = child.args
             positional = a.posonlyargs + a.args
             static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                          for d in child.decorator_list)
-            skip = 1 if in_class and not static else 0
+            skip = 1 if cls and not static else 0
+            name = cls if cls and child.name == "__init__" else child.name
             first = len(positional) - len(a.defaults)
             for k, arg in enumerate(positional[first:], first):
-                found.append((f"{module}.{child.name}", child.name, arg.arg, k - skip))
+                found.append((f"{module}.{name}", name, arg.arg, k - skip))
             for arg, default in zip(a.kwonlyargs, a.kw_defaults):
                 if default is not None:
-                    found.append((f"{module}.{child.name}", child.name, arg.arg, None))
-            visit(child, False)
+                    found.append((f"{module}.{name}", name, arg.arg, None))
+            visit(child, None)
 
-    visit(tree, False)
+    visit(tree, None)
     return found
 
 
@@ -230,28 +234,56 @@ def program_files():
                                if not p.name.startswith("test_")]
 
 
-def test_every_default_parameter_is_set_by_some_caller():
-    """An option that only tests set is a second code path nothing uses."""
-    sources, callers = program_files()
+def unset_defaults(sources, callers):
+    """(qualified name, parameter) of every defaulted parameter or dataclass
+    field in the source trees that no call in the caller trees sets, apart
+    from UNSET_DEFAULTS_ALLOWED; each tree comes with its module name."""
     defaults = []
+    for module, tree in sources:
+        defaults += defaulted_parameters(tree, module) + defaulted_fields(tree, module)
     calls = []
-    for path in callers:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        if path in sources:
-            defaults += defaulted_parameters(tree, path.stem) + defaulted_fields(tree, path.stem)
+    for _, tree in callers:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 calls.append((name, node))
-    assert defaults  # the scan sees the package
-    unset = [
+    assert defaults  # the scan sees the sources
+    return [
         (qualified, param)
         for qualified, name, param, index in defaults
         if (qualified, param) not in UNSET_DEFAULTS_ALLOWED
         and not any(n == name and passes(c, param, index) for n, c in calls)
     ]
-    assert unset == []
+
+
+def test_every_default_parameter_is_set_by_some_caller():
+    """An option that only tests set is a second code path nothing uses."""
+    sources, callers = program_files()
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in callers}
+    assert unset_defaults([(p.stem, trees[p]) for p in sources],
+                          [(p.stem, trees[p]) for p in callers]) == []
+
+
+def test_constructor_defaults_are_matched_by_class_calls():
+    """A defaulted __init__ parameter is set by a call of its class: a
+    constructor whose default some call passes is not reported, one whose
+    default no call passes is."""
+    source = ast.parse(textwrap.dedent("""
+        class Passed:
+            def __init__(self, text, rep=None):
+                self.text, self.rep = text, rep
+
+        class Unset:
+            def __init__(self, text, rep=None):
+                self.text, self.rep = text, rep
+
+        def main():
+            return Passed("a", Passed("b")), Unset("c"), Passed("d", rep=None)
+    """))
+    assert unset_defaults([("scratch", source)], [("scratch", source)]) == [
+        ("scratch.Unset", "rep")
+    ]
 
 
 # Functions and methods that no program file names yet, with the reason.
