@@ -108,7 +108,7 @@ def _cmd_graph(args) -> int:
     from . import oracle
 
     f = _parse_pattern(args.pattern)
-    g = oracle.build_graph(f, args.dim)
+    g = oracle.build_graph(f, args.dim, grow_mask=False)
     if args.format == "json":
         print(_dumps(oracle.graph_to_json_dict(g)))
     else:

@@ -13,11 +13,12 @@ so enumeration costs the sum of the vertex counts up to d, not 2^d window
 tests (Q_25(11) has 196,418 of the 2^25 words); grow_graph takes that one
 step from a Q_d(f) already built.  Each step also carries every vertex's
 forbidden-flip mask (the bits whose flip leaves the graph), so the mask, like
-the vertices, is read off f at build time with no lookup.  A graph is refused
-before anything is allocated when its d x V neighbor table would exceed
-MAX_TABLE_BYTES; V is counted exactly from f's autocorrelation.  An export
-is refused, once its edges are counted and before they are listed, when its
-DOT text would exceed the same limit.
+the vertices, is read off f at build time with no lookup; the export, which
+reads no mask, builds its graph without one.  A graph is refused before
+anything is allocated when its d x V neighbor table would exceed
+MAX_TABLE_BYTES; V is counted exactly from f's autocorrelation.  An export is
+refused, once its edges are counted and before they are listed, when its DOT
+text would exceed the same limit.
 
 The neighbor table, the critical-pair scan and the export find a word's
 vertex index, or -1 for a non-vertex, through one lookup.  When 2^d <= d * V
@@ -26,8 +27,9 @@ entries than the d x V neighbor table; sparser graphs, such as Q_25(11) or
 Q_63(01), binary-search the sorted vertices instead.  The vertices must be
 sorted, distinct d-bit words, so the constructor checks them; build_graph and
 grow_graph, which make them so, skip that check.  A hand-built graph has no
-grown mask and reads it off the neighbor table's -1 entries.  Otherwise only
-the lemma21 route's _bfs_levels builds that d x V table.
+grown mask, so it reads one, if asked, off the neighbor table's -1 entries,
+as does a graph built without one.  Otherwise only the lemma21 route's
+_bfs_levels builds that d x V table.
 
 The export takes each edge from its lower end i and the bit k it sets (one
 lookup per bit into a V x d bool matrix), never from the neighbor table.  DOT
@@ -127,13 +129,15 @@ class AvoidanceGraph:
 
     @classmethod
     def _built(cls, pattern: Pattern, dimension: int, vertices: np.ndarray,
-               mask: np.ndarray) -> "AvoidanceGraph":
+               mask: np.ndarray | None) -> "AvoidanceGraph":
         """The graph on vertices that build_graph or grow_graph made: sorted,
         distinct int64 words in [0, 2^dimension) by construction, so unchecked,
-        with the forbidden-flip mask _append_bit grew beside them."""
+        with the forbidden-flip mask _append_bit grew beside them (None when
+        it grew none, so the mask is read off the neighbor table if asked)."""
         g = cls.__new__(cls)
         g.pattern, g.dimension, g.vertices = pattern, dimension, vertices
-        g.forbidden_flip_mask = mask
+        if mask is not None:
+            g.forbidden_flip_mask = mask
         return g
 
     @property
@@ -190,8 +194,8 @@ class AvoidanceGraph:
         vertex, so interval-blocking tests reduce to integer masking.
 
         build_graph and grow_graph set it from f as they grow the vertices
-        (_append_bit); a hand-built vertex array reads it off the -1 entries
-        of the neighbor table.
+        (_append_bit); a hand-built vertex array, or a graph built with
+        grow_mask=False, reads it off the -1 entries of the neighbor table.
         """
         forb = np.zeros(self.vertices.size, dtype=np.int64)
         for k, row in enumerate(self.neighbor_table.T):
@@ -296,15 +300,18 @@ def _check_size(f: Pattern, d: int) -> None:
             )
 
 
-def _append_bit(f: Pattern, verts: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _append_bit(f: Pattern, verts: np.ndarray,
+                mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
     """The f-avoiding words one bit longer than verts, which must be the
     sorted f-avoiding words of one length, at least |f| - 1, and their
-    forbidden-flip masks from the masks of verts: each word gets 0 and 1
-    appended, and those ending in f are dropped (the prefix avoids f, so only
-    the last window can be new).  Appending the low bit keeps the order.
+    forbidden-flip masks from the masks of verts (None for None): each word
+    gets 0 and 1 appended, and those ending in f are dropped (the prefix
+    avoids f, so only the last window can be new).  Appending the low bit
+    keeps the order.
 
     Flipping bit k >= 1 of w.b flips bit k - 1 of w, so it leaves the graph
-    when bit k - 1 of w's mask is set, or when it makes the last window f.
+    when bit k - 1 of w's mask is set, or when it makes the last window f
+    (flipping bit 0 can only do the latter).
     With x = (w.b's last window) XOR f, one flip does that exactly when x has
     one set bit, and that bit is the flip; x = 0 is the dropped word.
     """
@@ -313,20 +320,25 @@ def _append_bit(f: Pattern, verts: np.ndarray, mask: np.ndarray) -> tuple[np.nda
     x = verts & (1 << f.length) - 1
     x ^= f.bits
     keep = x != 0
-    mask = np.repeat(mask << 1, 2)
-    mask |= x * (np.bitwise_count(x) == 1)
-    return verts[keep], mask[keep]
+    if mask is not None:
+        mask = np.repeat(mask << 1, 2)
+        mask |= x * (np.bitwise_count(x) == 1)
+        mask = mask[keep]
+    return verts[keep], mask
 
 
-def build_graph(f: Pattern, d: int) -> AvoidanceGraph:
+def build_graph(f: Pattern, d: int, grow_mask: bool = True) -> AvoidanceGraph:
     """Every length-d word avoiding f, sorted: the words of length |f| - 1
     (all of them) grown one bit at a time by _append_bit, so the work grows
     with the vertex counts, not 2^d.  Graphs over the size limit are refused
     first (_check_size).
+
+    The forbidden-flip masks grow with the vertices, which about doubles the
+    cost of a build; the export reads no mask, so it passes grow_mask=False.
     """
     _check_size(f, d)
     verts = np.arange(1 << min(d, f.length - 1), dtype=np.int64)
-    mask = np.zeros_like(verts)  # the whole cube forbids no flip
+    mask = np.zeros_like(verts) if grow_mask else None  # the whole cube forbids no flip
     for _ in range(f.length, d + 1):
         verts, mask = _append_bit(f, verts, mask)
     return AvoidanceGraph._built(f, d, verts, mask)

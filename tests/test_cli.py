@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fibocube
-from fibocube import cli, harness
+from fibocube import cli, harness, oracle
 from fibocube.cli import EXIT_BAD, EXIT_OK, EXIT_USAGE, main
 from fibocube.oracle import UNREACHABLE, build_graph, find_critical_pairs, is_isometric
 from fibocube.words import Word
@@ -266,14 +266,25 @@ class TestVerify:
         assert err.startswith(f"error: {graph}; ")
 
 class TestGraphExport:
-    def test_matches_stored_benchmark_export(self):
+    def test_matches_stored_benchmark_export(self, monkeypatch):
         # The oracle-big benchmark checks this export's size and sha256
         # against bench/expected/oracle.json; a byte change fails here too.
+        # The export reads no forbidden-flip mask, so its graph grows none
+        # and builds no neighbor table.
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(build_graph(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(oracle, "build_graph", spy)
         want = json.loads(STORED_ORACLE.read_text())["graph-0000000-d13-dot"]
         code, out, _ = run_cli("graph", "0000000", "--dim", "13", "--format", "dot")
         data = out.encode()
         assert code == want["code"] == EXIT_OK
         assert (len(data), hashlib.sha256(data).hexdigest()) == (want["bytes"], want["sha256"])
+        [g] = built
+        assert not {"forbidden_flip_mask", "neighbor_table"} & vars(g).keys()
 
     @pytest.mark.parametrize("label", ORACLE_LABELS)
     def test_matches_stored_benchmark_answers(self, label):
@@ -558,7 +569,7 @@ class TestInternalError:
     def test_empty_message_names_the_exception_type(self, monkeypatch):
         from fibocube import oracle
 
-        def out_of_memory(f, d):
+        def out_of_memory(*args, **kwargs):
             raise MemoryError()
 
         monkeypatch.setattr(oracle, "build_graph", out_of_memory)

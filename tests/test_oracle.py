@@ -384,8 +384,20 @@ class TestWordLookup:
                 assert "neighbor_table" not in vars(g)
                 assert np.array_equal(g.forbidden_flip_mask, want), (text, g.dimension)
         for text, d in (("11", 22), ("01", 25), ("01", 63)):
-            assert_grown_mask_matches_lookup(build_graph(W(text), d))
-            assert_flip_tables_match_reference(build_graph(W(text), d))
+            g = build_graph(W(text), d)
+            assert_grown_mask_matches_lookup(g)
+            assert_flip_tables_match_reference(g)
+
+    def test_graph_built_without_mask_reads_it_off_the_table(self):
+        # The export builds its graph without a mask; asked for one anyway,
+        # such a graph reads it off its neighbor table.
+        for text in patterns_up_to(5):
+            for d in range(1, 2 * len(text) + 3):
+                g, bare = build_graph(W(text), d), build_graph(W(text), d, grow_mask=False)
+                assert np.array_equal(bare.vertices, g.vertices)
+                assert "forbidden_flip_mask" not in vars(bare)
+                assert np.array_equal(bare.forbidden_flip_mask, g.forbidden_flip_mask)
+                assert "neighbor_table" in vars(bare)
 
     @pytest.mark.parametrize("dense", [True, False], ids=["as-built", "binary-search"])
     def test_flip_table_blocks_split_anywhere(self, monkeypatch, dense):

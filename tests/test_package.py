@@ -281,8 +281,8 @@ def test_constructor_defaults_are_matched_by_class_calls():
         def main():
             return Passed("a", Passed("b")), Unset("c"), Passed("d", rep=None)
     """))
-    assert unset_defaults([("scratch", source)], [("scratch", source)]) == [
-        ("scratch.Unset", "rep")
+    assert unset_defaults([("sample", source)], [("sample", source)]) == [
+        ("sample.Unset", "rep")
     ]
 
 
