@@ -5,12 +5,13 @@ against the brute-force oracle (or re-derives an invariant from definitions)
 and reports the first counterexample if any.  One table lists the suites;
 one pass checks each orbit of patterns under reversal and complement against
 all selected suites.  Each pattern is classified once, and each graph is
-built and tested once per orbit: reversal and complement are automorphisms
-of Q_d, so every oracle fact is the same on the whole orbit, and is computed
-on its first member's graphs.  Each member keeps its own
-record, so the checked counts are per pattern.  The pass may be split over
-worker processes; records are merged in input order, so output is identical
-for any worker count.
+built once per orbit: reversal and complement are automorphisms of Q_d, so
+every oracle answer is the same on the whole orbit, and the checks of every
+member ask the oracle directly about its first member's graphs, which cache
+their critical-pair scan and BFS.  Each member keeps its own record, so the
+checked counts are per pattern.  The pass may be split over worker
+processes; records are merged in input order, so output is identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -87,68 +88,14 @@ def _orbits(texts) -> list[list[str]]:
     return list(orbits.values())
 
 
-def _fact(method):
-    """An _Oracle method whose result is computed once per oracle and arguments."""
-    def once(self, *args):
-        key = (method.__name__, *args)
-        if key not in self._facts:
-            self._facts[key] = method(self, *args)
-        return self._facts[key]
-    return once
-
-
-class _Oracle:
-    """The oracle's facts about the graphs of one word f.  Each graph Q_d(w)
-    is built at most once, or grown from a held Q_{d-1}(w) when d > |w|, and
-    each fact is computed at most once, whichever checks ask; all of it is
-    freed with the object."""
-
-    def __init__(self, f: Word):
-        self.f = f
-        self._graphs = {}
-        self._facts = {}
-
-    def graph(self, w: Word, d: int) -> oracle.AvoidanceGraph:
-        g = self._graphs.get((w, d))
-        if g is None:
-            below = self._graphs.get((w, d - 1)) if d > w.length else None
-            g = oracle.build_graph(w, d) if below is None else oracle.grow_graph(below)
-            self._graphs[w, d] = g
-        return g
-
-    @_fact
-    def index(self, probe) -> int | None:
-        """first_violation_dimension over the graphs up to the one probe(f) names."""
-        return oracle.first_violation_dimension(*probe(self.f), self.graph)
-
-    @_fact
-    def index_bruteforce(self) -> int | None:
-        return oracle.index_bruteforce(self.f, self.graph)
-
-    @_fact
-    def p_values(self, d: int) -> tuple[int, ...]:
-        """The p of each critical pair of Q_d(f); empty when it is isometric."""
-        return tuple(oracle.critical_p_values(self.graph(self.f, d)).tolist())
-
-    @_fact
-    def critical_pairs(self, d: int) -> frozenset[tuple[int, int]]:
-        """The critical pairs of Q_d(f), each as (lesser, greater) word bits."""
-        g = self.graph(self.f, d)
-        i, j = g._critical_pairs  # i < j, so each pair is (lesser, greater) word
-        return frozenset(zip(g.vertices[i].tolist(), g.vertices[j].tolist()))
-
-    @_fact
-    def equivalence_failure(self, d: int) -> dict | None:
-        return _equivalence_failure(self.graph(self.f, d))
-
-
 class _Pattern:
     """One swept pattern f, with its own classification cache (each word is
-    classified once).  Its oracle facts come from its own graphs or, for a
-    member of another pattern rep's orbit, from rep's: the reversal or
-    complement that maps rep.f onto f carries Q_d(rep.f) onto Q_d(f), so
-    every oracle fact a check reads is the same on both, and carry maps the
-    critical pairs."""
+    classified once) and the graphs whose oracle answers are f's: Q_d(word),
+    where word is f or, for a member of another pattern rep's orbit, rep.f.
+    The reversal or complement that maps rep.f onto f carries Q_d(rep.f)
+    onto Q_d(f), so every oracle answer a check reads is the same on both,
+    and carry maps the critical pairs.  A member shares rep's graphs, so each
+    graph is built or grown once per orbit and freed with its patterns."""
 
     def __init__(self, text: str):
         self.text = text
@@ -158,23 +105,30 @@ class _Pattern:
         self.own_graphs()
 
     def member(self, text: str) -> _Pattern:
-        """Another member of f's orbit, reading this pattern's oracle facts."""
+        """Another member of f's orbit, answered by this pattern's graphs."""
         p = _Pattern(text)
-        p.rep, p.oracle = self, self.oracle
+        p.rep, p.word, p.graphs = self, self.f, self.graphs
         p.carry = next(c for c in _CARRIES if c(self.f) == p.f)  # maps Q_d(f) onto Q_d(p.f)
         return p
 
     def own_graphs(self) -> None:
-        """Read every later oracle fact from f's own graphs."""
-        self.oracle, self.carry = _Oracle(self.f), None
+        """Answer every later check from f's own graphs."""
+        self.word, self.graphs, self.carry = self.f, {}, None
 
-    def critical_pairs(self, d: int) -> frozenset[tuple[int, int]]:
-        pairs = self.oracle.critical_pairs(d)
-        if self.carry is None:
-            return pairs
-        carry = self.carry
-        return frozenset(tuple(sorted((carry(Word(d, a)).bits, carry(Word(d, b)).bits)))
-                         for a, b in pairs)
+    def graph(self, w: Word, d: int) -> oracle.AvoidanceGraph:
+        """Q_d(w), built at most once, or grown from a held Q_{d-1}(w) when d > |w|."""
+        g = self.graphs.get((w, d))
+        if g is None:
+            below = self.graphs.get((w, d - 1)) if d > w.length else None
+            g = oracle.build_graph(w, d) if below is None else oracle.grow_graph(below)
+            self.graphs[w, d] = g
+        return g
+
+    def critical_pairs(self, d: int) -> set[tuple[int, int]]:
+        """The critical pairs of Q_d(f), each as (lesser, greater) word bits."""
+        carry = self.carry or (lambda w: w)
+        return {tuple(sorted((carry(c.alpha).bits, carry(c.beta).bits)))
+                for c in oracle.find_critical_pairs(self.graph(self.word, d))}
 
 
 def _index_and_least_p(cls) -> list:
@@ -223,7 +177,7 @@ def _cross_validate_one(p: _Pattern) -> dict:
     the index bound 2n - 1 for n <= 4), its verdict against the 2-error
     rule, and a bad f's witness pairs against the critical pairs of Q_B(f)."""
     cls = p.classify(p.f)
-    b_index = p.oracle.index(_probe_graph)
+    b_index = oracle.first_violation_dimension(*_probe_graph(p.word), p.graph)
     record = {"pattern": p.text, "structural_index": cls.index, "bruteforce_index": b_index}
     if cls.index != b_index:
         record["failure"] = "index-mismatch"
@@ -237,10 +191,10 @@ def _cross_validate_one(p: _Pattern) -> dict:
 
 
 def _min_p_one(p: _Pattern) -> dict:
-    b = p.oracle.index_bruteforce()
+    b = oracle.index_bruteforce(p.word, p.graph)
     if b is None:
         return {"pattern": p.text, "index": None, "min_p": None}
-    ps = p.oracle.p_values(b)
+    ps = oracle.critical_p_values(p.graph(p.word, b)).tolist()
     min_p = min(ps, default=None)
     record = {"pattern": p.text, "index": b, "min_p": min_p, "pairs_at_min": ps.count(min_p)}
     if min_p not in (2, 3):
@@ -263,10 +217,10 @@ def _doubling_one(p: _Pattern) -> dict:
     if cls.good:
         cls_ff = p.classify(p.f.concat(p.f))
         record["doubled_index"] = cls_ff.index
-        probe = _doubling_probe(p.f)
+        probe = _doubling_probe(p.word)
         if not cls_ff.good:
             record["failure"] = "doubling-lost-goodness"
-        elif probe and p.oracle.index(_doubling_probe) is not None:
+        elif probe and oracle.first_violation_dimension(*probe, p.graph) is not None:
             record["failure"] = "oracle-says-doubled-is-bad"
     return _orbit_checked(p, cls, record)
 
@@ -287,52 +241,20 @@ def _monotonicity_failure(p: _Pattern, cls) -> dict:
             reason = structural.verify_witness(structural.lift_witness(w, d))
             if reason is not None:
                 return {"failure": "lifted-witness-rejected", "dimension": d, "reason": reason}
-        if not p.oracle.p_values(d):  # no pair: isometric
+        if not oracle.critical_p_values(p.graph(p.word, d)).size:  # no pair: isometric
             return {"failure": "oracle-isometric-above-index", "dimension": d}
     return {}
 
 
 def _critical_equivalence_one(p: _Pattern) -> dict:
     """The scan-free BFS route against the critical-pair scan on every graph
-    to the probe depth (see _equivalence_failure)."""
+    to the probe depth (see oracle.equivalence_failure)."""
     _, d_max = _probe_graph(p.f)
     for d in range(2, d_max + 1):
-        broken = p.oracle.equivalence_failure(d)
+        broken = oracle.equivalence_failure(p.graph(p.word, d))
         if broken:
             return {"pattern": p.text, **broken}
     return {"pattern": p.text, "dimensions_checked": d_max - 1}
-
-
-def _equivalence_failure(g: oracle.AvoidanceGraph) -> dict | None:
-    """The scan-free BFS route against the critical-pair scan on g: a
-    violating source exactly when there is a critical pair, and the first
-    violating source is the least endpoint of the critical pairs, which is
-    where is_isometric runs its one BFS.  A pair is named only for a failure."""
-    source = oracle._bfs_violation(g)
-    # The scan's index pairs are sorted with i < j, so the least alpha of
-    # find_critical_pairs(g) is vertices[i[0]].
-    i, _ = g._critical_pairs
-    endpoint = int(i[0]) if i.size else None
-    if (source is None) == (endpoint is not None):
-        failure = "equivalence-broken"
-    elif endpoint is not None and source != endpoint:
-        failure = "first-source-not-scan-endpoint"
-    else:
-        return None
-    record = {
-        "dimension": g.dimension,
-        "isometric": source is None,
-        "critical_pairs": i.size,
-        "failure": failure,
-    }
-    violation = source is not None and oracle._first_violation(g, source)
-    if violation:  # None when the flagged source's own BFS row finds none
-        a, b, dg, h = violation
-        dg = "unreachable" if dg == oracle.UNREACHABLE else int(dg)
-        record["violating_pair"] = [str(a), str(b), dg, h]
-    if endpoint is not None:
-        record["scan_endpoint"] = str(Word(g.dimension, int(g.vertices[endpoint])))
-    return record
 
 
 def _bad_patterns(records) -> int:
@@ -369,8 +291,9 @@ SUITES = tuple(_SUITES)
 def _check_one(args) -> list:
     """The records of one orbit's members, in the order given, one per
     check.  The first member is the representative, checked on its own
-    graphs; the others read its oracle facts.  A member whose record fails
-    is checked again on its own graphs, so that the record names its words."""
+    graphs; the others are answered by its graphs.  A member whose record
+    fails is checked again on its own graphs, so that the record names its
+    words."""
     texts, checks = args
     rep = _Pattern(texts[0])
     rows = [[check(rep) for check in checks]]
@@ -378,7 +301,7 @@ def _check_one(args) -> list:
         p, row = rep.member(text), []
         for check in checks:
             record = check(p)
-            if "failure" in record and p.oracle is rep.oracle:
+            if "failure" in record and p.carry is not None:
                 p.own_graphs()
                 record = check(p)
             row.append(record)
@@ -469,7 +392,7 @@ def run_suites(suite: str, max_len: int, workers: int = 1) -> list[dict]:
         for name in selected:
             deepest = _SUITES[name][4](f)
             if deepest is not None:
-                oracle._check_size(*deepest)
+                oracle.check_size(*deepest)
     checks = tuple(_SUITES[name][2] for name in selected)
     rows = _sweep(texts, checks, workers)
     reports = []

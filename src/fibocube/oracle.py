@@ -60,9 +60,13 @@ That BFS is level-synchronous over the frontier only: each level flips the d
 bits of the vertices it reached last, so the whole BFS crosses each edge once
 and builds no neighbor table.
 
-The lemma21 sweep checks the scan against an independent, scan-free BFS
-route on every graph it covers: one pass of the bit-parallel _bfs_levels per
-batch of 64 sources.  Each source is one bit of a uint64 per vertex, so one
+equivalence_failure(g) is the lemma21 check, which the sweep runs on every
+graph it covers: the scan against an independent, scan-free BFS route.  They
+must agree on whether g has a violating source and, when it has, on the
+first one: the route's answer against the least endpoint of the critical
+pairs.  The route's answer is cached on the graph, like the scan's, so its
+BFS runs once per graph: one pass of the bit-parallel _bfs_levels per batch
+of 64 sources.  Each source is one bit of a uint64 per vertex, so one
 gather of the whole table per level advances all 64 BFS (64 frontier BFS would
 read it once per source).  A pass sums level times the count first reached
 there, for the batch's Hamming sum, and stops once every source has reached
@@ -242,6 +246,12 @@ class AvoidanceGraph:
         key = np.unique(np.concatenate(keys))
         return key // n, key % n
 
+    @cached_property
+    def _bfs_source(self) -> int | None:
+        """The scan-free BFS route's first violating source (_bfs_violation),
+        run once per graph."""
+        return _bfs_violation(self)
+
     def _up_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(i, k) of every edge: its lower end's index i and the bit k, 0 in
         i, that its upper end j sets.  Row-major order of the V x d bool
@@ -284,7 +294,7 @@ def _vertex_count(f: Pattern, d: int) -> int:
     return a[d]
 
 
-def _check_size(f: Pattern, d: int) -> None:
+def check_size(f: Pattern, d: int) -> None:
     """Refuse Q_d(f) before anything is allocated when d cannot be packed in
     int64 or the d x V neighbor table would exceed MAX_TABLE_BYTES.  V is
     only counted when the whole cube's table, 8 d 2^d bytes, would not fit."""
@@ -331,12 +341,12 @@ def build_graph(f: Pattern, d: int, grow_mask: bool = True) -> AvoidanceGraph:
     """Every length-d word avoiding f, sorted: the words of length |f| - 1
     (all of them) grown one bit at a time by _append_bit, so the work grows
     with the vertex counts, not 2^d.  Graphs over the size limit are refused
-    first (_check_size).
+    first (check_size).
 
     The forbidden-flip masks grow with the vertices, which about doubles the
     cost of a build; the export reads no mask, so it passes grow_mask=False.
     """
-    _check_size(f, d)
+    check_size(f, d)
     verts = np.arange(1 << min(d, f.length - 1), dtype=np.int64)
     mask = np.zeros_like(verts) if grow_mask else None  # the whole cube forbids no flip
     for _ in range(f.length, d + 1):
@@ -350,7 +360,7 @@ def grow_graph(g: AvoidanceGraph) -> AvoidanceGraph:
     f, d = g.pattern, g.dimension + 1
     if d < f.length:
         raise ValueError(f"Q_{d}({f}) is not grown from Q_{d - 1}({f}): d < |f|")
-    _check_size(f, d)
+    check_size(f, d)
     return AvoidanceGraph._built(f, d, *_append_bit(f, g.vertices, g.forbidden_flip_mask))
 
 
@@ -494,6 +504,38 @@ def _bfs_violation(g: AvoidanceGraph) -> int | None:
     return None
 
 
+def equivalence_failure(g: AvoidanceGraph) -> dict | None:
+    """The lemma21 check of g, None when it passes: the scan-free BFS route
+    finds a violating source exactly when the scan finds a critical pair,
+    and its first violating source is the least endpoint of the critical
+    pairs, where is_isometric runs its one BFS.  A failing record names the
+    pair the flagged source's BFS row finds, if any, and the scan's endpoint."""
+    source = g._bfs_source
+    # The scan's index pairs are sorted with i < j, so the least alpha of
+    # find_critical_pairs(g) is vertices[i[0]].
+    i, _ = g._critical_pairs
+    endpoint = int(i[0]) if i.size else None
+    if (source is None) == (endpoint is not None):
+        failure = "equivalence-broken"
+    elif endpoint is not None and source != endpoint:
+        failure = "first-source-not-scan-endpoint"
+    else:
+        return None
+    record = {
+        "dimension": g.dimension,
+        "isometric": source is None,
+        "critical_pairs": i.size,
+        "failure": failure,
+    }
+    violation = source is not None and _first_violation(g, source)
+    if violation:  # None when the flagged source's own BFS row finds none
+        a, b, dg, h = violation
+        record["violating_pair"] = [str(a), str(b), "unreachable" if dg == UNREACHABLE else dg, h]
+    if endpoint is not None:
+        record["scan_endpoint"] = str(Word(g.dimension, int(g.vertices[endpoint])))
+    return record
+
+
 def critical_p_values(g: AvoidanceGraph) -> np.ndarray:
     """The Hamming distance p of every critical pair of g, in the order
     find_critical_pairs reports the pairs; empty exactly when g is isometric.
@@ -552,7 +594,7 @@ def first_violation_dimension(f: Pattern, d_max: int, graph=None) -> int | None:
     """Smallest d in 2..d_max where Q_d(f), as graph(f, d) gives it (build_graph
     by default), has a critical pair, else None; no pair is named.  V never
     decreases with d, so Q_{d_max}(f) is size-checked before any graph is built."""
-    _check_size(f, d_max)
+    check_size(f, d_max)
     graph = graph or build_graph
     for d in range(2, d_max + 1):
         if critical_p_values(graph(f, d)).size:

@@ -113,7 +113,7 @@ class TestCrossValidate:
         # The index scan over the sweeps' cached graphs and over fresh ones agree.
         for t in harness.patterns_up_to(5):
             f = Word.parse(t)
-            assert oracle.index_bruteforce(f, harness._Pattern(t).oracle.graph) == \
+            assert oracle.index_bruteforce(f, harness._Pattern(t).graph) == \
                 oracle.index_bruteforce(f)
 
     def test_pattern_graphs_equal_built_graphs(self, monkeypatch):
@@ -124,12 +124,13 @@ class TestCrossValidate:
             grown.clear()
             p = harness._Pattern(text)
             for d in range(1, 2 * len(text) + 3):
-                assert np.array_equal(p.oracle.graph(p.f, d).vertices, REAL_BUILD(p.f, d).vertices)
+                assert np.array_equal(p.graph(p.f, d).vertices, REAL_BUILD(p.f, d).vertices)
             assert grown == list(range(len(text) + 1, 2 * len(text) + 3)), text
 
     def test_graphs_die_with_their_pattern(self, monkeypatch):
-        # No reference cycle holds a pattern's graphs: they are freed when
-        # it is dropped, without the cycle collector.
+        # No reference cycle holds an orbit's graphs: a representative and
+        # its member share them, and they are freed when both are dropped,
+        # without the cycle collector.
         refs = []
 
         def keep(make):
@@ -144,9 +145,14 @@ class TestCrossValidate:
         gc.disable()
         try:
             p = harness._Pattern("0011")  # bad, B = 7: Q_2..Q_4 built, Q_5..Q_7 grown
-            harness._cross_validate_one(p)
+            member = p.member("1100")
+            assert [harness._cross_validate_one(q) for q in (p, member)] == [
+                {"pattern": t, "structural_index": 7, "bruteforce_index": 7}
+                for t in ("0011", "1100")]
             assert [r().dimension for r in refs] == [2, 3, 4, 5, 6, 7]
             del p
+            assert all(r() is not None for r in refs)  # the member still holds them
+            del member
             assert [r() for r in refs] == [None] * 6
         finally:
             gc.enable()
@@ -471,10 +477,10 @@ class TestOrbits:
 
     def test_member_records_equal_records_on_own_graphs(self, monkeypatch):
         # Every suite's record of every member of every orbit of length <= 6,
-        # read from the representative's oracle facts, equals the member's
+        # answered by the representative's graphs, equals the member's
         # record on its own graphs: the oracle fields (bruteforce_index,
         # index, min_p, pairs_at_min, dimensions_checked) and the witness-set
-        # comparison alike.  Checking a member on those facts builds no graph.
+        # comparison alike.  Checking a member on those graphs builds no graph.
         checks = [entry[2] for entry in harness._SUITES.values()]
         members, bad_members = 0, 0
         for orbit in harness._orbits(harness.patterns_up_to(6)):
@@ -595,6 +601,22 @@ class TestRunSuites:
         assert built and len(built) == len(set(built))
         good = [t for t in texts if real_classify(Word.parse(t)).good]
         assert sorted(classified) == sorted([(t, t) for t in texts] + [(t, t + t) for t in good])
+
+    def test_lemma21_runs_one_bfs_per_representative_graph(self, monkeypatch):
+        # The scan-free BFS route is cached on each graph, and members are
+        # answered by their representative's graphs: one _bfs_violation per
+        # (representative, d) that lemma21 checks, in sweep order.
+        ran = []
+
+        def bfs(g):
+            ran.append((str(g.pattern), g.dimension))
+            return REAL_BFS(g)
+
+        monkeypatch.setattr(oracle, "_bfs_violation", bfs)
+        assert all(r["passed"] for r in run_suites("all", 5, workers=1))
+        reps = [orbit[0] for orbit in harness._orbits(harness.patterns_up_to(5))]
+        assert ran == [(t, d) for t in reps
+                       for d in range(2, harness._probe_graph(Word.parse(t))[1] + 1)]
 
     def test_passing_sweep_names_no_pair(self, monkeypatch):
         # A passing lemma21 check compares source indices only, so no

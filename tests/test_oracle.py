@@ -309,7 +309,7 @@ class TestBuildGraph:
     def test_growing_past_the_size_limit_is_refused_before_allocating(self, monkeypatch):
         f = W("0" * 12)
         with pytest.raises(ValueError) as limit:
-            oracle._check_size(f, 23)
+            oracle.check_size(f, 23)
 
         def step(f, verts):
             raise AssertionError("grew before the size check")
@@ -850,7 +850,7 @@ class TestSizeCheck:
 
     @pytest.mark.parametrize("text, d", [("11", 25), ("11", 30), ("01", 63), ("10101", 22)])
     def test_accepted_graphs(self, text, d):
-        oracle._check_size(W(text), d)
+        oracle.check_size(W(text), d)
 
 
 class TestIndexBruteforce:

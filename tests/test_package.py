@@ -351,11 +351,65 @@ def failure_kinds(tree):
 
 
 def test_every_harness_failure_kind_is_named_in_its_tests():
-    """A failure kind no test names is a check no test shows can fail."""
-    harness = ast.parse((REPO / "src" / "fibocube" / "harness.py").read_text(encoding="utf-8"))
-    kinds = failure_kinds(harness)
-    assert kinds and None not in kinds
+    """A failure kind no test names is a check no test shows can fail.  The
+    sweeps' records take their kinds from the harness and from the oracle's
+    lemma21 check."""
+    kinds = set()
+    for module in ("harness.py", "oracle.py"):
+        found = failure_kinds(ast.parse((REPO / "src" / "fibocube" / module)
+                                        .read_text(encoding="utf-8")))
+        assert found and None not in found, module
+        kinds |= found
     assert sorted(kinds - named_strings("test_harness.py")) == []
+
+
+def private_oracle_names():
+    """Every private name oracle.py defines: its functions, classes and
+    methods (a graph's cached scan among them), and the names and
+    attributes it assigns."""
+    tree = ast.parse((REPO / "src" / "fibocube" / "oracle.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def private_oracle_reads(source, private):
+    """Each read in source of a private oracle name: oracle._x, a private
+    name imported from the oracle, or an attribute ._x named in private."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and (
+            node.attr in private
+            or isinstance(node.value, ast.Name) and node.value.id == "oracle"
+        ):
+            reads.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("oracle"):
+            reads += [a.name for a in node.names if a.name.startswith("_")]
+    return reads
+
+
+def test_harness_reads_no_private_oracle_name():
+    """The sweeps ask the oracle through its public functions only, so the
+    oracle's caches and routes can change without the harness."""
+    private = private_oracle_names()
+    assert {"_critical_pairs", "_bfs_source", "_bfs_violation", "_lookup"} <= private
+    source = (REPO / "src" / "fibocube" / "harness.py").read_text(encoding="utf-8")
+    assert private_oracle_reads(source, private) == []
+    planted = textwrap.dedent("""
+        from .oracle import _first_violation
+        i, j = g._critical_pairs
+        source = oracle._bfs_violation(g)
+        name = oracle.UNREACHABLE, periodicity._overlap_failure
+    """)
+    assert private_oracle_reads(planted, private) == [
+        "_first_violation", "g._critical_pairs", "oracle._bfs_violation"
+    ]
 
 
 def test_every_witness_reason_code_is_named_in_its_tests():
